@@ -4,7 +4,8 @@ verification.  Output is deterministic JSON (stable key order) or a plain
 text rendering of the same structure.
 
 Exit codes: 0 success / true / equivalent, 1 false / inequivalent (with a
-certificate in the report), 2 input or schema error.
+certificate in the report), 2 input or schema error; a schema error names
+the JSON path of the offending value.
 """
 
 from __future__ import annotations

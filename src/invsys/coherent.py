@@ -12,15 +12,24 @@ Every identity checked here is universally quantified below a horizon and
 guaranteed by the algebra above it: beyond the stabilization bound (one past
 the last level carrying a nonzero ``y``) all entries are pure branch form, so
 finite checks plus that uniformity give exact answers.
+
+Input is validated where it enters: ``planted`` checks every branch
+presentation, ``coboundary`` every level, and the ``from_json`` constructors
+parse files through them and ``module_element``.  A ``Planted`` is a frozen
+value, so each element keeps its own entry table: ``eval_entry`` computes an
+entry once, from trusted branch handles and module arithmetic, and the
+identity checks below, which read every entry O(h) times, look the rest up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .freemod import ModuleElement, apply_hom, module_element
+from .freemod import ModuleElement, _canonical, apply_hom
 from .indexset import FULL, IndexSet, ProPiece, below, index_set, tail
 from .ring import RingElem
+from .schema import SchemaError, at, json_list
 from .system import System
 from .tree import Branch, Node
 
@@ -36,11 +45,15 @@ class Coboundary:
     system: System
     entries: tuple[tuple[int, ModuleElement], ...]  # (level, nonzero element), sorted
 
+    @cached_property
+    def _by_level(self) -> dict[int, ModuleElement]:
+        return dict(self.entries)
+
     def y(self, i: int) -> ModuleElement:
-        for level, elem in self.entries:
-            if level == i:
-                return elem
-        return ModuleElement.zero(i, self.system.ring, self.system.tree)
+        elem = self._by_level.get(i)
+        if elem is None:
+            return ModuleElement.zero(i, self.system.ring, self.system.tree)
+        return elem
 
     @property
     def stab_bound(self) -> int:
@@ -80,15 +93,18 @@ class Coboundary:
         return [{"level": lvl, "elem": elem.to_json()} for lvl, elem in self.entries]
 
     @staticmethod
-    def from_json(obj: list, system: System) -> Coboundary:
+    def from_json(obj: list, system: System, path: str = "$") -> Coboundary:
         table = {}
-        for entry in obj:
-            elem = ModuleElement.from_json(entry["elem"], system.ring, system.tree)
-            if elem.level != entry["level"]:
-                raise ValueError(f"level tag {entry['level']} does not match element level {elem.level}")
-            lvl = entry["level"]
+        for entry_path, entry in json_list(obj, path):
+            with at(entry_path):
+                lvl, elem = entry["level"], entry["elem"]
+            elem = ModuleElement.from_json(elem, system.ring, system.tree, f"{entry_path}.elem")
+            if elem.level != lvl:
+                raise SchemaError(f"{entry_path}.level: level tag {lvl!r} does not match "
+                                  f"element level {elem.level}")
             table[lvl] = table.get(lvl, ModuleElement.zero(lvl, system.ring, system.tree)) + elem
-        return coboundary(system, table)
+        with at(path):
+            return coboundary(system, table)
 
 
 def coboundary(system: System, table) -> Coboundary:
@@ -108,11 +124,18 @@ def coboundary(system: System, table) -> Coboundary:
 
 @dataclass(frozen=True)
 class Planted:
-    """A branch-generator combination plus a coboundary part."""
+    """A branch-generator combination plus a coboundary part.
+
+    ``_entries`` is the element's table of evaluated entries, keyed by
+    ``(i, j)``; it takes no part in equality, hashing or ``repr``.
+    """
 
     system: System
     combo: tuple[tuple[Branch, int], ...]  # (branch, nonzero coefficient), canonical
     fact: Coboundary
+    _entries: dict[tuple[int, int], ModuleElement] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def stab_bound(self) -> int:
@@ -143,7 +166,11 @@ class Planted:
     # -- evaluation -----------------------------------------------------------
 
     def eval_entry(self, i: int, j: int) -> ModuleElement:
-        """Entry ``(i, j)`` of the presented coherent family, canonical."""
+        """Entry ``(i, j)`` of the presented coherent family, canonical;
+        computed on the first request and looked up in the table after."""
+        out = self._entries.get((i, j))
+        if out is not None:
+            return out
         if not 0 <= i < j:
             raise ValueError(f"need 0 <= i < j, got ({i}, {j})")
         tree = self.system.tree
@@ -151,9 +178,10 @@ class Planted:
         for branch, coeff in self.combo:
             node = tree.branch_node(branch, i)
             acc[(node, j)] = acc.get((node, j), 0) + coeff
-        out = module_element(i, acc, self.system.ring, tree)
+        out = _canonical(i, acc, self.system.ring, tree)
         if not self.fact.is_zero():
             out = out + self.fact.induced(i, j)
+        self._entries[(i, j)] = out
         return out
 
     def entry_coefficient(self, i: int, j: int, node: Node, l: int) -> RingElem:
@@ -192,15 +220,21 @@ class Planted:
         }
 
     @staticmethod
-    def from_json(obj: dict, system: System) -> Planted:
-        if not isinstance(obj, dict):
-            raise ValueError(f"element description must be an object, got {type(obj).__name__}")
+    def from_json(obj: dict, system: System, path: str = "$") -> Planted:
+        with at(path):
+            if not isinstance(obj, dict):
+                raise ValueError(f"element description must be an object, got {type(obj).__name__}")
+            combo, fact_y = obj.get("combo", ()), obj.get("fact_y", ())
         acc: dict[Branch, int] = {}
-        for entry in obj.get("combo", ()):
-            branch = system.tree.branch_from_json(entry["branch"])
-            acc[branch] = acc.get(branch, 0) + int(entry["coeff"])
-        fact = Coboundary.from_json(obj.get("fact_y", ()), system)
-        return planted(system, acc, fact)
+        for entry_path, entry in json_list(combo, f"{path}.combo"):
+            with at(entry_path):
+                branch, coeff = entry["branch"], int(entry["coeff"])
+            with at(f"{entry_path}.branch"):
+                branch = system.tree.branch_from_json(branch)
+            acc[branch] = acc.get(branch, 0) + coeff
+        fact = Coboundary.from_json(fact_y, system, f"{path}.fact_y")
+        with at(path):
+            return planted(system, acc, fact)
 
 
 def planted(system: System, combo, fact: Coboundary | None = None) -> Planted:
@@ -323,12 +357,12 @@ def check_eq_recurrences(a: Planted, horizon: int, eval_fn=None) -> EqReport:
                 for nu, l, _ in e_ik.terms:
                     candidates.add((nu, l))
                 for eta, l, _ in e_jk.terms:
-                    down = tree.restrict(eta, i)
+                    down = tree._restrict(eta, i)
                     candidates.add((down, l))
                     candidates.add((down, j))
                 for nu, l in sorted(candidates, key=lambda t: (tree.node_sort_key(t[0]), t[1])):
                     got = e_ik.coefficient(nu, l)
-                    above = tree.pro_level_within(j, nu, upper_nodes)
+                    above = tree._pro_level_within(nu, upper_nodes)
                     if l < j:
                         want = e_ij.coefficient(nu, l)
                         tag = "below"

@@ -5,14 +5,24 @@ The level-i module is freely generated by pairs ``(node at level i, l)`` with
 coefficients dropped, terms sorted by node address then generator index, so
 equality is syntactic.  The connecting homomorphism into a lower level i sends
 the generator ``(eta, l)`` of level j to ``(eta|i, l) - (eta|i, j)``.
+
+Terms are validated once, where they enter: ``module_element`` checks each
+term's node, level and generator index, and ``ModuleElement.from_json`` reads
+files through it.  The internal paths (``+``, ``-``, ``scale``,
+``restrict_to`` and ``apply_hom``) only recombine the terms of elements that
+are already valid, and restriction keeps a valid node valid, so they skip
+those checks: they reduce, drop zeros and sort through the trusted
+``_canonical``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .indexset import TailSet
 from .ring import Ring, RingElem
+from .schema import at, json_list
 from .tree import Node, Tree
 
 
@@ -41,24 +51,27 @@ class ModuleElement:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: ModuleElement) -> ModuleElement:
+    def _merge(self, other: ModuleElement, sign: int) -> ModuleElement:
         self._check_mate(other)
         acc = {(n, l): c for n, l, c in self.terms}
         for n, l, c in other.terms:
-            acc[(n, l)] = acc.get((n, l), 0) + c
-        return module_element(self.level, acc, self.ring, self.tree)
+            acc[(n, l)] = acc.get((n, l), 0) + sign * c
+        return _canonical(self.level, acc, self.ring, self.tree)
+
+    def __add__(self, other: ModuleElement) -> ModuleElement:
+        return self._merge(other, 1)
+
+    def __sub__(self, other: ModuleElement) -> ModuleElement:
+        return self._merge(other, -1)
 
     def __neg__(self) -> ModuleElement:
-        return module_element(
+        return _canonical(
             self.level, {(n, l): -c for n, l, c in self.terms}, self.ring, self.tree
         )
 
-    def __sub__(self, other: ModuleElement) -> ModuleElement:
-        return self + (-other)
-
     def scale(self, c) -> ModuleElement:
         value = c.value if isinstance(c, RingElem) else int(c)
-        return module_element(
+        return _canonical(
             self.level, {(n, l): value * coeff for n, l, coeff in self.terms},
             self.ring, self.tree,
         )
@@ -71,15 +84,16 @@ class ModuleElement:
     def support(self) -> tuple[tuple[Node, int], ...]:
         return tuple((n, l) for n, l, _ in self.terms)
 
+    @cached_property
+    def _coefficients(self) -> dict[tuple[Node, int], int]:
+        return {(n, l): c for n, l, c in self.terms}
+
     def coefficient(self, node: Node, l: int) -> RingElem:
-        for n, ll, c in self.terms:
-            if n == node and ll == l:
-                return self.ring.elem(c)
-        return self.ring.zero
+        return self.ring.elem(self._coefficients.get((node, l), 0))
 
     def restrict_to(self, s: TailSet) -> ModuleElement:
         """Keep exactly the terms whose generator index lies in ``s``."""
-        return module_element(
+        return _canonical(
             self.level,
             {(n, l): c for n, l, c in self.terms if s.contains(l)},
             self.ring, self.tree,
@@ -94,27 +108,33 @@ class ModuleElement:
         }
 
     @staticmethod
-    def from_json(obj: dict, ring: Ring, tree: Tree) -> ModuleElement:
-        if not isinstance(obj, dict) or "level" not in obj or "terms" not in obj:
-            raise ValueError(f"module element must have level and terms: {obj!r}")
-        level = obj["level"]
+    def from_json(obj: dict, ring: Ring, tree: Tree, path: str = "$") -> ModuleElement:
+        with at(path):
+            if not isinstance(obj, dict):
+                raise ValueError(f"module element must be an object, got {type(obj).__name__}")
+            level, terms = obj["level"], obj["terms"]
         acc: dict[tuple[Node, int], int] = {}
-        for term in obj["terms"]:
-            node = tree.node_from_json(term["node"])
-            key = (node, term["l"])
-            acc[key] = acc.get(key, 0) + int(term["coeff"])
-        return module_element(level, acc, ring, tree)
+        for term_path, term in json_list(terms, f"{path}.terms"):
+            with at(term_path):
+                node, l, coeff = term["node"], term["l"], int(term["coeff"])
+                if not isinstance(l, int):
+                    raise ValueError(f"generator index must be an integer, got {l!r}")
+            with at(f"{term_path}.node"):
+                node = tree.node_from_json(node)
+            acc[(node, l)] = acc.get((node, l), 0) + coeff
+        with at(path):
+            return module_element(level, acc, ring, tree)
 
 
 def module_element(level: int, terms, ring: Ring, tree: Tree) -> ModuleElement:
-    """Canonicalizing constructor from a ``(node, l) -> coefficient`` mapping."""
+    """Validating, canonicalizing constructor from a ``(node, l) -> coefficient``
+    mapping: the entry point for terms that do not come from valid elements."""
     if level < 0:
         raise ValueError("level must be non-negative")
     items = terms.items() if isinstance(terms, dict) else terms
-    canonical = []
+    acc: dict[tuple[Node, int], int] = {}
     for (node, l), c in items:
-        value = c.value if isinstance(c, RingElem) else int(c)
-        value %= ring.modulus
+        value = (c.value if isinstance(c, RingElem) else int(c)) % ring.modulus
         if value == 0:
             continue
         tree.check_node(node)
@@ -122,9 +142,18 @@ def module_element(level: int, terms, ring: Ring, tree: Tree) -> ModuleElement:
             raise ValueError(f"term node {node!r} is not at level {level}")
         if l <= level:
             raise ValueError(f"generator index {l} must exceed the level {level}")
-        canonical.append((node, l, value))
-    canonical.sort(key=lambda t: (tree.node_sort_key(t[0]), t[1]))
-    return ModuleElement(level, tuple(canonical), ring, tree)
+        acc[(node, l)] = acc.get((node, l), 0) + value
+    return _canonical(level, acc, ring, tree)
+
+
+def _canonical(level: int, acc: dict, ring: Ring, tree: Tree) -> ModuleElement:
+    """The element of a ``(node, l) -> int`` map whose keys are trusted to be
+    valid nodes at ``level`` with generator indices above it: coefficients
+    reduced, zeros dropped, terms sorted."""
+    m = ring.modulus
+    terms = [(n, l, v) for (n, l), c in acc.items() if (v := c % m)]
+    terms.sort(key=lambda t: (tree.node_sort_key(t[0]), t[1]))
+    return ModuleElement(level, tuple(terms), ring, tree)
 
 
 def generator(node: Node, l: int, ring: Ring, tree: Tree) -> ModuleElement:
@@ -141,7 +170,7 @@ def apply_hom(e: ModuleElement, i: int) -> ModuleElement:
     acc: dict[tuple[Node, int], int] = {}
     j = e.level
     for eta, l, c in e.terms:
-        down = e.tree.restrict(eta, i)
+        down = e.tree._restrict(eta, i)
         acc[(down, l)] = acc.get((down, l), 0) + c
         acc[(down, j)] = acc.get((down, j), 0) - c
-    return module_element(i, acc, e.ring, e.tree)
+    return _canonical(i, acc, e.ring, e.tree)

@@ -262,19 +262,6 @@ class IndexSet:
             [ProPiece(p.start, p.end, p.pro.intersect(s)) for p in self.pieces],
         )
 
-    def intersection_defect(self, members) -> int:
-        """Least bound covering ``first`` minus the joint projections of ``members``."""
-        members = sorted(set(int(i) for i in members))
-        inter = FULL
-        for i in members:
-            if not self.first.contains(i):
-                raise ValueError(f"{i} is not in the first projection")
-            inter = inter.intersect(self.pro(i))
-        if not members:
-            return 0
-        defect = self.first.bounded_minus(inter)
-        return max(defect) + 1 if defect else 0
-
     def coherify(self, s: TailSet) -> IndexSet:
         """An eventually coherent subset with first projection ``s`` whose
         projections form a decreasing chain of end segments of ``s``.

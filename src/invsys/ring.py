@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .schema import at
+
 
 @dataclass(frozen=True)
 class Ring:
@@ -29,17 +31,17 @@ class Ring:
     def elements(self) -> list[RingElem]:
         return [self.elem(v) for v in range(self.modulus)]
 
-    def nonzero_elements(self) -> list[RingElem]:
-        return [self.elem(v) for v in range(1, self.modulus)]
-
     def to_json(self) -> dict:
         return {"kind": "zmod", "m": self.modulus}
 
     @staticmethod
-    def from_json(obj: dict) -> Ring:
-        if not isinstance(obj, dict) or obj.get("kind") != "zmod":
-            raise ValueError(f"unknown ring description: {obj!r}")
-        return Ring(obj["m"])
+    def from_json(obj: dict, path: str = "$") -> Ring:
+        with at(path):
+            if not isinstance(obj, dict) or obj.get("kind") != "zmod":
+                raise ValueError(f"unknown ring description: {obj!r}")
+            modulus = obj["m"]
+        with at(f"{path}.m"):
+            return Ring(modulus)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,41 @@
+"""Input-schema errors, reported with the JSON path of the offending value.
+
+The ``from_json`` constructors are the only readers of outside input.  Each
+parses one JSON value at a known path and, through ``at``, turns whatever a
+malformed value raises there (a missing key, a value of the wrong type or out
+of range) into a ``SchemaError`` naming that path, so the command line exits 2
+without a traceback.  Everything built from parsed input is valid, and the
+arithmetic inside the package trusts it.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+
+class SchemaError(ValueError):
+    """An input file failed validation; the message carries the JSON path."""
+
+
+@contextmanager
+def at(path: str):
+    """Report a malformed value met in the block as a ``SchemaError`` at ``path``.
+
+    A missing key is reported at ``path.key``, so a block subscripts only the
+    JSON object found at ``path``.  A ``SchemaError`` passes through unchanged.
+    """
+    try:
+        yield
+    except SchemaError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"{path}.{exc.args[0]}: missing key") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def json_list(obj, path: str) -> list[tuple[str, object]]:
+    """The items of a JSON array, each with its own path."""
+    if not isinstance(obj, (list, tuple)):
+        raise SchemaError(f"{path}: expected a list, got {type(obj).__name__}")
+    return [(f"{path}[{n}]", item) for n, item in enumerate(obj)]

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import Ring
+from .schema import SchemaError, at
 from .tree import Tree
 
-
-class SchemaError(ValueError):
-    """An input file failed validation; the message carries the JSON path."""
+__all__ = ["SchemaError", "System"]
 
 
 @dataclass(frozen=True)
@@ -22,14 +21,8 @@ class System:
 
     @staticmethod
     def from_json(obj: dict) -> System:
-        if not isinstance(obj, dict):
-            raise SchemaError(f"$: system description must be an object, got {type(obj).__name__}")
-        try:
-            ring = Ring.from_json(obj.get("ring"))
-        except ValueError as exc:
-            raise SchemaError(f"$.ring: {exc}") from exc
-        try:
-            tree = Tree.from_json(obj.get("tree"))
-        except ValueError as exc:
-            raise SchemaError(f"$.tree: {exc}") from exc
-        return System(ring, tree)
+        with at("$"):
+            if not isinstance(obj, dict):
+                raise ValueError(f"system description must be an object, got {type(obj).__name__}")
+            ring, tree = obj["ring"], obj["tree"]
+        return System(Ring.from_json(ring, "$.ring"), Tree.from_json(tree, "$.tree"))

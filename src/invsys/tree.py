@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .schema import at
+
 COUNTABLY_INFINITE = "countably-infinite"
 
 
@@ -65,13 +67,6 @@ class Tree:
     def check_node(self, node: Node) -> None:
         raise NotImplementedError
 
-    def is_valid_node(self, node: Node) -> bool:
-        try:
-            self.check_node(node)
-        except ValueError:
-            return False
-        return True
-
     def restrict(self, node: Node, i: int) -> Node:
         """The unique node at level ``i < node.level`` lying below ``node``."""
         self.check_node(node)
@@ -97,13 +92,15 @@ class Tree:
         self.check_node(nu)
         if nu.level >= j:
             raise ValueError(f"projection level {j} must exceed node level {nu.level}")
-        out = []
         for eta in candidates:
             if eta.level != j:
                 raise ValueError(f"candidate {eta!r} is not at level {j}")
             self.check_node(eta)
-            if self.restrict(eta, nu.level) == nu:
-                out.append(eta)
+        return self._pro_level_within(nu, candidates)
+
+    def _pro_level_within(self, nu: Node, candidates) -> tuple[Node, ...]:
+        """``pro_level_within`` for valid candidates, all at one level above ``nu``."""
+        out = [eta for eta in candidates if self._restrict(eta, nu.level) == nu]
         return tuple(sorted(out, key=self.node_sort_key))
 
     def node_sort_key(self, node: Node):
@@ -119,7 +116,10 @@ class Tree:
         raise NotImplementedError
 
     def branch_node(self, branch: Branch, i: int) -> Node:
-        """The node the branch passes through at level ``i``."""
+        """The node the branch passes through at level ``i``.
+
+        The handle is trusted: ``branch`` validated its presentation.
+        """
         raise NotImplementedError
 
     def branch_count(self):
@@ -147,20 +147,26 @@ class Tree:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(obj: dict) -> Tree:
-        if not isinstance(obj, dict):
-            raise ValueError(f"tree description must be an object, got {obj!r}")
-        kind = obj.get("kind")
+    def from_json(obj: dict, path: str = "$") -> Tree:
+        with at(path):
+            if not isinstance(obj, dict):
+                raise ValueError(f"tree description must be an object, got {obj!r}")
+            kind = obj.get("kind")
+            if kind == "decreasing_seq":
+                return DecreasingSeqTree()
+            if kind == "disjoint_branches":
+                count = obj["count"]
+            elif kind == "finite_support":
+                widths = obj["widths"]
+            else:
+                raise ValueError(f"unknown tree kind: {kind!r}")
         if kind == "disjoint_branches":
-            return DisjointBranchesTree(obj["count"])
-        if kind == "finite_support":
-            widths = obj.get("widths")
+            with at(f"{path}.count"):
+                return DisjointBranchesTree(count)
+        with at(f"{path}.widths"):
             if not isinstance(widths, dict):
                 raise ValueError("finite_support tree needs a widths object")
             return FiniteSupportTree(tuple(widths.get("table", ())), widths["eventual"])
-        if kind == "decreasing_seq":
-            return DecreasingSeqTree()
-        raise ValueError(f"unknown tree kind: {kind!r}")
 
     def node_from_json(self, obj: dict) -> Node:
         if not isinstance(obj, dict) or "level" not in obj or "address" not in obj:
@@ -217,9 +223,9 @@ class DisjointBranchesTree(Tree):
         return Branch(presentation)
 
     def branch_node(self, branch: Branch, i: int) -> Node:
-        node = Node(i, branch.presentation)
-        self.check_node(node)
-        return node
+        if i < 0:
+            raise ValueError("level must be non-negative")
+        return Node(i, branch.presentation)
 
     def branch_count(self):
         return self.count

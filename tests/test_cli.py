@@ -181,3 +181,68 @@ def test_text_format_renders(tmp_path, sys1, sys1_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ok: True" in out
+
+
+# -- malformed input: exit 2 with the JSON path, never a traceback -------------------
+
+GOOD_SYSTEM = {"ring": {"kind": "zmod", "m": 3}, "tree": {"kind": "disjoint_branches", "count": 2}}
+GOOD_TERM = {"node": {"level": 0, "address": 0}, "l": 1, "coeff": 1}
+
+
+def with_term(**changes):
+    """An element with one coboundary term, ``changes`` applied; None drops a key."""
+    term = {k: v for k, v in {**GOOD_TERM, **changes}.items() if v is not None}
+    return {"combo": [], "fact_y": [{"level": 0, "elem": {"level": 0, "terms": [term]}}]}
+
+
+MALFORMED_SYSTEMS = {
+    "missing ring.m": ({"ring": {"kind": "zmod"}, "tree": GOOD_SYSTEM["tree"]}, "$.ring.m"),
+    "ring.m not an integer": ({"ring": {"kind": "zmod", "m": "3"}, "tree": GOOD_SYSTEM["tree"]},
+                              "$.ring.m"),
+    "missing tree": ({"ring": GOOD_SYSTEM["ring"]}, "$.tree"),
+    "missing tree.count": ({"ring": GOOD_SYSTEM["ring"], "tree": {"kind": "disjoint_branches"}},
+                           "$.tree.count"),
+    "missing widths.eventual": ({"ring": GOOD_SYSTEM["ring"],
+                                 "tree": {"kind": "finite_support", "widths": {"table": []}}},
+                                "$.tree.widths.eventual"),
+}
+
+MALFORMED_ELEMENTS = {
+    "missing combo[].branch": ({"combo": [{"coeff": 1}], "fact_y": []}, "$.combo[0].branch"),
+    "missing combo[].coeff": ({"combo": [{"branch": 0}], "fact_y": []}, "$.combo[0].coeff"),
+    "combo[].coeff null": ({"combo": [{"branch": 0, "coeff": None}], "fact_y": []}, "$.combo[0]"),
+    "combo not a list": ({"combo": 5, "fact_y": []}, "$.combo"),
+    "combo[] not an object": ({"combo": [[0, 1]], "fact_y": []}, "$.combo[0]"),
+    "missing fact_y[].elem": ({"combo": [], "fact_y": [{"level": 0}]}, "$.fact_y[0].elem"),
+    "fact_y[].level mismatched": ({"combo": [], "fact_y": [{**with_term()["fact_y"][0], "level": 1}]},
+                                  "$.fact_y[0].level"),
+    "missing terms[].l": (with_term(l=None), "$.fact_y[0].elem.terms[0].l"),
+    "terms[].l a string": (with_term(l="1"), "$.fact_y[0].elem.terms[0]"),
+    "terms[].l a list": (with_term(l=[1]), "$.fact_y[0].elem.terms[0]"),
+    "missing terms[].node": (with_term(node=None), "$.fact_y[0].elem.terms[0].node"),
+    "node level a string": (with_term(node={"level": "0", "address": 0}),
+                            "$.fact_y[0].elem.terms[0].node"),
+}
+
+
+def assert_schema_exit(args, path, capsys):
+    code = main(args)
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert code == 2
+    assert f"{path}: " in report["error"] or f"{path}." in report["error"]
+    assert out.err == ""
+
+
+@pytest.mark.parametrize("case", MALFORMED_SYSTEMS)
+def test_malformed_system_exit_2_with_path(tmp_path, capsys, case):
+    obj, path = MALFORMED_SYSTEMS[case]
+    sys_path = write_json(tmp_path / "sys.json", obj)
+    assert_schema_exit(["--system", sys_path, "--cmd", "card"], path, capsys)
+
+
+@pytest.mark.parametrize("case", MALFORMED_ELEMENTS)
+def test_malformed_element_exit_2_with_path(tmp_path, sys1_path, capsys, case):
+    obj, path = MALFORMED_ELEMENTS[case]
+    elem = write_json(tmp_path / "elem.json", obj)
+    assert_schema_exit(["--system", sys1_path, "--element", elem, "--cmd", "check"], path, capsys)

@@ -196,32 +196,6 @@ def test_square_restrict_membership_randomized():
                 assert got.contains(i, j) == expected
 
 
-# -- intersection defect -----------------------------------------------------------
-
-
-def test_defect_of_full_set():
-    assert ind_omega().intersection_defect([0, 1]) == 2
-
-
-def test_defect_past_last_deletion():
-    # the projection at 0 misses 3, so the defect reaches past it
-    candidate = index_set(FULL, [
-        ProPiece(0, 1, tailset([1, 2], 4)),
-        ProPiece(1, None, FULL),
-    ])
-    assert candidate.intersection_defect([0]) == 4
-
-
-def test_defect_empty_selector():
-    assert ind_omega().intersection_defect([]) == 0
-
-
-def test_defect_outside_first_rejected():
-    restricted = ind_omega().square_restrict(below(5))
-    with pytest.raises(ValueError):
-        restricted.intersection_defect([7])
-
-
 # -- coherence repair -----------------------------------------------------------------
 
 

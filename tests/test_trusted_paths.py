@@ -1,0 +1,171 @@
+"""The trusted internal paths against the validating boundary, and the op counts
+of the entry table.
+
+Module arithmetic and ``apply_hom`` skip node validation and canonicalize
+through a trusted helper; each must equal ``module_element`` built from the
+same term map.  Every ``Planted`` keeps its own entry table, which must stay
+invisible to equality, hashing and serialization, and must make ``check``
+compute each entry below its horizon exactly once.
+"""
+
+from math import comb
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invsys import (
+    DecreasingSeqTree,
+    DisjointBranchesTree,
+    FiniteSupportTree,
+    Planted,
+    Ring,
+    System,
+    apply_hom,
+    below,
+    check_coherence,
+    module_element,
+)
+from invsys import coherent
+from invsys.cli import _run_check
+from invsys.sampling import random_planted, sample_node
+
+SYSTEMS = (
+    System(Ring(3), DisjointBranchesTree(3)),
+    System(Ring(4), FiniteSupportTree((2, 3), 2)),
+    System(Ring(6), DecreasingSeqTree()),
+)
+FAMILY_IDS = [s.tree.kind for s in SYSTEMS]
+
+systems = st.sampled_from(SYSTEMS)
+
+
+def term_map(system, rng: Random, level: int) -> dict:
+    """A raw ``(node, l) -> int`` map: unreduced, possibly cancelling, possibly empty."""
+    m = system.ring.modulus
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        key = (sample_node(system.tree, rng, level), rng.randint(level + 1, level + 5))
+        terms[key] = terms.get(key, 0) + rng.randint(-2 * m, 2 * m)
+    return terms
+
+
+def merged(*maps) -> dict:
+    out = {}
+    for terms in maps:
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def reference(level, terms, system):
+    return module_element(level, terms, system.ring, system.tree)
+
+
+@given(system=systems, rng=st.randoms(use_true_random=False), level=st.integers(1, 5))
+def test_arithmetic_matches_validating_constructor(system, rng, level):
+    ta, tb = term_map(system, rng, level), term_map(system, rng, level)
+    a, b = reference(level, ta, system), reference(level, tb, system)
+    c = rng.randint(-7, 7)
+    j = rng.randint(level + 1, level + 6)
+    assert a + b == reference(level, merged(ta, tb), system)
+    assert a - b == reference(level, merged(ta, {k: -v for k, v in tb.items()}), system)
+    assert -a == reference(level, {k: -v for k, v in ta.items()}, system)
+    assert a.scale(c) == reference(level, {k: c * v for k, v in ta.items()}, system)
+    assert a.scale(system.ring.elem(c)) == a.scale(c)
+    assert a.restrict_to(below(j)) == reference(
+        level, {(n, l): v for (n, l), v in ta.items() if l < j}, system)
+    for (n, l), v in ta.items():
+        assert a.coefficient(n, l) == system.ring.elem(v)
+
+
+@given(system=systems, rng=st.randoms(use_true_random=False), level=st.integers(1, 5))
+def test_apply_hom_matches_validating_constructor(system, rng, level):
+    terms = term_map(system, rng, level)
+    a = reference(level, terms, system)
+    tree = system.tree
+    for i in range(level):
+        image = {}
+        for (eta, l), c in terms.items():
+            down = tree.restrict(eta, i)
+            image[(down, l)] = image.get((down, l), 0) + c
+            image[(down, level)] = image.get((down, level), 0) - c
+        assert apply_hom(a, i) == reference(i, image, system)
+
+
+@settings(max_examples=30)
+@given(system=systems, rng=st.randoms(use_true_random=False))
+def test_warmed_element_is_indistinguishable_from_cold(system, rng):
+    warm = random_planted(system, rng, level_cap=5)
+    cold = Planted.from_json(warm.to_json(), system)
+    check_coherence(warm, 6)
+    assert warm._entries and not cold._entries
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert len({warm, cold}) == 1
+    assert repr(warm) == repr(cold)
+    assert warm.to_json() == cold.to_json()
+    for i in range(6):
+        for j in range(i + 1, 6):
+            assert warm.eval_entry(i, j) == cold.eval_entry(i, j)
+
+
+def test_entry_rejects_bad_pair_even_when_warm():
+    a = random_planted(SYSTEMS[0], Random(3))
+    a.eval_entry(0, 1)
+    for i, j in ((1, 1), (2, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            a.eval_entry(i, j)
+
+
+# -- op counts --------------------------------------------------------------------
+
+HORIZON = 14
+
+
+def deep_element(system):
+    """An element whose coboundary part reaches level 8, like the benchmark's."""
+    rng = Random(f"deep/{system.tree.kind}")
+    while True:
+        a = random_planted(system, rng, max_fact_levels=4, level_cap=9)
+        if a.stab_bound == 9:
+            return a
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_check_computes_each_entry_once(system, monkeypatch):
+    elem = deep_element(system)
+    computed = []
+    canonical = coherent._canonical
+
+    def counted(level, acc, ring, tree):
+        computed.append(level)
+        return canonical(level, acc, ring, tree)
+
+    # eval_entry canonicalizes the branch part of each entry it computes, once.
+    monkeypatch.setattr(coherent, "_canonical", counted)
+    report, code = _run_check(system, [elem], ["elem.json"], HORIZON)
+    assert (report["ok"], code) == (True, 0)
+    assert len(computed) == len(elem._entries) == comb(HORIZON, 2)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_repeated_check_evaluates_no_entry(system, monkeypatch):
+    elem = deep_element(system)
+    assert check_coherence(elem, HORIZON)
+    calls = []
+
+    def counted(e, i):
+        calls.append((e.level, i))
+        return apply_hom(e, i)
+
+    monkeypatch.setattr(coherent, "apply_hom", counted)
+    for i in range(HORIZON):
+        for j in range(i + 1, HORIZON):
+            elem.eval_entry(i, j)
+    assert calls == []
+    # The sweep itself maps one entry per index triple; entry evaluation adds none.
+    assert check_coherence(elem, HORIZON)
+    assert len(calls) == comb(HORIZON, 3)
+    assert len(elem._entries) == comb(HORIZON, 2)
