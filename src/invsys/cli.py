@@ -5,7 +5,8 @@ text rendering of the same structure.
 
 Exit codes: 0 success / true / equivalent, 1 false / inequivalent (with a
 certificate in the report), 2 input or schema error; a schema error names
-the JSON path of the offending value.
+the JSON path of the offending value.  3 is an internal certification
+failure: a certificate the library built did not re-verify.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from random import Random
 
 from .coherent import (
     Planted,
-    check_coherence,
     check_eq_recurrences,
     default_horizon,
     restriction_stability,
 )
 from .decomp import decompose, equiv_decide, quotient_card_report
-from .oracle import truncate, universe_for
+from .oracle import MAX_HEIGHT, truncate, universe_for
 from .sampling import random_planted
 from .system import SchemaError, System
 
@@ -76,18 +76,19 @@ def _run_check(system: System, elements, paths, horizon):
     ok = True
     for path, elem in zip(paths, elements):
         h = horizon if horizon is not None else default_horizon(elem)
-        coherent = check_coherence(elem, h)
+        # The recurrences are the coefficients of the coherence defects, so
+        # the family is coherent exactly when they all hold.
         eq = check_eq_recurrences(elem, h)
         stable = all(
             restriction_stability(elem, i, j, k)
             for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h)
         )
-        entry_ok = coherent and eq.ok and stable
+        entry_ok = eq.ok and stable
         ok = ok and entry_ok
         reports.append({
             "element": path,
             "horizon": h,
-            "coherent": coherent,
+            "coherent": eq.ok,
             "eq_recurrences": eq.to_json(),
             "restriction_stable": stable,
             "ok": entry_ok,
@@ -126,6 +127,8 @@ def _run_card(system: System, elements, paths, horizon):
 
 def _run_oracle_verify(system: System, elements, paths, horizon, seed):
     height = horizon if horizon is not None else 6
+    if height > MAX_HEIGHT:
+        raise SchemaError(f"oracle-verify horizon must be at most {MAX_HEIGHT}, got {height}")
     labels = list(paths)
     if not elements:
         rng = Random(seed)
@@ -220,6 +223,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit({"error": str(exc)}, args.format)
         return 2
+    except AssertionError as exc:
+        _emit({"error": f"internal certification failure: {exc}"}, args.format)
+        return 3
     _emit(report, args.format)
     return code
 

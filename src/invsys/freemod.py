@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .indexset import TailSet
 from .ring import Ring, RingElem
-from .schema import at, json_list
+from .schema import at, json_int, json_list
 from .tree import Node, Tree
 
 
@@ -116,9 +116,9 @@ class ModuleElement:
         acc: dict[tuple[Node, int], int] = {}
         for term_path, term in json_list(terms, f"{path}.terms"):
             with at(term_path):
-                node, l, coeff = term["node"], term["l"], int(term["coeff"])
-                if not isinstance(l, int):
-                    raise ValueError(f"generator index must be an integer, got {l!r}")
+                node = term["node"]
+                l = json_int(term["l"], "generator index")
+                coeff = json_int(term["coeff"], "coefficient")
             with at(f"{term_path}.node"):
                 node = tree.node_from_json(node)
             acc[(node, l)] = acc.get((node, l), 0) + coeff

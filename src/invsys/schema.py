@@ -34,6 +34,14 @@ def at(path: str):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, a string or a boolean is refused,
+    not truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def json_list(obj, path: str) -> list[tuple[str, object]]:
     """The items of a JSON array, each with its own path."""
     if not isinstance(obj, (list, tuple)):

@@ -96,10 +96,6 @@ class Tree:
             if eta.level != j:
                 raise ValueError(f"candidate {eta!r} is not at level {j}")
             self.check_node(eta)
-        return self._pro_level_within(nu, candidates)
-
-    def _pro_level_within(self, nu: Node, candidates) -> tuple[Node, ...]:
-        """``pro_level_within`` for valid candidates, all at one level above ``nu``."""
         out = [eta for eta in candidates if self._restrict(eta, nu.level) == nu]
         return tuple(sorted(out, key=self.node_sort_key))
 

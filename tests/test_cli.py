@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from invsys import Node, branch_generator, coboundary, module_element, planted
+from invsys import Node, branch_generator, coboundary, decomp, module_element, planted
 from invsys.cli import main
 
 
@@ -216,6 +216,13 @@ MALFORMED_ELEMENTS = {
     "missing fact_y[].elem": ({"combo": [], "fact_y": [{"level": 0}]}, "$.fact_y[0].elem"),
     "fact_y[].level mismatched": ({"combo": [], "fact_y": [{**with_term()["fact_y"][0], "level": 1}]},
                                   "$.fact_y[0].level"),
+    "combo[].coeff a float": ({"combo": [{"branch": 0, "coeff": 2.7}], "fact_y": []}, "$.combo[0]"),
+    "combo[].coeff a bool": ({"combo": [{"branch": 0, "coeff": True}], "fact_y": []}, "$.combo[0]"),
+    "combo[].coeff a string": ({"combo": [{"branch": 0, "coeff": "5"}], "fact_y": []}, "$.combo[0]"),
+    "terms[].coeff a float": (with_term(coeff=2.7), "$.fact_y[0].elem.terms[0]"),
+    "terms[].coeff a bool": (with_term(coeff=True), "$.fact_y[0].elem.terms[0]"),
+    "terms[].coeff a string": (with_term(coeff="5"), "$.fact_y[0].elem.terms[0]"),
+    "terms[].l a bool": (with_term(l=True), "$.fact_y[0].elem.terms[0]"),
     "missing terms[].l": (with_term(l=None), "$.fact_y[0].elem.terms[0].l"),
     "terms[].l a string": (with_term(l="1"), "$.fact_y[0].elem.terms[0]"),
     "terms[].l a list": (with_term(l=[1]), "$.fact_y[0].elem.terms[0]"),
@@ -246,3 +253,24 @@ def test_malformed_element_exit_2_with_path(tmp_path, sys1_path, capsys, case):
     obj, path = MALFORMED_ELEMENTS[case]
     elem = write_json(tmp_path / "elem.json", obj)
     assert_schema_exit(["--system", sys1_path, "--element", elem, "--cmd", "check"], path, capsys)
+
+
+def test_oracle_verify_horizon_above_cap_exit_2(sys1_path, capsys):
+    code = main(["--system", sys1_path, "--cmd", "oracle-verify", "--horizon", "12"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report == {"error": "oracle-verify horizon must be at most 8, got 12"}
+
+
+def test_internal_certification_failure_exit_3(tmp_path, sys1, sys1_path, capsys, monkeypatch):
+    def failing(a, dec, horizon):
+        raise AssertionError("decomposition does not reproduce entry (0, 1)")
+
+    monkeypatch.setattr(decomp, "_verify_decomposition", failing)
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    code = main(["--system", sys1_path, "--element", a, "--cmd", "decompose"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out.out) == {
+        "error": "internal certification failure: decomposition does not reproduce entry (0, 1)"}
+    assert out.err == ""

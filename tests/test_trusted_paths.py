@@ -169,3 +169,27 @@ def test_repeated_check_evaluates_no_entry(system, monkeypatch):
     assert check_coherence(elem, HORIZON)
     assert len(calls) == comb(HORIZON, 3)
     assert len(elem._entries) == comb(HORIZON, 2)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, monkeypatch):
+    elem = deep_element(system)
+    first = _run_check(system, [elem], ["elem.json"], HORIZON)
+    homs, ring_elems = [], []
+    make_elem = Ring.elem
+
+    def counted_hom(e, i):
+        homs.append((e.level, i))
+        return apply_hom(e, i)
+
+    def counted_elem(ring, value):
+        ring_elems.append(value)
+        return make_elem(ring, value)
+
+    monkeypatch.setattr(coherent, "apply_hom", counted_hom)
+    monkeypatch.setattr(Ring, "elem", counted_elem)
+    # Coherence, the recurrences and stability come off one sweep: one hom
+    # application per index triple, and coefficients stay plain integers.
+    assert _run_check(system, [elem], ["elem.json"], HORIZON) == first
+    assert len(homs) == comb(HORIZON, 3)
+    assert ring_elems == []
