@@ -27,6 +27,10 @@ from .oracle import MAX_HEIGHT, truncate, universe_for
 from .sampling import random_planted
 from .system import SchemaError, System
 
+# ``check`` sweeps every index triple below its horizon, so its cost grows as
+# the cube of the horizon; a flag may not ask for more than this.
+MAX_CHECK_HORIZON = 64
+
 
 def load_system(path: str) -> System:
     with open(path, "r", encoding="utf-8") as handle:
@@ -65,13 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--cmd", required=True,
         choices=["check", "decompose", "equiv", "card", "oracle-verify"],
     )
-    parser.add_argument("--horizon", type=int, default=None, help="check horizon (>= 3)")
+    parser.add_argument(
+        "--horizon", type=int, default=None,
+        help="check horizon (3 to 64); oracle-verify height (3 to 8)",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     return parser
 
 
 def _run_check(system: System, elements, paths, horizon):
+    if horizon is not None and horizon > MAX_CHECK_HORIZON:
+        raise SchemaError(f"check horizon must be at most {MAX_CHECK_HORIZON}, got {horizon}")
     reports = []
     ok = True
     for path, elem in zip(paths, elements):

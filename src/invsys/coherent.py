@@ -104,7 +104,7 @@ class Coboundary:
         table = {}
         for entry_path, entry in json_list(obj, path):
             with at(entry_path):
-                lvl, elem = entry["level"], entry["elem"]
+                lvl, elem = json_int(entry["level"], "level"), entry["elem"]
             elem = ModuleElement.from_json(elem, system.ring, system.tree, f"{entry_path}.elem")
             if elem.level != lvl:
                 raise SchemaError(f"{entry_path}.level: level tag {lvl!r} does not match "

@@ -296,6 +296,13 @@ def quotient_card_report(system: System) -> dict:
     Branchless trees collapse to a single class.  A finite branch family of
     size n yields exactly ``|R| ** n`` classes; small cases are certified by
     enumerating all combinations and deciding every pair inequivalent.
+
+    Equivalence is linear, so ``x`` and ``y`` are equivalent exactly when
+    ``x - y`` is equivalent to zero, and the differences of distinct
+    combinations are exactly the nonzero combinations.  Each nonzero
+    combination is therefore decided against zero once, with a full peeling
+    certificate that must give back its own combo, and every pair is decided
+    by finding its difference among those certified classes.
     """
     count = system.tree.branch_count()
     if count == 0:
@@ -307,14 +314,23 @@ def quotient_card_report(system: System) -> dict:
     report: dict = {"cardinality": total, "branches": count, "modulus": m}
     if total <= 64:
         branches = [system.tree.branch(k) for k in range(count)]
-        combos = []
-        for coeffs in itertools.product(range(m), repeat=count):
-            combos.append(planted(system, dict(zip(branches, coeffs))))
-        pairs_checked = 0
-        for x, y in itertools.combinations(combos, 2):
-            equivalent, _ = equiv_decide(x, y)
+        combos = [planted(system, dict(zip(branches, coeffs)))
+                  for coeffs in itertools.product(range(m), repeat=count)]
+        zero = planted(system, {})
+        certified = set()
+        for c in combos:
+            if c.is_zero():
+                continue
+            equivalent, dec = equiv_decide(c, zero)
             if equivalent:
                 raise AssertionError("distinct canonical combinations decided equivalent")
+            if dec.combo != c.combo:
+                raise AssertionError("a nonzero class does not decompose to its own combination")
+            certified.add(c)
+        pairs_checked = 0
+        for x, y in itertools.combinations(combos, 2):
+            if x - y not in certified:
+                raise AssertionError("a pair's difference is not a certified nonzero class")
             pairs_checked += 1
         report["certified"] = {
             "classes": len(combos),

@@ -112,7 +112,7 @@ class ModuleElement:
         with at(path):
             if not isinstance(obj, dict):
                 raise ValueError(f"module element must be an object, got {type(obj).__name__}")
-            level, terms = obj["level"], obj["terms"]
+            level, terms = json_int(obj["level"], "level"), obj["terms"]
         acc: dict[tuple[Node, int], int] = {}
         for term_path, term in json_list(terms, f"{path}.terms"):
             with at(term_path):

@@ -7,6 +7,15 @@ rule.  Coherence, agreement with the symbolic evaluation path, and coboundary
 solvability are then plain modular matrix arithmetic, sharing no evaluation
 code with the symbolic side.
 
+Vectors and matrices are kept reduced mod m, so a matrix-vector product is a
+sum of at most ``dim`` terms, each at most ``(m - 1) ** 2``, and at most one
+more reduced vector is added to it before the next reduction.  (The branch
+part of an independent entry sums one coefficient per branch, far below that
+bound for any combination that fits in memory.)  The arrays are ``int64``
+whenever ``(m - 1) ** 2 * (max dim + 1)`` fits, which covers every small
+modulus; above it they hold Python integers (``dtype=object``), so the oracle
+stays exact for every ``m``.
+
 At any finite height every coherent table is a coboundary: assigning each
 level the entry against the top level (and zero at the top) solves all the
 equations outright.  The oracle therefore checks evaluations and witnesses,
@@ -36,6 +45,7 @@ class TruncatedSystem:
     _gens: dict[int, list[tuple[Node, int]]] = field(default_factory=dict, repr=False)
     _index: dict[int, dict[tuple[Node, int], int]] = field(default_factory=dict, repr=False)
     _mats: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
+    dtype: type = np.int64
 
     @property
     def modulus(self) -> int:
@@ -55,7 +65,7 @@ class TruncatedSystem:
     def vectorize(self, elem: ModuleElement) -> np.ndarray:
         if elem.level >= self.height:
             raise ValueError(f"level {elem.level} lies outside the truncation")
-        vec = np.zeros(self.dim(elem.level), dtype=np.int64)
+        vec = np.zeros(self.dim(elem.level), dtype=self.dtype)
         index = self._index[elem.level]
         for node, l, c in elem.terms:
             if l >= self.height:
@@ -83,7 +93,7 @@ class TruncatedSystem:
         for i in range(self.height):
             index = self._index[i]
             for j in range(i + 1, self.height):
-                vec = np.zeros(self.dim(i), dtype=np.int64)
+                vec = np.zeros(self.dim(i), dtype=self.dtype)
                 for branch, coeff in a.combo:
                     node = tree.branch_node(branch, i)
                     if (node, j) not in index:
@@ -128,7 +138,7 @@ class TruncatedSystem:
         m = self.modulus
         top = self.height - 1
         y = [table[(i, top)].copy() for i in range(top)]
-        y.append(np.zeros(self.dim(top), dtype=np.int64))
+        y.append(np.zeros(self.dim(top), dtype=self.dtype))
         for i in range(self.height):
             for j in range(i + 1, self.height):
                 want = (y[i] - self._mats[(i, j)] @ y[j]) % m
@@ -171,9 +181,11 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
         trunc._index[i] = {gen: pos for pos, gen in enumerate(gens)}
 
     m = system.ring.modulus
+    if (m - 1) ** 2 * (max(map(trunc.dim, range(height))) + 1) >= 2 ** 63:
+        trunc.dtype = object
     for i in range(height):
         for j in range(i + 1, height):
-            mat = np.zeros((trunc.dim(i), trunc.dim(j)), dtype=np.int64)
+            mat = np.zeros((trunc.dim(i), trunc.dim(j)), dtype=trunc.dtype)
             for col, (eta, l) in enumerate(trunc._gens[j]):
                 down = tree.restrict(eta, i)
                 mat[trunc._index[i][(down, l)], col] += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schema import at
+from .schema import at, json_int
 
 COUNTABLY_INFINITE = "countably-infinite"
 
@@ -167,7 +167,8 @@ class Tree:
     def node_from_json(self, obj: dict) -> Node:
         if not isinstance(obj, dict) or "level" not in obj or "address" not in obj:
             raise ValueError(f"node description must have level and address: {obj!r}")
-        node = Node(obj["level"], self._address_from_json(obj["address"]))
+        level = json_int(obj["level"], "node level")
+        node = Node(level, self._address_from_json(obj["address"]))
         self.check_node(node)
         return node
 

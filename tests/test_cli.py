@@ -195,6 +195,12 @@ def with_term(**changes):
     return {"combo": [], "fact_y": [{"level": 0, "elem": {"level": 0, "terms": [term]}}]}
 
 
+def with_levels(tag=0, elem=0, node=0):
+    """An element with one coboundary term at level 0, its three level fields given."""
+    term = {**GOOD_TERM, "node": {"level": node, "address": 0}}
+    return {"combo": [], "fact_y": [{"level": tag, "elem": {"level": elem, "terms": [term]}}]}
+
+
 MALFORMED_SYSTEMS = {
     "missing ring.m": ({"ring": {"kind": "zmod"}, "tree": GOOD_SYSTEM["tree"]}, "$.ring.m"),
     "ring.m not an integer": ({"ring": {"kind": "zmod", "m": "3"}, "tree": GOOD_SYSTEM["tree"]},
@@ -229,6 +235,14 @@ MALFORMED_ELEMENTS = {
     "missing terms[].node": (with_term(node=None), "$.fact_y[0].elem.terms[0].node"),
     "node level a string": (with_term(node={"level": "0", "address": 0}),
                             "$.fact_y[0].elem.terms[0].node"),
+    "node level a float": (with_levels(node=0.0), "$.fact_y[0].elem.terms[0].node"),
+    "node level a bool": (with_levels(node=False), "$.fact_y[0].elem.terms[0].node"),
+    "fact_y[].level a float": (with_levels(tag=0.0), "$.fact_y[0]"),
+    "fact_y[].level a bool": (with_levels(tag=False), "$.fact_y[0]"),
+    "fact_y[].level a string": (with_levels(tag="0"), "$.fact_y[0]"),
+    "fact_y[].elem.level a float": (with_levels(elem=0.0), "$.fact_y[0].elem"),
+    "fact_y[].elem.level a bool": (with_levels(elem=False), "$.fact_y[0].elem"),
+    "fact_y[].elem.level a string": (with_levels(elem="0"), "$.fact_y[0].elem"),
 }
 
 
@@ -262,6 +276,14 @@ def test_oracle_verify_horizon_above_cap_exit_2(sys1_path, capsys):
     assert report == {"error": "oracle-verify horizon must be at most 8, got 12"}
 
 
+def test_check_horizon_above_cap_exit_2(tmp_path, sys1, sys1_path, capsys):
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    code = main(["--system", sys1_path, "--element", a, "--cmd", "check", "--horizon", "65"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report == {"error": "check horizon must be at most 64, got 65"}
+
+
 def test_internal_certification_failure_exit_3(tmp_path, sys1, sys1_path, capsys, monkeypatch):
     def failing(a, dec, horizon):
         raise AssertionError("decomposition does not reproduce entry (0, 1)")
@@ -273,4 +295,22 @@ def test_internal_certification_failure_exit_3(tmp_path, sys1, sys1_path, capsys
     assert code == 3
     assert json.loads(out.out) == {
         "error": "internal certification failure: decomposition does not reproduce entry (0, 1)"}
+    assert out.err == ""
+
+
+def test_card_class_decided_equivalent_exit_3(tmp_path, sys3, capsys, monkeypatch):
+    real = decomp.equiv_decide
+    target = branch_generator(sys3, sys3.tree.branch(1))
+
+    def mutant(a, b):
+        equivalent, certificate = real(a, b)
+        return equivalent or a - b == target, certificate
+
+    monkeypatch.setattr(decomp, "equiv_decide", mutant)
+    path = write_json(tmp_path / "sys3.json", sys3.to_json())
+    code = main(["--system", path, "--cmd", "card"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out.out) == {"error": "internal certification failure: "
+                                            "distinct canonical combinations decided equivalent"}
     assert out.err == ""

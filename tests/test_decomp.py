@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ from invsys import (
     NoBranchError,
     branch_generator,
     coboundary,
+    decomp,
     decompose,
     equiv_decide,
     extract_branch,
@@ -325,6 +328,49 @@ def test_card_one_branch_mod_3():
 
 def test_card_countably_infinite(sysf):
     assert quotient_card_report(sysf) == {"cardinality": COUNTABLY_INFINITE}
+
+
+@pytest.mark.parametrize("modulus, count", [(2, 3), (3, 2), (2, 6)])
+def test_card_decides_each_nonzero_class_once(monkeypatch, modulus, count):
+    from invsys import DisjointBranchesTree, Ring, System
+
+    calls = []
+    real = decomp.equiv_decide
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(decomp, "equiv_decide", counting)
+    report = quotient_card_report(System(Ring(modulus), DisjointBranchesTree(count)))
+    classes = modulus ** count
+    assert report["certified"] == {
+        "classes": classes, "pairs_checked": math.comb(classes, 2), "all_inequivalent": True,
+    }
+    assert len(calls) == classes - 1
+    assert len({a for a, _ in calls}) == classes - 1
+    assert all(not a.is_zero() and b.is_zero() for a, b in calls)
+
+
+def _equivalent_class(a, b, target, real):
+    equivalent, certificate = real(a, b)
+    return equivalent or a - b == target, certificate
+
+
+def _foreign_combo(a, b, target, real):
+    equivalent, certificate = real(a, b)
+    if a - b == target:
+        certificate = dataclasses.replace(certificate, combo=certificate.combo[:1])
+    return equivalent, certificate
+
+
+@pytest.mark.parametrize("mutation", [_equivalent_class, _foreign_combo])
+def test_card_refuses_a_miscertified_class(monkeypatch, sys3, mutation):
+    real = decomp.equiv_decide
+    target = planted(sys3, {sys3.tree.branch(0): 1, sys3.tree.branch(2): 1})
+    monkeypatch.setattr(decomp, "equiv_decide", lambda a, b: mutation(a, b, target, real))
+    with pytest.raises(AssertionError):
+        quotient_card_report(sys3)
 
 
 def test_card_large_finite_uncertified():

@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import numpy as np
@@ -153,3 +154,32 @@ def test_oracle_agreement_randomized(sys1, sys3, sysf):
             table = trunc.primary_table(a)
             assert trunc.table_coherent(table)
             trunc.solve_coboundary(table)
+
+
+@pytest.mark.parametrize("modulus", [2 ** 31 - 1, 2 ** 40 + 15])
+def test_oracle_verify_exact_for_large_moduli(tmp_path, capsys, modulus):
+    from invsys import DisjointBranchesTree, Ring, System
+    from invsys.cli import main
+
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(System(Ring(modulus), DisjointBranchesTree(2)).to_json()))
+    code = main(["--system", str(path), "--cmd", "oracle-verify", "--horizon", "6", "--seed", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == []
+    assert code == 0
+
+
+@pytest.mark.parametrize("modulus, dtype", [(3, np.int64), (2 ** 29, np.int64),
+                                            (2 ** 31 - 1, object), (2 ** 40 + 15, object)])
+def test_truncation_keeps_int64_while_exact(modulus, dtype):
+    from invsys import DisjointBranchesTree, Ring, System
+
+    system = System(Ring(modulus), DisjointBranchesTree(2))
+    rng = Random(3)
+    elems = [random_planted(system, rng, level_cap=3, index_cap=5) for _ in range(3)]
+    trunc = truncate(system, 6, universe_for(system, elems, 6))
+    assert trunc.dtype is dtype
+    assert trunc.hom_matrix(0, 1).dtype == np.dtype(dtype)
+    for elem in elems:
+        assert trunc.agreement(elem)
+        assert trunc.verify_evaluation(elem)
