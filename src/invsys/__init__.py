@@ -35,7 +35,6 @@ from .decomp import (
 )
 from .freemod import ModuleElement, apply_hom, generator, module_element
 from .indexset import (
-    EMPTY,
     FULL,
     IndexSet,
     TailSet,
@@ -67,7 +66,6 @@ __all__ = [
     "DecreasingSeqTree",
     "Decomposition",
     "DisjointBranchesTree",
-    "EMPTY",
     "EquivalenceWitness",
     "FiniteSupportTree",
     "FULL",

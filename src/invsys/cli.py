@@ -28,7 +28,8 @@ from .sampling import random_planted
 from .system import SchemaError, System
 
 # ``check`` sweeps every index triple below its horizon, so its cost grows as
-# the cube of the horizon; a flag may not ask for more than this.
+# the cube of the horizon; neither a flag nor an element's default horizon
+# may ask for more than this.
 MAX_CHECK_HORIZON = 64
 
 
@@ -81,10 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_check(system: System, elements, paths, horizon):
     if horizon is not None and horizon > MAX_CHECK_HORIZON:
         raise SchemaError(f"check horizon must be at most {MAX_CHECK_HORIZON}, got {horizon}")
+    horizons = [horizon if horizon is not None else default_horizon(e) for e in elements]
+    for path, h in zip(paths, horizons):
+        if h > MAX_CHECK_HORIZON:
+            raise SchemaError(f"{path}: default check horizon {h} is above {MAX_CHECK_HORIZON}; "
+                              f"pass --horizon {MAX_CHECK_HORIZON} or less")
     reports = []
     ok = True
-    for path, elem in zip(paths, elements):
-        h = horizon if horizon is not None else default_horizon(elem)
+    for path, elem, h in zip(paths, elements, horizons):
         # The recurrences are the coefficients of the coherence defects, so
         # the family is coherent exactly when they all hold.
         eq = check_eq_recurrences(elem, h)
@@ -155,13 +160,13 @@ def _run_oracle_verify(system: System, elements, paths, horizon, seed):
             continue
         if not trunc.agreement(elem):
             failures.append({"element": label, "kind": "agreement", "detail": "tables differ"})
-        table = trunc.primary_table(elem)
-        if not trunc.table_coherent(table):
-            failures.append({"element": label, "kind": "coherence", "detail": "table incoherent"})
-            continue
+        # The solve sweeps the coherence equations first and refuses an
+        # incoherent table with a ValueError.
         try:
-            trunc.solve_coboundary(table)
-        except (ValueError, AssertionError) as exc:
+            trunc.solve_coboundary(trunc.primary_table(elem))
+        except ValueError:
+            failures.append({"element": label, "kind": "coherence", "detail": "table incoherent"})
+        except AssertionError as exc:
             failures.append({"element": label, "kind": "solve", "detail": str(exc)})
     report = {
         "command": "oracle-verify",

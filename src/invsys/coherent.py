@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .freemod import ModuleElement, _canonical, apply_hom
-from .indexset import FULL, IndexSet, ProPiece, below, index_set, tail
+from .indexset import below
 from .ring import RingElem
 from .schema import SchemaError, at, json_int, json_list
 from .system import System
@@ -415,7 +415,6 @@ class LevelBounds:
 class Normalized:
     element: Planted
     witness: Coboundary
-    index_set: IndexSet
     bounds: LevelBounds
 
 
@@ -427,8 +426,7 @@ def normalize_cobounded(a: Planted) -> Normalized:
     bound ``i* > i`` on; the stabilized cut defines the witness sequence
     ``y_i``, and subtracting its induced family leaves an element whose
     ``(i, j)`` entry, for ``j >= i*``, vanishes below ``j`` and is supported
-    entirely at index ``j``.  The returned index set records those pairs and
-    is cobounded with full first projection.
+    entirely at index ``j``.  ``bounds`` records those ``i*``.
     """
     system = a.system
     bound_table = []
@@ -451,8 +449,4 @@ def normalize_cobounded(a: Planted) -> Normalized:
     remainder = planted(system, a.combo, a.fact - witness)
     if not remainder.fact.is_zero():
         raise AssertionError("normalization must absorb the whole coboundary part")
-
-    pieces = [ProPiece(i, i + 1, tail(bounds.at(i))) for i in range(a.stab_bound)]
-    pieces.append(ProPiece(a.stab_bound, None, FULL))
-    zero_pairs = index_set(FULL, pieces)
-    return Normalized(remainder, witness, zero_pairs, bounds)
+    return Normalized(remainder, witness, bounds)

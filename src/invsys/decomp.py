@@ -1,29 +1,31 @@
 """Constructive decomposition of coherent families into branch generators.
 
 The peeling loop writes any planted element as a branch-generator combination
-plus a coboundary: normalize, refine the index set to pairs with nonzero
-entries concentrated at the top index, fix a support-size bound, then
-repeatedly extract a branch whose coefficient is constant on a refinement and
-subtract it.  The support bound caps the number of rounds: were it ever
-reached, the extracted branch nodes would all sit inside one entry's support,
-exceeding the bound.
+plus a coboundary.  Normalization splits off the coboundary, leaving a
+remainder in pure branch form; every peeling phase then reads that remainder
+at one *probe level* ``p``, its probe bound, through the single probe pair
+``(p, p+1)``.  The level is the corner of the square tail ``[p, omega)^2``:
+on it every entry is supported on separated branch nodes at the top index,
+so no other pair needs reading.  Subtracting an extracted branch can only
+lower the probe bound, so one level serves every round.
 
-Branch extraction re-derives its branch purely from evaluated coefficients:
-supports are probed at levels past the element's probe bound, where every
-support node determines a unique branch with a constant coefficient.  The
-probe bound is the only representation metadata consulted besides the
-stabilization bound, and it stands in for three facts that are otherwise not
-decidable from finitely many black-box probes:
+The probe level stands in for three facts that are otherwise not decidable
+from finitely many black-box probes:
 
-* zero detection (``refine_nonzero``): an element whose entries vanish at one
-  pair past the bound has no branch part at all, hence is equivalent to zero;
-* support stabilization (``support_bound``): past the bound, entry supports
-  all have the same size, so one probe fixes the strict bound;
-* coefficient persistence (``extract_branch``): past the bound, a support
-  node's coefficient is the same at every pair and names its branch outright.
+* zero detection (``refine_nonzero``): an element whose entry vanishes at the
+  probe pair has no branch part at all, hence is equivalent to zero;
+* support stabilization (``support_bound``): past the probe bound, entry
+  supports all have the same size, so one probe fixes the strict bound on the
+  number of rounds: were it ever reached, the extracted branch nodes would
+  all sit inside one entry's support, exceeding the bound;
+* coefficient persistence (``extract_branch``): past the probe bound, a
+  support node's coefficient is the same at every pair and names its branch
+  outright.
 
-Everything read at or past the bound is re-certified against the evaluation
-map before being returned.
+Everything read at the probe level is re-certified against the evaluation
+map before being returned: each extracted coefficient on sampled pairs
+``p <= i < j``, and the whole decomposition on every entry below its
+verification horizon.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .coherent import (
     normalize_cobounded,
     planted,
 )
-from .indexset import IndexSet, ind_omega, tail
+from .freemod import ModuleElement
+from .indexset import IndexSet, ind_omega
 from .ring import RingElem
 from .system import System
 from .tree import COUNTABLY_INFINITE, Branch, NoBranchError
@@ -48,11 +51,15 @@ from .tree import COUNTABLY_INFINITE, Branch, NoBranchError
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A certified peeling result: ``a`` is the combo plus the residual coboundary."""
+    """A certified peeling result: ``a`` is the combo plus the residual coboundary.
+
+    ``provenance`` is the probe level ``p`` at which every peeling round read
+    its entry; the extracted branches pass through distinct nodes there.
+    """
 
     combo: tuple[tuple[Branch, int], ...]
     residual: Coboundary
-    provenance: tuple[IndexSet, ...]
+    provenance: int
     verified_to: int
 
     def to_json(self) -> dict:
@@ -79,121 +86,74 @@ class EquivalenceWitness:
         }
 
 
-def refine_nonzero(b: Planted, pairs: IndexSet) -> IndexSet | None:
-    """An eventually coherent refinement on which entries are nonzero and
-    concentrated at the top generator index, or ``None`` when the element is
-    equivalent to zero (no such refinement exists)."""
-    if not pairs.classify().eventually_coherent:
-        raise ValueError("index set must be eventually coherent")
-    probe_from = b.probe_bound
-    p = pairs.first.min_from(probe_from)
-    q = pairs.pro(p).min_value()
-    entry = b.eval_entry(p, q)
-    if entry.is_zero():
-        return None
-    if entry.restrict_to(tail(q)) != entry:
+def _probe(b: Planted, p: int) -> ModuleElement:
+    """The entry at the probe pair ``(p, p+1)``, concentrated at its top index."""
+    if p < b.probe_bound:
+        raise ValueError(f"probe level {p} lies below the probe bound {b.probe_bound}")
+    entry = b.eval_entry(p, p + 1)
+    if any(l != p + 1 for _, l, _ in entry.terms):
         raise AssertionError("probed entry is not concentrated at the top index")
-    return pairs.square_restrict(tail(probe_from))
+    return entry
 
 
-def support_bound(b: Planted, pairs: IndexSet) -> tuple[int, IndexSet]:
-    """A strict bound on entry support sizes over a refinement of ``pairs``."""
-    refined = pairs.square_restrict(tail(b.probe_bound))
-    if not refined.classify().eventually_coherent:
-        raise ValueError("index set must stay eventually coherent past the probe bound")
-    p = refined.first.min_value()
-    q = refined.pro(p).min_value()
-    n_star = len(b.eval_entry(p, q).support()) + 1
-    return n_star, refined
+def refine_nonzero(b: Planted, p: int) -> bool:
+    """Whether ``b`` keeps a branch part: its entries on ``[p, omega)^2`` are
+    nonzero and concentrated at the top generator index.  ``False`` means the
+    element is equivalent to zero."""
+    return not _probe(b, p).is_zero()
 
 
-def extract_branch(b: Planted, pairs: IndexSet) -> tuple[RingElem, Branch, IndexSet]:
-    """A branch whose coefficient in ``b`` is a nonzero constant on a refinement.
+def support_bound(b: Planted, p: int) -> int:
+    """A strict bound on entry support sizes on ``[p, omega)^2``."""
+    return len(_probe(b, p).support()) + 1
 
-    The support of the entry at the least probe pair past the probe bound is
-    read off; its least node (by canonical address) determines the branch and
-    the coefficient.  The coefficient identity is then spot-checked across the
-    returned refinement before the result is handed back.
+
+def extract_branch(b: Planted, p: int) -> tuple[RingElem, Branch]:
+    """A branch whose coefficient in ``b`` is a nonzero constant on ``[p, omega)^2``.
+
+    The support of the entry at the probe pair is read off; its least node
+    (by canonical address) determines the branch and the coefficient.  The
+    coefficient is then spot-checked on sampled pairs ``p <= i < j`` before
+    the result is handed back.
     """
-    if not pairs.classify().eventually_coherent:
-        raise ValueError("index set must be eventually coherent")
-    p = pairs.first.min_from(b.probe_bound)
-    q = pairs.pro(p).min_value()
-    entry = b.eval_entry(p, q)
+    entry = _probe(b, p)
     if entry.is_zero():
         raise NoBranchError("no persistent branch chain: the element is equivalent to zero")
     tree = b.system.tree
-    nodes = sorted((node for node, _ in entry.support()), key=tree.node_sort_key)
-    if any(l != q for _, l in entry.support()):
-        raise AssertionError("probed entry carries indices below the top")
-    node = nodes[0]
-    d = entry.coefficient(node, q)
+    node = min((node for node, _ in entry.support()), key=tree.node_sort_key)
+    d = entry.coefficient(node, p + 1)
     branch = tree.branch_from_node(node)
-    refined = pairs.square_restrict(tail(p))
-
-    for i in _sample_first(refined, 3):
-        for j in _sample_pro(refined, i, 2):
+    for i in range(p, p + 3):
+        for j in range(i + 1, i + 3):
             if b.entry_coefficient(i, j, tree.branch_node(branch, i), j) != d:
-                raise AssertionError("extracted coefficient is not constant on the refinement")
-    return d, branch, refined
-
-
-def _sample_first(pairs: IndexSet, count: int) -> list[int]:
-    out = []
-    i = 0
-    for _ in range(count):
-        try:
-            i = pairs.first.min_from(i)
-        except ValueError:
-            break
-        out.append(i)
-        i += 1
-    return out
-
-
-def _sample_pro(pairs: IndexSet, i: int, count: int) -> list[int]:
-    out = []
-    j = 0
-    pro = pairs.pro(i)
-    for _ in range(count):
-        try:
-            j = pro.min_from(j)
-        except ValueError:
-            break
-        out.append(j)
-        j += 1
-    return out
+                raise AssertionError("extracted coefficient is not constant past the probe level")
+    return d, branch
 
 
 def decompose(a: Planted) -> Decomposition:
     """Peel ``a`` into branch generators modulo a coboundary, certified."""
     normal = normalize_cobounded(a)
     remainder = normal.element
-    residual = normal.witness
+    p = remainder.probe_bound
 
     extracted: list[tuple[Branch, int]] = []
-    provenance: list[IndexSet] = []
-    refined = refine_nonzero(remainder, normal.index_set)
-    if refined is not None:
-        n_star, current = support_bound(remainder, refined)
+    if refine_nonzero(remainder, p):
+        n_star = support_bound(remainder, p)
         while True:
-            d, branch, current = extract_branch(remainder, current)
+            d, branch = extract_branch(remainder, p)
             extracted.append((branch, d.value))
-            provenance.append(current)
             remainder = remainder - branch_generator(a.system, branch, d)
             if len(extracted) > n_star:
                 raise AssertionError("peeling exceeded its support bound")
-            next_pairs = refine_nonzero(remainder, current)
-            if next_pairs is None:
+            if not refine_nonzero(remainder, p):
                 break
-            current = next_pairs
         if not len(extracted) < n_star:
             raise AssertionError("peeling must finish strictly below the support bound")
 
     tree = a.system.tree
     combo = tuple(sorted(extracted, key=lambda e: tree.branch_sort_key(e[0])))
     horizon = default_horizon(a)
-    result = Decomposition(combo, residual, tuple(provenance), horizon)
+    result = Decomposition(combo, normal.witness, p, horizon)
     _verify_decomposition(a, result, horizon)
     return result
 
@@ -204,15 +164,10 @@ def _verify_decomposition(a: Planted, dec: Decomposition, horizon: int) -> None:
         for j in range(i + 1, horizon):
             if a.eval_entry(i, j) != rebuilt.eval_entry(i, j):
                 raise AssertionError(f"decomposition does not reproduce entry ({i}, {j})")
-    for earlier, later in zip(dec.provenance, dec.provenance[1:]):
-        if not later.issubset(earlier):
-            raise AssertionError("refinement sets must form a decreasing chain")
-    if dec.provenance and len(dec.combo) >= 2:
-        tree = a.system.tree
-        i0 = dec.provenance[-1].first.min_value()
-        nodes = [tree.branch_node(b, i0) for b, _ in dec.combo]
-        if len(set(nodes)) != len(nodes):
-            raise AssertionError("extracted branches must differ on the last refinement")
+    tree = a.system.tree
+    nodes = [tree.branch_node(b, dec.provenance) for b, _ in dec.combo]
+    if len(set(nodes)) != len(nodes):
+        raise AssertionError("extracted branches must differ at the probe level")
 
 
 def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceWitness:

@@ -42,9 +42,6 @@ class TailSet:
             return True
         return x in self.finite
 
-    def is_empty(self) -> bool:
-        return not self.finite and self.threshold is None
-
     def is_unbounded(self) -> bool:
         return self.threshold is not None
 
@@ -148,7 +145,6 @@ def tailset(finite=(), threshold: int | None = None) -> TailSet:
     return TailSet(tuple(sorted(elems)), threshold)
 
 
-EMPTY = tailset()
 FULL = tailset((), 0)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schema import at, json_int
+from .schema import at, json_int, json_list
 
 COUNTABLY_INFINITE = "countably-infinite"
 
@@ -78,14 +78,6 @@ class Tree:
 
     def _restrict(self, node: Node, i: int) -> Node:
         raise NotImplementedError
-
-    def extends(self, eta: Node, nu: Node) -> bool:
-        """Whether ``nu`` lies below ``eta`` in the tree order."""
-        if nu.level > eta.level:
-            return False
-        if nu.level == eta.level:
-            return nu == eta
-        return self.restrict(eta, nu.level) == nu
 
     def pro_level_within(self, j: int, nu: Node, candidates) -> tuple[Node, ...]:
         """The candidates at level ``j`` extending ``nu``, in address order."""
@@ -158,11 +150,17 @@ class Tree:
                 raise ValueError(f"unknown tree kind: {kind!r}")
         if kind == "disjoint_branches":
             with at(f"{path}.count"):
-                return DisjointBranchesTree(count)
+                return DisjointBranchesTree(json_int(count, "branch count"))
         with at(f"{path}.widths"):
             if not isinstance(widths, dict):
                 raise ValueError("finite_support tree needs a widths object")
-            return FiniteSupportTree(tuple(widths.get("table", ())), widths["eventual"])
+            table, eventual = widths.get("table", ()), widths["eventual"]
+        widths_table = []
+        for entry_path, w in json_list(table, f"{path}.widths.table"):
+            with at(entry_path):
+                widths_table.append(json_int(w, "width"))
+        with at(f"{path}.widths.eventual"):
+            return FiniteSupportTree(tuple(widths_table), json_int(eventual, "eventual width"))
 
     def node_from_json(self, obj: dict) -> Node:
         if not isinstance(obj, dict) or "level" not in obj or "address" not in obj:
@@ -184,7 +182,7 @@ def _as_support_map(obj) -> tuple[tuple[int, int], ...]:
     for entry in obj:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"support map entry must be a [position, value] pair: {entry!r}")
-        pairs.append((int(entry[0]), int(entry[1])))
+        pairs.append((json_int(entry[0], "support position"), json_int(entry[1], "support value")))
     return tuple(sorted(pairs))
 
 
@@ -401,4 +399,4 @@ class DecreasingSeqTree(Tree):
     def _address_from_json(self, obj):
         if not isinstance(obj, list):
             raise ValueError(f"decreasing-sequence address must be a list: {obj!r}")
-        return tuple(int(v) for v in obj)
+        return tuple(json_int(v, "sequence entry") for v in obj)

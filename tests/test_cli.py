@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from invsys import Node, branch_generator, coboundary, decomp, module_element, planted
+from invsys import (
+    Node,
+    TruncatedSystem,
+    branch_generator,
+    cli,
+    coboundary,
+    decomp,
+    module_element,
+    planted,
+)
 from invsys.cli import main
 
 
@@ -186,6 +195,9 @@ def test_text_format_renders(tmp_path, sys1, sys1_path, capsys):
 # -- malformed input: exit 2 with the JSON path, never a traceback -------------------
 
 GOOD_SYSTEM = {"ring": {"kind": "zmod", "m": 3}, "tree": {"kind": "disjoint_branches", "count": 2}}
+FINITE_SUPPORT = {"ring": GOOD_SYSTEM["ring"],
+                  "tree": {"kind": "finite_support", "widths": {"table": [3], "eventual": 2}}}
+DECREASING_SEQ = {"ring": GOOD_SYSTEM["ring"], "tree": {"kind": "decreasing_seq"}}
 GOOD_TERM = {"node": {"level": 0, "address": 0}, "l": 1, "coeff": 1}
 
 
@@ -201,6 +213,17 @@ def with_levels(tag=0, elem=0, node=0):
     return {"combo": [], "fact_y": [{"level": tag, "elem": {"level": elem, "terms": [term]}}]}
 
 
+def with_node(level, address):
+    """An element with one coboundary term at ``level``, through the node at ``address``."""
+    term = {**GOOD_TERM, "node": {"level": level, "address": address}, "l": level + 1}
+    return {"combo": [], "fact_y": [{"level": level, "elem": {"level": level, "terms": [term]}}]}
+
+
+def widths(**changes):
+    return {"ring": GOOD_SYSTEM["ring"],
+            "tree": {"kind": "finite_support", "widths": {"table": [3], "eventual": 2, **changes}}}
+
+
 MALFORMED_SYSTEMS = {
     "missing ring.m": ({"ring": {"kind": "zmod"}, "tree": GOOD_SYSTEM["tree"]}, "$.ring.m"),
     "ring.m not an integer": ({"ring": {"kind": "zmod", "m": "3"}, "tree": GOOD_SYSTEM["tree"]},
@@ -211,6 +234,14 @@ MALFORMED_SYSTEMS = {
     "missing widths.eventual": ({"ring": GOOD_SYSTEM["ring"],
                                  "tree": {"kind": "finite_support", "widths": {"table": []}}},
                                 "$.tree.widths.eventual"),
+    "tree.count a bool": ({"ring": GOOD_SYSTEM["ring"],
+                           "tree": {"kind": "disjoint_branches", "count": True}}, "$.tree.count"),
+    "tree.count a float": ({"ring": GOOD_SYSTEM["ring"],
+                            "tree": {"kind": "disjoint_branches", "count": 2.0}}, "$.tree.count"),
+    "widths.table[] a bool": (widths(table=[3, True]), "$.tree.widths.table[1]"),
+    "widths.table[] a float": (widths(table=[2.5]), "$.tree.widths.table[0]"),
+    "widths.table not a list": (widths(table=3), "$.tree.widths.table"),
+    "widths.eventual a float": (widths(eventual=2.5), "$.tree.widths.eventual"),
 }
 
 MALFORMED_ELEMENTS = {
@@ -243,6 +274,19 @@ MALFORMED_ELEMENTS = {
     "fact_y[].elem.level a float": (with_levels(elem=0.0), "$.fact_y[0].elem"),
     "fact_y[].elem.level a bool": (with_levels(elem=False), "$.fact_y[0].elem"),
     "fact_y[].elem.level a string": (with_levels(elem="0"), "$.fact_y[0].elem"),
+    # The last field names the system, when not the two disjoint branches.
+    "support-map branch position a float": (
+        {"combo": [{"branch": [[0.7, 1]], "coeff": 1}], "fact_y": []}, "$.combo[0].branch",
+        FINITE_SUPPORT),
+    "support-map branch value a bool": (
+        {"combo": [{"branch": [[0, True]], "coeff": 1}], "fact_y": []}, "$.combo[0].branch",
+        FINITE_SUPPORT),
+    "support-map node value a float": (with_node(2, [[0, 2.0]]),
+                                       "$.fact_y[0].elem.terms[0].node", FINITE_SUPPORT),
+    "sequence node address a float and a bool": (with_node(2, [2.9, True]),
+                                                 "$.fact_y[0].elem.terms[0].node", DECREASING_SEQ),
+    "sequence node address a string": (with_node(1, ["3"]),
+                                       "$.fact_y[0].elem.terms[0].node", DECREASING_SEQ),
 }
 
 
@@ -264,7 +308,9 @@ def test_malformed_system_exit_2_with_path(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", MALFORMED_ELEMENTS)
 def test_malformed_element_exit_2_with_path(tmp_path, sys1_path, capsys, case):
-    obj, path = MALFORMED_ELEMENTS[case]
+    obj, path, *system = MALFORMED_ELEMENTS[case]
+    if system:
+        sys1_path = write_json(tmp_path / "sys.json", system[0])
     elem = write_json(tmp_path / "elem.json", obj)
     assert_schema_exit(["--system", sys1_path, "--element", elem, "--cmd", "check"], path, capsys)
 
@@ -282,6 +328,49 @@ def test_check_horizon_above_cap_exit_2(tmp_path, sys1, sys1_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report == {"error": "check horizon must be at most 64, got 65"}
+
+
+def test_check_default_horizon_above_cap_exit_2(tmp_path, sys1, sys1_path, capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli, "check_eq_recurrences", lambda *args: swept.append(args))
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    # One term at level 30: stabilization bound 31, default horizon 2 * 31 + 4 = 66.
+    deep = write_json(tmp_path / "deep.json", with_node(30, 0))
+    code = main(["--system", sys1_path, "--element", a, "--element", deep, "--cmd", "check"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report == {"error": f"{deep}: default check horizon 66 is above 64; "
+                               "pass --horizon 64 or less"}
+    assert swept == []
+
+
+def test_oracle_verify_sweeps_coherence_once_per_element(sys1_path, capsys, monkeypatch):
+    sweeps = []
+    real = TruncatedSystem.table_coherent
+    monkeypatch.setattr(TruncatedSystem, "table_coherent",
+                        lambda self, table: sweeps.append(1) or real(self, table))
+    assert main(["--system", sys1_path, "--cmd", "oracle-verify", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == len(sweeps) == 20
+
+
+def test_oracle_verify_incoherent_table_is_one_coherence_failure(tmp_path, sys1, sys1_path,
+                                                                 capsys, monkeypatch):
+    real = TruncatedSystem.primary_table
+
+    def incoherent(self, a):
+        table = real(self, a)
+        top = self.height - 1
+        table[(0, top)] = (table[(0, top)] + 1) % self.modulus
+        return table
+
+    monkeypatch.setattr(TruncatedSystem, "primary_table", incoherent)
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    code = main(["--system", sys1_path, "--element", a, "--cmd", "oracle-verify"])
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert code == 1
+    kinds = [f["kind"] for f in failures]
+    assert kinds.count("coherence") == 1 and "solve" not in kinds
+    assert {"element": a, "kind": "coherence", "detail": "table incoherent"} in failures
 
 
 def test_internal_certification_failure_exit_3(tmp_path, sys1, sys1_path, capsys, monkeypatch):

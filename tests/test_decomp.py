@@ -12,6 +12,7 @@ from invsys import (
     coboundary,
     decomp,
     decompose,
+    indexset,
     equiv_decide,
     extract_branch,
     ind_omega,
@@ -34,22 +35,23 @@ def with_y0(system, terms):
     return coboundary(system, {0: module_element(0, terms, system.ring, system.tree)})
 
 
-# -- refinement to nonzero entries ---------------------------------------------------
+# -- nonzero test at the probe level ---------------------------------------------------
 
 
 def test_refine_single_generator_full(sys1):
     b = branch_generator(sys1, sys1.tree.branch(0))
-    assert refine_nonzero(b, ind_omega()) == ind_omega()
+    assert b.probe_bound == 0
+    assert all(refine_nonzero(b, p) for p in range(4))
 
 
 def test_refine_zero_signals(sys1):
-    assert refine_nonzero(zero_element(sys1), ind_omega()) is None
+    assert not refine_nonzero(zero_element(sys1), 0)
 
 
 def test_refine_cancelled_combo_signals(sys1):
     t0 = sys1.tree.branch(0)
     b = planted(sys1, [(t0, 1), (t0, 2)])
-    assert refine_nonzero(b, ind_omega()) is None
+    assert not refine_nonzero(b, 0)
 
 
 def test_refine_output_contract(sys3, sysf):
@@ -57,19 +59,23 @@ def test_refine_output_contract(sys3, sysf):
     for system in (sys3, sysf):
         for _ in range(10):
             b = normalize_cobounded(random_planted(system, rng)).element
-            refined = refine_nonzero(b, ind_omega())
-            if refined is None:
+            p = b.probe_bound
+            if not refine_nonzero(b, p):
                 assert not b.combo
                 continue
-            assert refined.issubset(ind_omega())
-            assert refined.classify().eventually_coherent
-            i = refined.first.min_value()
-            for _ in range(4):
-                j = refined.pro(i).min_value()
-                entry = b.eval_entry(i, j)
-                assert not entry.is_zero()
-                assert entry == entry.restrict_to(tail(j))
-                i = refined.first.min_from(i + 1)
+            for i in range(p, p + 4):
+                for j in range(i + 1, i + 4):
+                    entry = b.eval_entry(i, j)
+                    assert not entry.is_zero()
+                    assert entry == entry.restrict_to(tail(j))
+
+
+def test_probe_level_below_probe_bound_raises(sysf):
+    b = planted(sysf, {sysf.tree.branch(((0, 1),)): 1, sysf.tree.branch(((2, 1),)): 1})
+    assert b.probe_bound == 3
+    for phase in (refine_nonzero, support_bound, extract_branch):
+        with pytest.raises(ValueError):
+            phase(b, 2)
 
 
 # -- support bounds -----------------------------------------------------------------
@@ -77,25 +83,23 @@ def test_refine_output_contract(sys3, sysf):
 
 def test_support_bound_two_branches(sys3):
     b = planted(sys3, {sys3.tree.branch(0): 1, sys3.tree.branch(1): 1})
-    n_star, refined = support_bound(b, ind_omega())
+    p = b.probe_bound
+    n_star = support_bound(b, p)
     assert n_star == 3
-    assert refined.classify().eventually_coherent
-    i = refined.first.min_value()
-    j = refined.pro(i).min_value()
-    assert len(b.eval_entry(i, j).support()) < n_star
+    for i in range(p, p + 4):
+        for j in range(i + 1, i + 4):
+            assert len(b.eval_entry(i, j).support()) < n_star
 
 
 def test_support_bound_single_branch(sys1):
     b = branch_generator(sys1, sys1.tree.branch(0))
-    n_star, _ = support_bound(b, ind_omega())
-    assert n_star == 2
+    assert support_bound(b, 0) == 2
 
 
 def test_support_bound_merged_branches(sys1):
     t0 = sys1.tree.branch(0)
     b = planted(sys1, [(t0, 1), (t0, 1)])  # merges to coefficient 2
-    n_star, _ = support_bound(b, ind_omega())
-    assert n_star == 2
+    assert support_bound(b, 0) == 2
 
 
 # -- branch extraction ---------------------------------------------------------------
@@ -103,15 +107,17 @@ def test_support_bound_merged_branches(sys1):
 
 def test_extract_reads_constant_coefficient(sys1):
     b = branch_generator(sys1, sys1.tree.branch(1), 2)
-    d, t, refined = extract_branch(b, ind_omega())
+    d, t = extract_branch(b, 0)
     assert d.value == 2
     assert t == sys1.tree.branch(1)
-    assert refined.classify().eventually_coherent
+    for i in range(4):
+        for j in range(i + 1, i + 4):
+            assert b.entry_coefficient(i, j, sys1.tree.branch_node(t, i), j) == d
 
 
 def test_extract_prefers_least_address(sys1):
     b = planted(sys1, {sys1.tree.branch(0): 1, sys1.tree.branch(1): 2})
-    d, t, _ = extract_branch(b, ind_omega())
+    d, t = extract_branch(b, 0)
     assert (d.value, t) == (1, sys1.tree.branch(0))
 
 
@@ -119,7 +125,7 @@ def test_extract_on_branchless_system_raises(sys2):
     fact = with_y0(sys2, {(Node(0, ()), 1): 1})
     b = normalize_cobounded(planted(sys2, {}, fact)).element
     with pytest.raises(NoBranchError):
-        extract_branch(b, ind_omega())
+        extract_branch(b, b.probe_bound)
 
 
 def test_extract_soundness_sampled(sys3, sysf):
@@ -131,18 +137,12 @@ def test_extract_soundness_sampled(sys3, sysf):
         if not b.combo:
             b = branch_generator(system, system.tree.branch(0) if system is sys3
                                  else system.tree.branch(((0, 1),)))
-        d, t, refined = extract_branch(b, ind_omega())
+        p = b.probe_bound
+        d, t = extract_branch(b, p)
         tree = system.tree
-        checked = 0
-        i = 0
-        while checked < 50:
-            i = refined.first.min_from(i)
-            j = refined.pro(i).min_value()
-            for _ in range(5):
+        for i in range(p, p + 10):
+            for j in range(i + 1, i + 6):
                 assert b.entry_coefficient(i, j, tree.branch_node(t, i), j) == d
-                checked += 1
-                j = refined.pro(i).min_from(j + 1)
-            i += 1
 
 
 # -- full decomposition -----------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_decompose_round_trip_with_coboundary(sys1):
     dec = decompose(a)
     assert dec.combo == ((t0, 1), (t1, 2))
     assert dec.residual.y(0) == fact.y(0)
-    assert len(dec.provenance) == 2
+    assert dec.provenance == 0
 
 
 def test_decompose_pure_coboundary_over_branchless(sys2):
@@ -169,7 +169,7 @@ def test_decompose_zero(sys1):
     dec = decompose(zero_element(sys1))
     assert dec.combo == ()
     assert dec.residual.is_zero()
-    assert dec.provenance == ()
+    assert dec.provenance == 0
 
 
 def test_decompose_round_trip_randomized(sys1, sys3, sysf):
@@ -186,17 +186,17 @@ def test_decompose_terminates_below_support_bound(sys3, sysf):
     for system in (sys3, sysf):
         for _ in range(15):
             a = random_planted(system, rng)
-            normal = normalize_cobounded(a)
-            refined = refine_nonzero(normal.element, normal.index_set)
-            if refined is None:
+            remainder = normalize_cobounded(a).element
+            p = remainder.probe_bound
+            if not refine_nonzero(remainder, p):
                 continue
-            n_star, _ = support_bound(normal.element, refined)
+            n_star = support_bound(remainder, p)
             dec = decompose(a)
             assert len(dec.combo) < n_star
-            assert len(dec.provenance) == len(dec.combo)
+            assert dec.provenance == p
 
 
-def test_decompose_chain_and_branch_divergence(sysf):
+def test_decompose_branches_diverge_at_probe_level(sysf):
     rng = Random(17)
     found = 0
     while found < 8:
@@ -205,16 +205,38 @@ def test_decompose_chain_and_branch_divergence(sysf):
             continue
         found += 1
         dec = decompose(a)
-        for earlier, later in zip(dec.provenance, dec.provenance[1:]):
-            assert later.issubset(earlier)
-        last = dec.provenance[-1]
+        assert dec.provenance == normalize_cobounded(a).element.probe_bound
         tree = sysf.tree
-        probes = [last.first.min_value()]
-        for _ in range(3):
-            probes.append(last.first.min_from(probes[-1] + 1))
-        for i in probes:
+        for i in range(dec.provenance, dec.provenance + 4):
             nodes = [tree.branch_node(t, i) for t, _ in dec.combo]
             assert len(set(nodes)) == len(nodes)
+
+
+def test_every_round_probes_one_level_and_builds_no_index_set(monkeypatch, sys3, sysf):
+    """Each phase of every round reads the probe bound of the normalized
+    remainder, and the peel never constructs or queries an ``IndexSet``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the peel touched an index set")
+
+    monkeypatch.setattr(indexset, "index_set", refuse)
+    for name in ("classify", "square_restrict", "issubset", "pro", "coherify"):
+        monkeypatch.setattr(indexset.IndexSet, name, refuse)
+    levels = []
+    for name in ("refine_nonzero", "support_bound", "extract_branch"):
+        phase = getattr(decomp, name)
+        monkeypatch.setattr(decomp, name,
+                            lambda b, p, phase=phase: levels.append(p) or phase(b, p))
+    rng = Random(29)
+    rounds = 0
+    for system in (sys3, sysf):
+        for _ in range(20):
+            a = random_planted(system, rng, max_branches=3)
+            levels.clear()
+            dec = decompose(a)
+            assert dec.combo == a.combo
+            assert set(levels) == {normalize_cobounded(a).element.probe_bound}
+            rounds += len(dec.combo)
+    assert rounds > 20
 
 
 # -- equivalence witnesses ------------------------------------------------------------
