@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from random import Random
 
@@ -31,6 +32,10 @@ from .system import SchemaError, System
 # the cube of the horizon; neither a flag nor an element's default horizon
 # may ask for more than this.
 MAX_CHECK_HORIZON = 64
+
+# ``card`` prints the quotient cardinality m ** n in full, and Python refuses
+# by default to turn an integer of more decimal digits than this into a string.
+MAX_CARD_DIGITS = 4300
 
 
 def load_system(path: str) -> System:
@@ -133,7 +138,20 @@ def _run_equiv(system: System, elements, paths, horizon):
     return report, 0 if equivalent else 1
 
 
+def _more_digits_than(m: int, n: int, digits: int) -> bool:
+    """Whether ``m ** n`` has more than ``digits`` decimal digits; the power is
+    built only when its logarithm lies within one of the limit."""
+    estimate = n * math.log10(m)
+    if abs(estimate - digits) > 1:
+        return estimate > digits
+    return m ** n >= 10 ** digits
+
+
 def _run_card(system: System, elements, paths, horizon):
+    count, m = system.tree.branch_count(), system.ring.modulus
+    if isinstance(count, int) and _more_digits_than(m, count, MAX_CARD_DIGITS):
+        raise SchemaError(f"$.tree.count: the cardinality {m}**{count} has more than "
+                          f"{MAX_CARD_DIGITS} decimal digits, the most card prints")
     report = {"command": "card"}
     report.update(quotient_card_report(system))
     return report, 0
@@ -158,12 +176,13 @@ def _run_oracle_verify(system: System, elements, paths, horizon, seed):
         except ValueError as exc:
             failures.append({"element": label, "kind": "truncation", "detail": str(exc)})
             continue
-        if not trunc.agreement(elem):
+        primary = trunc.primary_table(elem)
+        if not trunc.agreement(elem, primary):
             failures.append({"element": label, "kind": "agreement", "detail": "tables differ"})
         # The solve sweeps the coherence equations first and refuses an
         # incoherent table with a ValueError.
         try:
-            trunc.solve_coboundary(trunc.primary_table(elem))
+            trunc.solve_coboundary(primary)
         except ValueError:
             failures.append({"element": label, "kind": "coherence", "detail": "table incoherent"})
         except AssertionError as exc:

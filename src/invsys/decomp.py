@@ -22,10 +22,18 @@ from finitely many black-box probes:
   support node's coefficient is the same at every pair and names its branch
   outright.
 
-Everything read at the probe level is re-certified against the evaluation
-map before being returned: each extracted coefficient on sampled pairs
-``p <= i < j``, and the whole decomposition on every entry below its
-verification horizon.
+Each extracted coefficient is spot-checked against the evaluation map on
+sampled pairs ``p <= i < j`` before it is returned.  The decomposition as a
+whole is certified by its presentation: the canonical form of
+``combo + residual`` must be ``a`` itself.  ``eval_entry`` is a pure function
+of the presentation, so equal canonical presentations agree at every index
+pair, not only below the ``verified_to`` horizon, and the check takes time
+linear in the presentation where comparing entries below the horizon took
+O(h^2) evaluations.  Comparing the entries of ``a`` with those of its rebuilt
+copy would run the same evaluation code twice, so it could not catch an
+evaluation bug either; re-checking entries independently is the matrix
+oracle's job.  ``verified_to`` stays the default horizon of ``a``, so the
+printed certificates keep their bytes.
 """
 
 from __future__ import annotations
@@ -152,18 +160,16 @@ def decompose(a: Planted) -> Decomposition:
 
     tree = a.system.tree
     combo = tuple(sorted(extracted, key=lambda e: tree.branch_sort_key(e[0])))
-    horizon = default_horizon(a)
-    result = Decomposition(combo, normal.witness, p, horizon)
-    _verify_decomposition(a, result, horizon)
+    result = Decomposition(combo, normal.witness, p, default_horizon(a))
+    _verify_decomposition(a, result)
     return result
 
 
-def _verify_decomposition(a: Planted, dec: Decomposition, horizon: int) -> None:
-    rebuilt = planted(a.system, dict(dec.combo), dec.residual)
-    for i in range(horizon):
-        for j in range(i + 1, horizon):
-            if a.eval_entry(i, j) != rebuilt.eval_entry(i, j):
-                raise AssertionError(f"decomposition does not reproduce entry ({i}, {j})")
+def _verify_decomposition(a: Planted, dec: Decomposition) -> None:
+    """Raise ``AssertionError`` unless ``combo + residual`` presents ``a`` exactly
+    and the extracted branches pass through distinct nodes at the probe level."""
+    if planted(a.system, dict(dec.combo), dec.residual) != a:
+        raise AssertionError("decomposition does not reproduce the element's presentation")
     tree = a.system.tree
     nodes = [tree.branch_node(b, dec.provenance) for b, _ in dec.combo]
     if len(set(nodes)) != len(nodes):

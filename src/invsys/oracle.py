@@ -120,9 +120,13 @@ class TruncatedSystem:
         """Whether the symbolic entries of ``a`` satisfy every coherence equation."""
         return self.table_coherent(self.primary_table(a))
 
-    def agreement(self, a: Planted) -> bool:
-        """Whether the symbolic path and the independent path produce the same table."""
-        primary = self.primary_table(a)
+    def agreement(self, a: Planted, primary=None) -> bool:
+        """Whether the symbolic path and the independent path produce the same table.
+
+        ``primary`` is ``a``'s primary table when the caller has built it already.
+        """
+        if primary is None:
+            primary = self.primary_table(a)
         independent = self.independent_table(a)
         return all(np.array_equal(primary[key], independent[key]) for key in primary)
 

@@ -158,7 +158,9 @@ class Tree:
         widths_table = []
         for entry_path, w in json_list(table, f"{path}.widths.table"):
             with at(entry_path):
-                widths_table.append(json_int(w, "width"))
+                if json_int(w, "width") < 1:
+                    raise ValueError(f"width table entries must be positive integers, got {w}")
+                widths_table.append(w)
         with at(f"{path}.widths.eventual"):
             return FiniteSupportTree(tuple(widths_table), json_int(eventual, "eventual width"))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -49,6 +50,34 @@ def test_card_three_branches(tmp_path, sys3, capsys):
     assert code == 0
     assert report["cardinality"] == 8
     assert report["certified"]["pairs_checked"] == 28
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("count", [100000, 10 ** 9])
+def test_card_too_many_digits_exit_2(tmp_path, capsys, fmt, count):
+    """A cardinality past the printable digit limit is refused from ``m`` and
+    ``count`` alone: 3 ** 10 ** 9 is never built."""
+    path = write_json(tmp_path / "big.json", {"ring": {"kind": "zmod", "m": 3},
+                                              "tree": {"kind": "disjoint_branches", "count": count}})
+    code = main(["--system", path, "--cmd", "card", "--format", fmt])
+    out = capsys.readouterr()
+    message = (f"$.tree.count: the cardinality 3**{count} has more than "
+               f"{cli.MAX_CARD_DIGITS} decimal digits, the most card prints")
+    assert code == 2
+    assert out.out == (json.dumps({"error": message}, indent=2) + "\n" if fmt == "json"
+                       else f"error: {message}\n")
+    assert out.err == ""
+
+
+@pytest.mark.parametrize("modulus, count, refused", [(10, 4299, False), (10, 4300, True),
+                                                     (2, 14284, False), (2, 14285, True)])
+def test_card_digit_limit_is_exact(tmp_path, capsys, modulus, count, refused):
+    path = write_json(tmp_path / "edge.json", {"ring": {"kind": "zmod", "m": modulus},
+                                               "tree": {"kind": "disjoint_branches", "count": count}})
+    code = main(["--system", path, "--cmd", "card"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (2 if refused else 0)
+    assert ("error" in report) == refused
 
 
 def test_equiv_inequivalent_generators(tmp_path, sys1, sys1_path, capsys):
@@ -240,6 +269,8 @@ MALFORMED_SYSTEMS = {
                             "tree": {"kind": "disjoint_branches", "count": 2.0}}, "$.tree.count"),
     "widths.table[] a bool": (widths(table=[3, True]), "$.tree.widths.table[1]"),
     "widths.table[] a float": (widths(table=[2.5]), "$.tree.widths.table[0]"),
+    "widths.table[] zero": (widths(table=[0]), "$.tree.widths.table[0]"),
+    "widths.table[] negative": (widths(table=[2, -1]), "$.tree.widths.table[1]"),
     "widths.table not a list": (widths(table=3), "$.tree.widths.table"),
     "widths.eventual a float": (widths(eventual=2.5), "$.tree.widths.eventual"),
 }
@@ -353,6 +384,16 @@ def test_oracle_verify_sweeps_coherence_once_per_element(sys1_path, capsys, monk
     assert json.loads(capsys.readouterr().out)["checked"] == len(sweeps) == 20
 
 
+def test_oracle_verify_builds_one_primary_table_per_element(sys1_path, capsys, monkeypatch):
+    tables, truncations = [], []
+    real_table, real_truncate = TruncatedSystem.primary_table, cli.truncate
+    monkeypatch.setattr(TruncatedSystem, "primary_table",
+                        lambda self, a: tables.append(1) or real_table(self, a))
+    monkeypatch.setattr(cli, "truncate", lambda *args: truncations.append(1) or real_truncate(*args))
+    assert main(["--system", sys1_path, "--cmd", "oracle-verify", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == len(tables) == len(truncations) == 20
+
+
 def test_oracle_verify_incoherent_table_is_one_coherence_failure(tmp_path, sys1, sys1_path,
                                                                  capsys, monkeypatch):
     real = TruncatedSystem.primary_table
@@ -374,7 +415,7 @@ def test_oracle_verify_incoherent_table_is_one_coherence_failure(tmp_path, sys1,
 
 
 def test_internal_certification_failure_exit_3(tmp_path, sys1, sys1_path, capsys, monkeypatch):
-    def failing(a, dec, horizon):
+    def failing(a, dec):
         raise AssertionError("decomposition does not reproduce entry (0, 1)")
 
     monkeypatch.setattr(decomp, "_verify_decomposition", failing)
@@ -384,6 +425,26 @@ def test_internal_certification_failure_exit_3(tmp_path, sys1, sys1_path, capsys
     assert code == 3
     assert json.loads(out.out) == {
         "error": "internal certification failure: decomposition does not reproduce entry (0, 1)"}
+    assert out.err == ""
+
+
+def test_miscertified_decomposition_exit_3(tmp_path, sys1, sys1_path, capsys, monkeypatch):
+    """A normalization witness that does not absorb the coboundary part gives a
+    certificate that fails its own check: exit 3, not an answer."""
+    real = decomp.normalize_cobounded
+    extra = coboundary(sys1, {0: module_element(0, {(Node(0, 1), 1): 1}, sys1.ring, sys1.tree)})
+
+    def forged(a):
+        normal = real(a)
+        return dataclasses.replace(normal, witness=normal.witness + extra)
+
+    monkeypatch.setattr(decomp, "normalize_cobounded", forged)
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    code = main(["--system", sys1_path, "--element", a, "--cmd", "decompose"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out.out) == {"error": "internal certification failure: decomposition "
+                                            "does not reproduce the element's presentation"}
     assert out.err == ""
 
 

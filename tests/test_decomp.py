@@ -8,6 +8,7 @@ import pytest
 from invsys import (
     COUNTABLY_INFINITE,
     NoBranchError,
+    Planted,
     branch_generator,
     coboundary,
     decomp,
@@ -15,6 +16,7 @@ from invsys import (
     indexset,
     equiv_decide,
     extract_branch,
+    generator,
     ind_omega,
     module_element,
     normalize_cobounded,
@@ -27,7 +29,7 @@ from invsys import (
     zero_element,
 )
 from invsys.decomp import Decomposition, EquivalenceWitness
-from invsys.sampling import random_coboundary, random_planted
+from invsys.sampling import random_coboundary, random_planted, sample_branches, sample_node
 from invsys.tree import Node
 
 
@@ -237,6 +239,76 @@ def test_every_round_probes_one_level_and_builds_no_index_set(monkeypatch, sys3,
             assert set(levels) == {normalize_cobounded(a).element.probe_bound}
             rounds += len(dec.combo)
     assert rounds > 20
+
+
+# -- certification by presentation -------------------------------------------------------
+
+
+def _seeded_decompositions(systems, seed, per_system=20):
+    rng = Random(seed)
+    for system in systems:
+        for _ in range(per_system):
+            a = random_planted(system, rng)
+            yield a, decompose(a)
+
+
+def test_decomposition_presents_the_element(sys1, sys2, sysf):
+    """The certificate's combo plus residual is ``a``'s own canonical presentation."""
+    for a, dec in _seeded_decompositions((sys1, sys2, sysf), 31, per_system=40):
+        assert planted(a.system, dict(dec.combo), dec.residual) == a
+
+
+def _forge(tamper, dec, system, rng):
+    """``dec`` with one part tampered with, or ``None`` when ``dec`` has no such part."""
+    tree, combo = system.tree, dec.combo
+    if tamper == "residual":
+        level = rng.randrange(6)
+        bump = generator(sample_node(tree, rng, level), level + 1 + rng.randrange(3),
+                         system.ring, system.tree)
+        return dataclasses.replace(dec, residual=dec.residual + coboundary(system, {level: bump}))
+    if tamper == "add":
+        if not tree.has_branches():
+            return None
+        present = {b for b, _ in combo}
+        extra = [b for b in sample_branches(tree, rng, 4) if b not in present]
+        return extra and dataclasses.replace(dec, combo=((extra[0], 1), *combo))
+    if not combo:
+        return None
+    if tamper == "drop":
+        return dataclasses.replace(dec, combo=combo[1:])
+    # The other nonzero residue mod 3, the modulus of every system with branches here.
+    (branch, coeff), *rest = combo
+    return dataclasses.replace(dec, combo=((branch, coeff % 2 + 1), *rest))
+
+
+@pytest.mark.parametrize("tamper", ["coefficient", "drop", "add", "residual"])
+def test_verify_refuses_a_tampered_certificate(tamper, sys1, sys2, sysf):
+    """One changed coefficient, a dropped or added branch, or a residual changed
+    at one level no longer presents the element: the check raises."""
+    rng = Random(37)
+    tampered = 0
+    for a, dec in _seeded_decompositions((sys1, sys2, sysf), 41):
+        forged = _forge(tamper, dec, a.system, rng)
+        if not forged:
+            continue
+        decomp._verify_decomposition(a, dec)
+        with pytest.raises(AssertionError, match="presentation"):
+            decomp._verify_decomposition(a, forged)
+        tampered += 1
+    assert tampered >= 20
+
+
+def test_verify_evaluates_no_entries(monkeypatch, sys1, sys2, sysf):
+    """The certificate is checked on the presentation: not one entry is computed,
+    where an entry sweep below the horizon h computed C(h, 2) per side."""
+    decs = list(_seeded_decompositions((sys1, sys2, sysf), 43))
+    calls = []
+    real = Planted.eval_entry
+    monkeypatch.setattr(Planted, "eval_entry",
+                        lambda self, i, j: calls.append((i, j)) or real(self, i, j))
+    for a, dec in decs:
+        decomp._verify_decomposition(a, dec)
+    assert calls == []
 
 
 # -- equivalence witnesses ------------------------------------------------------------

@@ -1,9 +1,16 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invsys import (
+    DecreasingSeqTree,
+    DisjointBranchesTree,
+    FiniteSupportTree,
     Node,
+    Ring,
+    System,
     apply_hom,
     below,
     generator,
@@ -167,3 +174,28 @@ def test_json_round_trip(sys1):
 
     e = module_element(0, {(b0(0), 1): 2, (b1(0), 3): 1}, sys1.ring, sys1.tree)
     assert ModuleElement.from_json(e.to_json(), sys1.ring, sys1.tree) == e
+
+
+HOM_SYSTEMS = (
+    System(Ring(3), DisjointBranchesTree(3)),
+    System(Ring(4), FiniteSupportTree((2, 3), 2)),
+    System(Ring(6), DecreasingSeqTree()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False),
+       data=st.data())
+def test_hom_composition_law(system, rng, data):
+    """``hom(i, j) o hom(j, k) = hom(i, k)``: restricting through an intermediate
+    level ``j`` lands where restricting directly does, for all ``i < j < k``."""
+    k = data.draw(st.integers(2, 8), label="k")
+    j = data.draw(st.integers(1, k - 1), label="j")
+    i = data.draw(st.integers(0, j - 1), label="i")
+    m = system.ring.modulus
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (sample_node(system.tree, rng, k), rng.randint(k + 1, k + 5))
+        terms[key] = terms.get(key, 0) + rng.randint(1, m - 1)
+    x = module_element(k, terms, system.ring, system.tree)
+    assert apply_hom(apply_hom(x, j), i) == apply_hom(x, i)

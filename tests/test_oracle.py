@@ -152,8 +152,17 @@ def test_oracle_agreement_randomized(sys1, sys3, sysf):
             trunc = truncate(system, 6, universe_for(system, [a], 6))
             assert trunc.agreement(a)
             table = trunc.primary_table(a)
+            assert trunc.agreement(a, table)
             assert trunc.table_coherent(table)
             trunc.solve_coboundary(table)
+
+
+def test_agreement_reads_the_given_primary_table(sys1):
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
+    table = trunc.primary_table(a)
+    table[(0, 3)] = (table[(0, 3)] + 1) % trunc.modulus
+    assert trunc.agreement(a) and not trunc.agreement(a, table)
 
 
 @pytest.mark.parametrize("modulus", [2 ** 31 - 1, 2 ** 40 + 15])
