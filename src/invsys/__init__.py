@@ -19,7 +19,6 @@ from .coherent import (
     normalize_cobounded,
     planted,
     restriction_stability,
-    tail_support_union,
     zero_element,
 )
 from .decomp import (
@@ -103,7 +102,6 @@ __all__ = [
     "singleton",
     "support_bound",
     "tail",
-    "tail_support_union",
     "tailset",
     "truncate",
     "universe_for",

@@ -28,9 +28,11 @@ from .oracle import MAX_HEIGHT, truncate, universe_for
 from .sampling import random_planted
 from .system import SchemaError, System
 
-# ``check`` sweeps every index triple below its horizon, so its cost grows as
-# the cube of the horizon; neither a flag nor an element's default horizon
-# may ask for more than this.
+# ``check`` decides coherence from the C(h-1, 2) consecutive index triples,
+# but it tests restriction stability on all C(h, 3) triples, and an
+# incoherent element sweeps them all to list its violations, so its cost
+# still grows as the cube of the horizon; neither a flag nor an element's
+# default horizon may ask for more than this.
 MAX_CHECK_HORIZON = 64
 
 # ``card`` prints the quotient cardinality m ** n in full, and Python refuses
@@ -42,7 +44,7 @@ def load_system(path: str) -> System:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return System.from_json(obj)
@@ -54,7 +56,7 @@ def load_element(path: str, system: System) -> Planted:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return Planted.from_json(obj, system)

@@ -13,12 +13,16 @@ guaranteed by the algebra above it: beyond the stabilization bound (one past
 the last level carrying a nonzero ``y``) all entries are pure branch form, so
 finite checks plus that uniformity give exact answers.
 
-The checks read one *coherence defect* per index triple,
-``a[i,k] - (a[i,j] + hom(a[j,k]))``.  The family is coherent exactly when
-every defect is zero, and the three coefficient recurrences are that
-identity written out coefficient by coefficient, so each nonzero term of a
-defect is one recurrence violation.  ``check`` reads coherence and the
-recurrences off this single sweep.
+The checks read *coherence defects* ``a[i,k] - (a[i,j] + hom(a[j,k]))``.
+The family is coherent exactly when every defect is zero, and the three
+coefficient recurrences are that identity written out coefficient by
+coefficient, so each nonzero term of a defect is one recurrence violation.
+The connecting maps compose, so every defect vanishes once those of the
+consecutive triples ``(i, i+1, k)`` do (``check_eq_recurrences`` gives the
+induction): coherence is swept over those C(h-1, 2) triples, and the full
+sweep over all C(h, 3) runs only to report the violations of an incoherent
+family.  ``check`` still tests restriction stability on every triple, so its
+cost stays O(h^3).
 
 Input is validated where it enters: ``planted`` checks every branch
 presentation, ``coboundary`` every level, and the ``from_json`` constructors
@@ -286,8 +290,6 @@ def default_horizon(a: Planted) -> int:
 
 def _triples(horizon: int):
     """Every index triple ``i < j < k`` below the horizon, in lexicographic order."""
-    if horizon < 3:
-        raise ValueError("horizon must be at least 3")
     for i in range(horizon):
         for j in range(i + 1, horizon):
             for k in range(j + 1, horizon):
@@ -301,13 +303,19 @@ def _defect(ev, i: int, j: int, k: int) -> ModuleElement:
 
 
 def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
-    """Verify ``a[i,k] = a[i,j] + hom(a[j,k])`` for all ``i < j < k < horizon``:
-    every coherence defect vanishes.
+    """Verify ``a[i,k] = a[i,j] + hom(a[j,k])`` for all ``i < j < k < horizon``
+    by sweeping the defects of the consecutive triples ``(i, i+1, k)`` only;
+    ``check_eq_recurrences`` proves the rest follow.
 
     ``eval_fn`` substitutes the entry map, letting tests inject faults.
     """
+    if horizon < 3:
+        raise ValueError("horizon must be at least 3")
     ev = eval_fn if eval_fn is not None else a.eval_entry
-    return all(_defect(ev, i, j, k).is_zero() for i, j, k in _triples(horizon))
+    return all(
+        _defect(ev, i, i + 1, k).is_zero()
+        for i in range(horizon - 2) for k in range(i + 2, horizon)
+    )
 
 
 @dataclass(frozen=True)
@@ -354,12 +362,29 @@ def check_eq_recurrences(a: Planted, horizon: int, eval_fn=None) -> EqReport:
     coefficients of the coherence defect ``a[i,k] - (a[i,j] + hom(a[j,k]))``,
     so each term ``(nu, l)`` of a triple's defect is one violation, tagged by
     where ``l`` lies against ``j``.  The report is ok exactly when
-    ``check_coherence`` holds: the command line reads both answers off this
-    one sweep.
+    ``check_coherence`` holds, so the command line reads both answers off it.
+
+    A coherent family has no violation, and ``check_coherence`` decides
+    coherence from the consecutive triples ``(i, i+1, k)`` alone; only when
+    it fails does the sweep over every triple run, to list the violations.
+    Why the consecutive triples suffice, by induction on ``j - i``: the case
+    ``j = i + 1`` is checked.  For ``j > i + 1`` the checked triples
+    ``(i, i+1, k)`` and ``(i, i+1, j)`` and the triple ``(i+1, j, k)``, which
+    holds by induction, give
+
+        a[i,k] = a[i,i+1] + hom_i(a[i+1,k])
+               = a[i,i+1] + hom_i(a[i+1,j]) + hom_i(hom_{i+1}(a[j,k]))
+               = a[i,j] + hom_i(a[j,k]),
+
+    using that ``apply_hom`` is additive and that ``hom_i o hom_{i+1} =
+    hom_i``.  Nothing else is assumed of the entries, so the argument holds
+    for any table of level-i elements, a faulted ``eval_fn`` included.
 
     ``eval_fn`` substitutes the entry map, letting tests inject faults.
     """
     ev = eval_fn if eval_fn is not None else a.eval_entry
+    if check_coherence(a, horizon, ev):
+        return EqReport(horizon, ())
     violations = []
     for i, j, k in _triples(horizon):
         for nu, l, _ in _defect(ev, i, j, k).terms:
@@ -381,21 +406,6 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
     ev = eval_fn if eval_fn is not None else a.eval_entry
     low = [t for t in ev(i, j).terms if t[1] < j]
     return low == [t for t in ev(i, k).terms if t[1] < j]
-
-
-def tail_support_union(a: Planted, i: int) -> tuple[tuple[Node, int], ...]:
-    """The union over ``j > i`` of the supports of the entries cut below ``j``.
-
-    Entries cut below ``j`` only ever expose the coboundary data at level i,
-    so the union stabilizes once ``j`` passes every generator index of ``y_i``;
-    the sweep below runs exactly that far.
-    """
-    out: set[tuple[Node, int]] = set()
-    stop = max(i + 2, a.fact.max_generator_index() + 2)
-    for j in range(i + 1, stop):
-        out.update(a.eval_entry(i, j).restrict_to(below(j)).support())
-    tree = a.system.tree
-    return tuple(sorted(out, key=lambda t: (tree.node_sort_key(t[0]), t[1])))
 
 
 # -- normalization ---------------------------------------------------------------

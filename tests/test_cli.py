@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -189,6 +190,32 @@ def test_invalid_json_exit_code(tmp_path, sys1_path, capsys):
     code = main(["--system", sys1_path, "--element", str(bad), "--cmd", "check"])
     assert code == 2
     capsys.readouterr()
+
+
+# One past the 4300 digits Python reads by default in an integer literal.
+HUGE_LITERAL = "1" + "0" * 4400
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integer literals of any length")
+@pytest.mark.parametrize("which", ["system", "element"])
+def test_oversized_integer_literal_names_the_file(tmp_path, sys1_path, capsys, which):
+    """``json.load`` refuses such a literal with a plain ``ValueError``, not a
+    ``JSONDecodeError``; it is reported as invalid JSON in the named file."""
+    if which == "system":
+        bad = tmp_path / "sys.json"
+        bad.write_text('{"ring": {"kind": "zmod", "m": %s}, '
+                       '"tree": {"kind": "disjoint_branches", "count": 2}}' % HUGE_LITERAL)
+        argv = ["--system", str(bad), "--cmd", "card"]
+    else:
+        bad = tmp_path / "a.json"
+        bad.write_text('{"combo": [{"branch": 0, "coeff": %s}], "fact_y": []}' % HUGE_LITERAL)
+        argv = ["--system", sys1_path, "--element", str(bad), "--cmd", "check"]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"].startswith(f"{bad}: invalid JSON: ")
+    assert "4300" in report["error"]
 
 
 def test_missing_file_exit_code(sys1_path, capsys):

@@ -17,7 +17,6 @@ from invsys import (
     planted,
     restriction_stability,
     singleton,
-    tail_support_union,
     zero_element,
 )
 from invsys.sampling import random_coboundary, random_planted
@@ -205,36 +204,6 @@ def test_restriction_stability_detects_fault(sys1):
 
 def test_restriction_stability_zero(sys2):
     assert restriction_stability(zero_element(sys2), 0, 1, 2)
-
-
-# -- tail support union ---------------------------------------------------------------
-
-
-def test_tail_support_union_pure_branches(sys1):
-    a = planted(sys1, {sys1.tree.branch(0): 1, sys1.tree.branch(1): 2})
-    for i in range(4):
-        assert tail_support_union(a, i) == ()
-
-
-def test_tail_support_union_reads_coboundary(sys1):
-    a = planted(sys1, {}, with_y0(sys1, {(b0(0), 1): 1}))
-    assert tail_support_union(a, 0) == ((b0(0), 1),)
-    assert tail_support_union(a, 1) == ()
-
-
-def test_tail_support_union_zero(sys1):
-    assert tail_support_union(zero_element(sys1), 0) == ()
-
-
-def test_tail_support_union_matches_sweep(sysf):
-    rng = Random(41)
-    for _ in range(10):
-        a = random_planted(sysf, rng)
-        for i in range(3):
-            union = set()
-            for j in range(i + 1, 12):
-                union.update(a.eval_entry(i, j).restrict_to(below(j)).support())
-            assert set(tail_support_union(a, i)) == union
 
 
 # -- the nonzero-cut witness for coboundaries ------------------------------------------

@@ -8,10 +8,16 @@ touch, it rebuilds the expected ``(i,k)`` coefficient from the ``(i,j)`` and
 report the same violations in the same order, and ``check_coherence`` must
 hold exactly when that report is ok, which is what lets ``check`` read
 coherence off the recurrence sweep.
+
+``check_coherence`` sweeps only the consecutive triples ``(i, i+1, k)``; on
+faulted entry maps it must agree with ``all_triples_coherent``, the sweep
+over every triple that it replaced.
 """
 
+from math import comb
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +27,12 @@ from invsys import (
     FiniteSupportTree,
     Ring,
     System,
+    apply_hom,
     check_coherence,
     check_eq_recurrences,
     module_element,
 )
+from invsys import coherent
 from invsys.coherent import EqViolation
 from invsys.sampling import random_planted, sample_node
 
@@ -33,6 +41,7 @@ SYSTEMS = (
     System(Ring(4), FiniteSupportTree((2, 3), 2)),
     System(Ring(6), DecreasingSeqTree()),
 )
+FAMILY_IDS = [s.tree.kind for s in SYSTEMS]
 
 
 def reference_eq_recurrences(a, horizon, ev):
@@ -80,27 +89,27 @@ def reference_eq_recurrences(a, horizon, ev):
     return tuple(violations)
 
 
-def faulted(a, horizon, rng: Random):
-    """The entry map of ``a`` with a few entries below the horizon perturbed.
+def fault_at(a, i, j, horizon, rng: Random):
+    """A perturbation of entry ``(i, j)``.
 
-    A perturbation reuses the entry's own support half the time, so faults
-    also cancel terms, not only add them.
+    It reuses the entry's own support half the time, so faults also cancel
+    terms, not only add them.
     """
     system = a.system
     m = system.ring.modulus
-    faults = {}
+    support = a.eval_entry(i, j).support()
+    terms = {}
     for _ in range(rng.randint(1, 3)):
-        i = rng.randrange(horizon - 1)
-        j = rng.randint(i + 1, horizon - 1)
-        support = a.eval_entry(i, j).support()
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            if support and rng.random() < 0.5:
-                key = rng.choice(support)
-            else:
-                key = (sample_node(system.tree, rng, i), rng.randint(i + 1, horizon + 1))
-            terms[key] = terms.get(key, 0) + rng.randint(1, m - 1)
-        faults[(i, j)] = module_element(i, terms, system.ring, system.tree)
+        if support and rng.random() < 0.5:
+            key = rng.choice(support)
+        else:
+            key = (sample_node(system.tree, rng, i), rng.randint(i + 1, horizon + 1))
+        terms[key] = terms.get(key, 0) + rng.randint(1, m - 1)
+    return module_element(i, terms, system.ring, system.tree)
+
+
+def perturbed(a, faults):
+    """The entry map of ``a`` plus ``faults``, a ``(i, j) -> element`` map."""
 
     def ev(i, j):
         entry = a.eval_entry(i, j)
@@ -108,6 +117,16 @@ def faulted(a, horizon, rng: Random):
         return entry if fault is None else entry + fault
 
     return ev
+
+
+def faulted(a, horizon, rng: Random):
+    """The entry map of ``a`` with a few entries below the horizon perturbed."""
+    faults = {}
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(horizon - 1)
+        j = rng.randint(i + 1, horizon - 1)
+        faults[(i, j)] = fault_at(a, i, j, horizon, rng)
+    return perturbed(a, faults)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,3 +138,69 @@ def test_defect_sweep_matches_reference(system, rng, horizon, fault):
     report = check_eq_recurrences(a, horizon, eval_fn=ev)
     assert report.violations == reference_eq_recurrences(a, horizon, ev)
     assert check_coherence(a, horizon, eval_fn=ev) == report.ok
+
+
+def all_triples_coherent(horizon, ev):
+    return all(
+        ev(i, k) == ev(i, j) + apply_hom(ev(j, k), i)
+        for i in range(horizon) for j in range(i + 1, horizon) for k in range(j + 1, horizon)
+    )
+
+
+def pairs_below(horizon):
+    return [(i, j) for i in range(horizon) for j in range(i + 1, horizon)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(SYSTEMS), rng=st.randoms(use_true_random=False),
+       horizon=st.integers(3, 8), data=st.data())
+def test_consecutive_triples_decide_coherence(system, rng, horizon, data):
+    a = random_planted(system, rng, level_cap=horizon)
+    pairs = data.draw(st.lists(st.sampled_from(pairs_below(horizon)), max_size=3, unique=True),
+                      label="faulted pairs")
+    ev = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng) for i, j in pairs})
+    assert check_coherence(a, horizon, eval_fn=ev) == all_triples_coherent(horizon, ev)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_consecutive_triples_decide_coherence_at_every_pair(system):
+    """One faulted entry at every pair below the horizon, the last pair
+    ``(h-2, h-1)``, read only through a hom, included."""
+    rng = Random(f"every-pair/{system.tree.kind}")
+    horizon = 6
+    for _ in range(4):
+        a = random_planted(system, rng, level_cap=horizon)
+        for i, j in pairs_below(horizon):
+            ev = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng)})
+            assert check_coherence(a, horizon, eval_fn=ev) == all_triples_coherent(horizon, ev)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
+    rng = Random(f"fallback/{system.tree.kind}")
+    a = random_planted(system, rng, max_fact_levels=4, level_cap=9)
+    h = 14
+    consecutive = [(i, i + 1, k) for i in range(h - 2) for k in range(i + 2, h)]
+    every = [(i, j, k) for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h)]
+    swept = []
+    defect = coherent._defect
+
+    def counted(ev, i, j, k):
+        swept.append((i, j, k))
+        return defect(ev, i, j, k)
+
+    monkeypatch.setattr(coherent, "_defect", counted)
+    assert check_eq_recurrences(a, h).ok
+    assert swept == consecutive and len(swept) == comb(h - 1, 2)
+
+    # The fast path reads entry (0, 7) only as the (i,k) entry of (0, 1, 7).
+    swept.clear()
+    fault = module_element(0, {(sample_node(system.tree, rng, 0), 9): 1},
+                           system.ring, system.tree)
+    ev = perturbed(a, {(0, 7): fault})
+    report = check_eq_recurrences(a, h, eval_fn=ev)
+    assert not report.ok
+    head, tail = swept[:-len(every)], swept[-len(every):]
+    assert head == consecutive[:len(head)] and head[-1] == (0, 1, 7)
+    assert tail == every and len(tail) == comb(h, 3)
+    assert report.violations == reference_eq_recurrences(a, h, ev)

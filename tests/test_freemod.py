@@ -199,3 +199,29 @@ def test_hom_composition_law(system, rng, data):
         terms[key] = terms.get(key, 0) + rng.randint(1, m - 1)
     x = module_element(k, terms, system.ring, system.tree)
     assert apply_hom(apply_hom(x, j), i) == apply_hom(x, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False),
+       data=st.data())
+def test_hom_additivity_law(system, rng, data):
+    """``hom(x + y) = hom(x) + hom(y)``: with the composition law, the other fact
+    the consecutive-triple coherence check rests on."""
+    j = data.draw(st.integers(1, 8), label="j")
+    i = data.draw(st.integers(0, j - 1), label="i")
+    m = system.ring.modulus
+
+    def element(reuse=()):
+        # Terms of ``reuse`` come back half the time, so sums also cancel.
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            if reuse and rng.random() < 0.5:
+                key = rng.choice(reuse)
+            else:
+                key = (sample_node(system.tree, rng, j), rng.randint(j + 1, j + 5))
+            terms[key] = terms.get(key, 0) + rng.randint(1, m - 1)
+        return module_element(j, terms, system.ring, system.tree)
+
+    x = element()
+    y = element(x.support())
+    assert apply_hom(x + y, i) == apply_hom(x, i) + apply_hom(y, i)

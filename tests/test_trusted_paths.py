@@ -165,9 +165,10 @@ def test_repeated_check_evaluates_no_entry(system, monkeypatch):
         for j in range(i + 1, HORIZON):
             elem.eval_entry(i, j)
     assert calls == []
-    # The sweep itself maps one entry per index triple; entry evaluation adds none.
+    # The sweep itself maps one entry per consecutive triple (i, i+1, k);
+    # entry evaluation adds none.
     assert check_coherence(elem, HORIZON)
-    assert len(calls) == comb(HORIZON, 3)
+    assert len(calls) == comb(HORIZON - 1, 2)
     assert len(elem._entries) == comb(HORIZON, 2)
 
 
@@ -188,8 +189,9 @@ def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, 
 
     monkeypatch.setattr(coherent, "apply_hom", counted_hom)
     monkeypatch.setattr(Ring, "elem", counted_elem)
-    # Coherence, the recurrences and stability come off one sweep: one hom
-    # application per index triple, and coefficients stay plain integers.
+    # Coherence and the recurrences come off the consecutive triples: one hom
+    # application per triple (i, i+1, k), none for stability, and
+    # coefficients stay plain integers.
     assert _run_check(system, [elem], ["elem.json"], HORIZON) == first
-    assert len(homs) == comb(HORIZON, 3)
+    assert len(homs) == comb(HORIZON - 1, 2)
     assert ring_elems == []
