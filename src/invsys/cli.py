@@ -44,7 +44,9 @@ def load_system(path: str) -> System:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer literal too long to read, or
+            # nesting deeper than the decoder's recursion limit
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return System.from_json(obj)
@@ -56,7 +58,9 @@ def load_element(path: str, system: System) -> Planted:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer literal too long to read, or
+            # nesting deeper than the decoder's recursion limit
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return Planted.from_json(obj, system)

@@ -7,14 +7,36 @@ rule.  Coherence, agreement with the symbolic evaluation path, and coboundary
 solvability are then plain modular matrix arithmetic, sharing no evaluation
 code with the symbolic side.
 
+Block layout.  The generators of every level are laid end to end, level 0
+first, so level ``i`` owns the coordinates ``o[i]:o[i+1]`` with
+``o[i] = dim(0) + ... + dim(i-1)``.  All hom maps live in one
+``(Σ dim) × (Σ dim)`` array ``H`` whose block ``(i, j)`` is ``hom(i, j)`` for
+``i < j`` and zero otherwise; ``hom_matrix`` hands out read-only views of its
+blocks.  A table becomes one ``(Σ dim) × height`` array ``t`` whose block
+``(i, j)`` (level ``i``'s rows, column ``j``) is the entry ``(i, j)``, zero
+outside ``i < j``.  Each triple law then reads off one product per middle
+level ``j``: the rows above ``o[j]`` are the levels ``i < j``, the columns
+from ``o[j+1]`` (from ``j + 1`` in a table) are the levels ``k > j``, and
+block ``(i, k)`` of ``H[:o[j], o[j]:o[j+1]] @ H[o[j]:o[j+1], o[j+1]:]`` is
+``hom(i, j) @ hom(j, k)``.  So the products for ``j = 1 .. height-2`` cover
+every triple ``i < j < k``, each exactly once, and the checks stay complete
+in ``height - 2`` numpy calls rather than ``C(height, 3)``.  Coherence reads
+the same way: ``t[:o[j], j+1:] - t[:o[j], j]`` must equal, mod m,
+``H[:o[j], o[j]:o[j+1]] @ t[o[j]:o[j+1], j+1:]``.  The coboundary parts
+``hom(i, j) @ y_j`` of every pair come from one ``H @ diag(y)``, summed over
+each level's columns.
+
 Vectors and matrices are kept reduced mod m, so a matrix-vector product is a
 sum of at most ``dim`` terms, each at most ``(m - 1) ** 2``, and at most one
-more reduced vector is added to it before the next reduction.  (The branch
-part of an independent entry sums one coefficient per branch, far below that
-bound for any combination that fits in memory.)  The arrays are ``int64``
-whenever ``(m - 1) ** 2 * (max dim + 1)`` fits, which covers every small
-modulus; above it they hold Python integers (``dtype=object``), so the oracle
-stays exact for every ``m``.
+more reduced vector is added to it before the next reduction.  Stacking keeps
+that bound: a block product sums over one level's coordinates only, and the
+blocks of ``H`` outside the upper triangle contribute exact zeros, so stacking
+adds rows and columns to a product but never a nonzero term to any of its
+sums.  (The branch part of an independent entry sums one coefficient per
+branch, far below that bound for any combination that fits in memory.)  The
+arrays are ``int64`` whenever ``(m - 1) ** 2 * (max dim + 1)`` fits, which
+covers every small modulus; above it they hold Python integers
+(``dtype=object``), so the oracle stays exact for every ``m``.
 
 At any finite height every coherent table is a coboundary: assigning each
 level the entry against the top level (and zero at the top) solves all the
@@ -44,7 +66,11 @@ class TruncatedSystem:
     universe: dict[int, tuple[Node, ...]]
     _gens: dict[int, list[tuple[Node, int]]] = field(default_factory=dict, repr=False)
     _index: dict[int, dict[tuple[Node, int], int]] = field(default_factory=dict, repr=False)
-    _mats: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
+    # level i owns rows and columns _offsets[i]:_offsets[i+1] of _hom
+    _offsets: list[int] = field(default_factory=list, repr=False)
+    _hom: np.ndarray = field(default=None, repr=False)
+    # _upper[r, j]: the level of coordinate r lies below j, so (r, j) is in a table block
+    _upper: np.ndarray = field(default=None, repr=False)
     dtype: type = np.int64
 
     @property
@@ -57,8 +83,14 @@ class TruncatedSystem:
     def generators(self, level: int) -> list[tuple[Node, int]]:
         return list(self._gens[level])
 
+    def _rows(self, level: int) -> slice:
+        return slice(self._offsets[level], self._offsets[level + 1])
+
     def hom_matrix(self, i: int, j: int) -> np.ndarray:
-        return self._mats[(i, j)]
+        """A read-only view of ``hom(i, j)`` for ``i < j`` below the height."""
+        if not 0 <= i < j < self.height:
+            raise KeyError((i, j))
+        return self._hom[self._rows(i), self._rows(j)]
 
     # -- vectors ------------------------------------------------------------
 
@@ -75,6 +107,28 @@ class TruncatedSystem:
             vec[index[(node, l)]] = c % self.modulus
         return vec
 
+    def _stack(self, table) -> np.ndarray:
+        """The ``(Σ dim) × height`` block array of a table."""
+        t = np.zeros((self.height, self._offsets[-1]), dtype=self.dtype)
+        # column by column, each column's blocks top down: the order in which
+        # a boolean mask of the transposed array visits its entries
+        t[self._upper.T] = np.concatenate(
+            [table[(i, j)] for j in range(self.height) for i in range(j)]
+        )
+        return t.T
+
+    def _applied(self, y: np.ndarray) -> np.ndarray:
+        """The block array whose entry ``(i, j)`` is ``hom(i, j) @ y_j``, for a
+        stacked sequence ``y``: ``H @ diag(y)`` summed over each level's columns."""
+        out = np.zeros((len(y), self.height), dtype=self.dtype)
+        # reduceat sums from each start to the next, so empty levels are left
+        # out of the starts; they keep their zero column.
+        nonempty = [j for j in range(self.height) if self.dim(j)]
+        if nonempty:
+            starts = [self._offsets[j] for j in nonempty]
+            out[:, nonempty] = np.add.reduceat(self._hom * y, starts, axis=1)
+        return out
+
     def primary_table(self, a: Planted) -> dict[tuple[int, int], np.ndarray]:
         """The symbolic evaluation path, vectorized for matrix checks."""
         return {
@@ -86,39 +140,50 @@ class TruncatedSystem:
     def independent_table(self, a: Planted) -> dict[tuple[int, int], np.ndarray]:
         """Entries recomputed from the raw presentation: branch nodes are
         placed directly and the coboundary part uses the hom matrices."""
-        m = self.modulus
+        h = self.height
         tree = self.system.tree
-        y_vecs = {i: self.vectorize(a.fact.y(i)) for i in range(self.height)}
-        table = {}
-        for i in range(self.height):
+        y = np.concatenate([self.vectorize(a.fact.y(i)) for i in range(h)])
+        t = np.where(self._upper, y[:, None], 0) - self._applied(y)
+        for i in range(h - 1):
             index = self._index[i]
-            for j in range(i + 1, self.height):
-                vec = np.zeros(self.dim(i), dtype=self.dtype)
-                for branch, coeff in a.combo:
-                    node = tree.branch_node(branch, i)
-                    if (node, j) not in index:
-                        raise ValueError(f"branch node ({node!r}, {j}) lies outside the node universe")
-                    vec[index[(node, j)]] += coeff
-                vec = vec + y_vecs[i] - self._mats[(i, j)] @ y_vecs[j]
-                table[(i, j)] = vec % m
-        return table
+            for branch, coeff in a.combo:
+                node = tree.branch_node(branch, i)
+                if (node, i + 1) not in index:
+                    raise ValueError(f"branch node ({node!r}, {i + 1}) lies outside the node universe")
+                # the generators (node, j) for j = i+1 .. h-1, one per column j
+                first = self._offsets[i] + index[(node, i + 1)]
+                t[first + np.arange(h - 1 - i), np.arange(i + 1, h)] += coeff
+        t %= self.modulus
+        o = self._offsets
+        return {(i, j): t[o[i]:o[i + 1], j] for i, j in _pairs(h)}
 
     # -- checks ---------------------------------------------------------------
 
-    def table_coherent(self, table) -> bool:
-        m = self.modulus
-        for i in range(self.height):
-            for j in range(i + 1, self.height):
-                for k in range(j + 1, self.height):
-                    lhs = table[(i, k)] % m
-                    rhs = (table[(i, j)] + self._mats[(i, j)] @ table[(j, k)]) % m
-                    if not np.array_equal(lhs, rhs):
-                        return False
-        return True
+    def composition_fault(self) -> tuple[int, int, int] | None:
+        """The first triple ``(i, j, k)`` in lexicographic order at which
+        ``hom(i, j) @ hom(j, k)`` differs from ``hom(i, k)``, or None."""
+        m, o, hom = self.modulus, self._offsets, self._hom
+        if not any(
+            ((hom[:o[j], o[j]:o[j + 1]] @ hom[o[j]:o[j + 1], o[j + 1]:] - hom[:o[j], o[j + 1]:])
+             % m).any()
+            for j in range(1, self.height - 1)
+        ):
+            return None
+        for i, j, k in _triples(self.height):
+            if ((self.hom_matrix(i, j) @ self.hom_matrix(j, k) - self.hom_matrix(i, k)) % m).any():
+                return i, j, k
 
-    def verify_evaluation(self, a: Planted) -> bool:
-        """Whether the symbolic entries of ``a`` satisfy every coherence equation."""
-        return self.table_coherent(self.primary_table(a))
+    def table_coherent(self, table) -> bool:
+        """Whether ``table[i,k] = table[i,j] + hom(i, j) @ table[j,k]`` at every
+        triple ``i < j < k``."""
+        m, o, hom = self.modulus, self._offsets, self._hom
+        t = self._stack(table) % m
+        for j in range(1, self.height - 1):
+            lo, hi = o[j], o[j + 1]
+            rhs = t[:lo, j, None] + hom[:lo, lo:hi] @ t[lo:hi, j + 1:]
+            if ((t[:lo, j + 1:] - rhs) % m).any():
+                return False
+        return True
 
     def agreement(self, a: Planted, primary=None) -> bool:
         """Whether the symbolic path and the independent path produce the same table.
@@ -127,8 +192,19 @@ class TruncatedSystem:
         """
         if primary is None:
             primary = self.primary_table(a)
-        independent = self.independent_table(a)
-        return all(np.array_equal(primary[key], independent[key]) for key in primary)
+        return np.array_equal(self._stack(primary), self._stack(self.independent_table(a)))
+
+    def coboundary_fault(self, table, y) -> tuple[int, int] | None:
+        """The first pair ``(i, j)`` in lexicographic order at which
+        ``table[i,j] = y_i - hom(i, j) @ y_j`` fails, or None."""
+        y = np.concatenate(y)
+        want = np.where(self._upper, y[:, None], 0) - self._applied(y)
+        wrong = (self._stack(table) - want) % self.modulus != 0
+        if not wrong.any():
+            return None
+        for i, j in _pairs(self.height):
+            if wrong[self._rows(i), j].any():
+                return i, j
 
     def solve_coboundary(self, table) -> list[np.ndarray]:
         """A sequence ``y`` with ``table[i,j] = y_i - hom(y_j)`` at every pair.
@@ -139,16 +215,21 @@ class TruncatedSystem:
         """
         if not self.table_coherent(table):
             raise ValueError("table is not coherent; no coboundary solve is attempted")
-        m = self.modulus
         top = self.height - 1
         y = [table[(i, top)].copy() for i in range(top)]
         y.append(np.zeros(self.dim(top), dtype=self.dtype))
-        for i in range(self.height):
-            for j in range(i + 1, self.height):
-                want = (y[i] - self._mats[(i, j)] @ y[j]) % m
-                if not np.array_equal(table[(i, j)] % m, want):
-                    raise AssertionError(f"coboundary solve failed at ({i}, {j})")
+        fault = self.coboundary_fault(table, y)
+        if fault is not None:
+            raise AssertionError(f"coboundary solve failed at {fault}")
         return y
+
+
+def _pairs(height: int):
+    return ((i, j) for i in range(height) for j in range(i + 1, height))
+
+
+def _triples(height: int):
+    return ((i, j, k) for i, j in _pairs(height) for k in range(j + 1, height))
 
 
 def truncate(system: System, height: int, universe) -> TruncatedSystem:
@@ -170,38 +251,60 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
             if node.level != i:
                 raise ValueError(f"node {node!r} filed under level {i}")
         levels[i] = nodes
+    position = {i: {node: p for p, node in enumerate(levels[i])} for i in range(height)}
+    # down[n][i]: the position at level i of the n-th node's restriction (0 from its own level up)
+    down = []
     for i in range(height):
         for node in levels[i]:
+            row = [0] * height
             for lower in range(i):
-                if tree.restrict(node, lower) not in levels[lower]:
+                p = position[lower].get(tree.restrict(node, lower))
+                if p is None:
                     raise ValueError(
                         f"universe is not closed under restriction: {node!r} at level {lower}"
                     )
+                row[lower] = p
+            down.append(row)
 
     trunc = TruncatedSystem(system, height, levels)
     for i in range(height):
         gens = [(node, l) for node in levels[i] for l in range(i + 1, height)]
         trunc._gens[i] = gens
         trunc._index[i] = {gen: pos for pos, gen in enumerate(gens)}
+    dims = [trunc.dim(i) for i in range(height)]
+    trunc._offsets = [0, *np.cumsum(dims).tolist()]
+    total = trunc._offsets[-1]
 
     m = system.ring.modulus
-    if (m - 1) ** 2 * (max(map(trunc.dim, range(height))) + 1) >= 2 ** 63:
+    if (m - 1) ** 2 * (max(dims) + 1) >= 2 ** 63:
         trunc.dtype = object
-    for i in range(height):
-        for j in range(i + 1, height):
-            mat = np.zeros((trunc.dim(i), trunc.dim(j)), dtype=trunc.dtype)
-            for col, (eta, l) in enumerate(trunc._gens[j]):
-                down = tree.restrict(eta, i)
-                mat[trunc._index[i][(down, l)], col] += 1
-                mat[trunc._index[i][(down, j)], col] -= 1
-            trunc._mats[(i, j)] = mat % m
 
-    for i in range(height):
-        for j in range(i + 1, height):
-            for k in range(j + 1, height):
-                composed = (trunc._mats[(i, j)] @ trunc._mats[(j, k)]) % m
-                if not np.array_equal(trunc._mats[(i, k)], composed):
-                    raise AssertionError(f"hom matrices fail to compose at ({i}, {j}, {k})")
+    # hom(i, j) sends the generator (eta, l) of level j to (eta|i, l) - (eta|i, j).
+    # Level i lists its generators node by node, l = i+1 .. height-1 within a
+    # node, so (nu, l) is row o[i] + pos(nu) * width[i] + l - i - 1.  Every
+    # column gets one 1 and one m - 1 in each block above its level, at
+    # distinct rows, so two plain assignments place them all.
+    lv = np.arange(height)
+    width = height - 1 - lv  # generators per node at each level
+    node_level = np.repeat(lv, [len(levels[i]) for i in range(height)])
+    col_level = np.repeat(node_level, width[node_level])
+    col_l = np.array([l for i in range(height) for _, l in trunc._gens[i]], dtype=np.int64)
+    col_down = np.repeat(np.array(down, dtype=np.int64).reshape(-1, height),
+                         width[node_level], axis=0)
+    below = lv < col_level[:, None]  # (column, lower level) pairs with a block
+    # per (column, level i): (eta|i, l) is row base + l, and (eta|i, j) row base + j
+    base = np.array(trunc._offsets[:height]) + col_down * width - lv - 1
+    cols = np.broadcast_to(np.arange(total)[:, None], below.shape)[below]
+    hom = np.zeros((total, total), dtype=trunc.dtype)
+    hom[(base + col_l[:, None])[below], cols] = 1
+    hom[(base + col_level[:, None])[below], cols] = m - 1
+    hom.flags.writeable = False
+    trunc._hom = hom
+    trunc._upper = col_level[:, None] < lv
+
+    fault = trunc.composition_fault()
+    if fault is not None:
+        raise AssertionError(f"hom matrices fail to compose at {fault}")
     return trunc
 
 

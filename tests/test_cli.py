@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +219,32 @@ def test_oversized_integer_literal_names_the_file(tmp_path, sys1_path, capsys, w
     assert code == 2
     assert report["error"].startswith(f"{bad}: invalid JSON: ")
     assert "4300" in report["error"]
+
+
+# Far deeper than the recursion limit of Python's JSON decoder.
+DEEP_NESTING = "[" * 100000
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("which", ["system", "element"])
+def test_deeply_nested_file_is_invalid_json(tmp_path, sys1_path, which, fmt):
+    """The decoder gives up with a ``RecursionError``; it is reported as
+    invalid JSON in the named file, exit 2, with no traceback."""
+    bad = tmp_path / f"{which}.json"
+    bad.write_text(DEEP_NESTING)
+    if which == "system":
+        argv = ["--system", str(bad), "--cmd", "card"]
+    else:
+        argv = ["--system", sys1_path, "--element", str(bad), "--cmd", "check"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "invsys.cli", *argv, "--format", fmt],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    error = json.loads(run.stdout)["error"] if fmt == "json" else run.stdout.removeprefix("error: ")
+    assert error.startswith(f"{bad}: invalid JSON: ")
+    assert "recursion" in error
 
 
 def test_missing_file_exit_code(sys1_path, capsys):

@@ -1,11 +1,19 @@
+import dataclasses
 import json
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invsys import (
+    DecreasingSeqTree,
+    DisjointBranchesTree,
+    FiniteSupportTree,
     Node,
+    Ring,
+    System,
     branch_generator,
     coboundary,
     module_element,
@@ -26,7 +34,7 @@ def test_truncated_dimensions_two_branches(sys1):
 def test_minimal_height_valid(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 3, universe_for(sys1, [a], 3))
-    assert trunc.verify_evaluation(a)
+    assert trunc.table_coherent(trunc.primary_table(a))
 
 
 def test_height_bounds_enforced(sys1):
@@ -77,7 +85,7 @@ def test_verify_evaluation_random(sys1, sys3, sysf):
         for _ in range(10):
             a = random_planted(system, rng, level_cap=3, index_cap=5)
             trunc = truncate(system, 6, universe_for(system, [a], 6))
-            assert trunc.verify_evaluation(a)
+            assert trunc.table_coherent(trunc.primary_table(a))
             assert trunc.agreement(a)
 
 
@@ -93,7 +101,7 @@ def test_zero_table_coherent(sys1):
     z = zero_element(sys1)
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
-    assert trunc.verify_evaluation(z)
+    assert trunc.table_coherent(trunc.primary_table(z))
 
 
 def test_solve_on_branch_generator_uses_top_entries(sys1):
@@ -191,4 +199,170 @@ def test_truncation_keeps_int64_while_exact(modulus, dtype):
     assert trunc.hom_matrix(0, 1).dtype == np.dtype(dtype)
     for elem in elems:
         assert trunc.agreement(elem)
-        assert trunc.verify_evaluation(elem)
+        assert trunc.table_coherent(trunc.primary_table(elem))
+
+
+@pytest.mark.parametrize("modulus", [3, 2 ** 40 + 15])
+def test_hom_matrix_views_are_read_only(modulus):
+    from invsys import DisjointBranchesTree, Ring, System
+
+    system = System(Ring(modulus), DisjointBranchesTree(2))
+    a = branch_generator(system, system.tree.branch(0))
+    trunc = truncate(system, 5, universe_for(system, [a], 5))
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    before = {pair: trunc.hom_matrix(*pair).copy() for pair in pairs}
+    block = trunc.hom_matrix(0, 2)
+    with pytest.raises(ValueError):
+        block[0, 0] = 1
+    with pytest.raises(ValueError):
+        block += 1
+    assert all(np.array_equal(trunc.hom_matrix(*pair), before[pair]) for pair in pairs)
+
+
+# -- the per-triple reference -------------------------------------------------
+#
+# The block checks read every triple law off one product per middle level.
+# These are the loops they replaced, one comparison per triple or pair, in the
+# same lexicographic order; the block checks must give the same verdict and
+# name the same first failure on faulted tables, hom maps and solutions.
+
+REFERENCE_SYSTEMS = (
+    System(Ring(3), DisjointBranchesTree(3)),
+    System(Ring(4), FiniteSupportTree((2, 3), 2)),
+    System(Ring(6), DecreasingSeqTree()),
+    System(Ring(2 ** 40 + 15), FiniteSupportTree((2,), 2)),  # dtype=object
+)
+REFERENCE_IDS = [f"{s.tree.kind}-m{s.ring.modulus}" for s in REFERENCE_SYSTEMS]
+
+
+def pairs(height):
+    return [(i, j) for i in range(height) for j in range(i + 1, height)]
+
+
+def triples(height):
+    return [(i, j, k) for i, j in pairs(height) for k in range(j + 1, height)]
+
+
+def reference_table_coherent(trunc, table):
+    m = trunc.modulus
+    for i, j, k in triples(trunc.height):
+        lhs = table[(i, k)] % m
+        rhs = (table[(i, j)] + trunc.hom_matrix(i, j) @ table[(j, k)]) % m
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def reference_composition_fault(trunc):
+    m = trunc.modulus
+    for i, j, k in triples(trunc.height):
+        composed = (trunc.hom_matrix(i, j) @ trunc.hom_matrix(j, k)) % m
+        if not np.array_equal(trunc.hom_matrix(i, k), composed):
+            return i, j, k
+    return None
+
+
+def reference_coboundary_fault(trunc, table, y):
+    m = trunc.modulus
+    for i, j in pairs(trunc.height):
+        want = (y[i] - trunc.hom_matrix(i, j) @ y[j]) % m
+        if not np.array_equal(table[(i, j)] % m, want):
+            return i, j
+    return None
+
+
+def bumped(vec, m, rng):
+    """A copy of ``vec`` with one coordinate moved by a nonzero residue."""
+    out = vec.copy()
+    pos = rng.randrange(len(out))
+    out[pos] = (out[pos] + rng.randrange(1, m)) % m
+    return out
+
+
+def with_hom_fault(trunc, i, j, rng):
+    """``trunc`` with one entry of the block ``hom(i, j)`` moved."""
+    hom = trunc._hom.copy()
+    rows, cols = trunc.hom_matrix(i, j).shape
+    r = trunc._offsets[i] + rng.randrange(rows)
+    c = trunc._offsets[j] + rng.randrange(cols)
+    hom[r, c] = (hom[r, c] + rng.randrange(1, trunc.modulus)) % trunc.modulus
+    return dataclasses.replace(trunc, _hom=hom)
+
+
+def top_solution(trunc, table):
+    top = trunc.height - 1
+    return [table[(i, top)].copy() for i in range(top)] + [
+        np.zeros(trunc.dim(top), dtype=trunc.dtype)
+    ]
+
+
+def assert_checks_match_reference(trunc, table, y):
+    assert trunc.table_coherent(table) == reference_table_coherent(trunc, table)
+    assert trunc.coboundary_fault(table, y) == reference_coboundary_fault(trunc, table, y)
+
+
+def reference_case(system, height, rng):
+    a = random_planted(system, rng, level_cap=min(3, height - 2), index_cap=height - 1)
+    trunc = truncate(system, height, universe_for(system, [a], height))
+    return trunc, trunc.primary_table(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(REFERENCE_SYSTEMS), rng=st.randoms(use_true_random=False),
+       height=st.integers(3, 8), data=st.data())
+def test_block_checks_match_reference_on_faults(system, rng, height, data):
+    trunc, table = reference_case(system, height, rng)
+    m = trunc.modulus
+    y = top_solution(trunc, table)
+    assert trunc.composition_fault() is None
+    assert_checks_match_reference(trunc, table, y)
+
+    filled = [(i, j) for i, j in pairs(height) if trunc.dim(i)]
+    if not filled:
+        return
+    faults = data.draw(st.lists(st.sampled_from(filled), max_size=3, unique=True),
+                       label="faulted pairs")
+    faulted = dict(table)
+    for i, j in faults:
+        faulted[(i, j)] = bumped(faulted[(i, j)], m, rng)
+    assert_checks_match_reference(trunc, faulted, y)
+    moved = list(y)
+    for i, _ in faults:
+        moved[i] = bumped(moved[i], m, rng)
+    assert_checks_match_reference(trunc, table, moved)
+
+    blocks = [(i, j) for i, j in filled if trunc.dim(j)]
+    if blocks:
+        wrong = trunc
+        for i, j in data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3,
+                                       unique=True), label="faulted hom blocks"):
+            wrong = with_hom_fault(wrong, i, j, rng)
+        assert wrong.composition_fault() == reference_composition_fault(wrong)
+        assert_checks_match_reference(wrong, table, y)
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+@pytest.mark.parametrize("height", range(3, 9))
+def test_block_checks_match_reference_at_every_pair(system, height):
+    """One fault at every pair: in the table, in ``y`` and in the hom block,
+    the first and last row blocks and the last middle level included."""
+    rng = Random(f"every-pair/{system.tree.kind}/{height}")
+    trunc, table = reference_case(system, height, rng)
+    m = trunc.modulus
+    y = top_solution(trunc, table)
+    assert trunc.table_coherent(table) and trunc.coboundary_fault(table, y) is None
+    for i, j in pairs(height):
+        if not trunc.dim(i):
+            continue
+        faulted = {**table, (i, j): bumped(table[(i, j)], m, rng)}
+        assert_checks_match_reference(trunc, faulted, y)
+        assert trunc.coboundary_fault(faulted, y) is not None
+        moved = list(y)
+        moved[i] = bumped(y[i], m, rng)
+        assert_checks_match_reference(trunc, table, moved)
+        if trunc.dim(j):
+            wrong = with_hom_fault(trunc, i, j, rng)
+            assert wrong.composition_fault() == reference_composition_fault(wrong)
+            # hom(i, j) is the left side of every triple (i, j', j)
+            assert wrong.composition_fault() is not None or j == i + 1
+
