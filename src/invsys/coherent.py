@@ -28,8 +28,16 @@ Input is validated where it enters: ``planted`` checks every branch
 presentation, ``coboundary`` every level, and the ``from_json`` constructors
 parse files through them and ``module_element``.  A ``Planted`` is a frozen
 value, so each element keeps its own entry table: ``eval_entry`` computes an
-entry once, from trusted branch handles and module arithmetic, and the
-identity checks below, which read every entry O(h) times, look the rest up.
+entry once, from trusted branch handles, and the identity checks below, which
+read every entry O(h) times, look the rest up.
+
+Entries and defects are each built in one accumulator.  ``eval_entry`` sums
+the branch part, ``y_i`` and ``-hom(y_j)`` into one unreduced term map with
+``freemod``'s ``_add_terms`` and ``_add_hom`` and canonicalizes it once;
+``check_coherence`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same way and
+only asks whether every coefficient vanishes mod m, so it sorts nothing and
+builds no element.  The canonical ``_defect`` is built only by the full
+sweep that lists the violations of an incoherent family.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .freemod import ModuleElement, _canonical, apply_hom
+from .freemod import ModuleElement, _add_hom, _add_terms, _canonical, apply_hom
 from .indexset import below
 from .ring import RingElem
 from .schema import SchemaError, at, json_int, json_list
@@ -189,9 +197,13 @@ class Planted:
         for branch, coeff in self.combo:
             node = tree.branch_node(branch, i)
             acc[(node, j)] = acc.get((node, j), 0) + coeff
+        # the coboundary part y_i - hom(y_j), summed into the same map
+        y = self.fact._by_level
+        if i in y:
+            _add_terms(acc, y[i], 1)
+        if j in y:
+            _add_hom(acc, y[j], i, -1)
         out = _canonical(i, acc, self.system.ring, tree)
-        if not self.fact.is_zero():
-            out = out + self.fact.induced(i, j)
         self._entries[(i, j)] = out
         return out
 
@@ -302,6 +314,30 @@ def _defect(ev, i: int, j: int, k: int) -> ModuleElement:
     return ev(i, k) - (ev(i, j) + apply_hom(ev(j, k), i))
 
 
+def _defect_vanishes(ev, i: int, j: int, k: int) -> bool:
+    """Whether ``_defect(ev, i, j, k)`` is zero, read off its unreduced
+    coefficients: no sort and no element is built.
+
+    The entries are checked as ``-``, ``+`` and ``apply_hom`` check their
+    operands, so an entry of the wrong level or system raises the same
+    ``ValueError`` as in ``_defect``.
+    """
+    e_ik, e_ij, e_jk = ev(i, k), ev(i, j), ev(j, k)
+    if i >= e_jk.level:
+        raise ValueError(f"target level {i} must be below the source level {e_jk.level}")
+    for e, mate in ((e_ij, e_jk), (e_ik, e_ij)):
+        if e.level != i:
+            raise ValueError(f"mismatched levels: {e.level} vs {i}")
+        if e.ring != mate.ring or e.tree != mate.tree:
+            raise ValueError("operands live in different systems")
+    acc: dict[tuple[Node, int], int] = {}
+    _add_terms(acc, e_ik, 1)
+    _add_terms(acc, e_ij, -1)
+    _add_hom(acc, e_jk, i, -1)
+    m = e_ik.ring.modulus
+    return not any(c % m for c in acc.values())
+
+
 def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
     """Verify ``a[i,k] = a[i,j] + hom(a[j,k])`` for all ``i < j < k < horizon``
     by sweeping the defects of the consecutive triples ``(i, i+1, k)`` only;
@@ -313,7 +349,7 @@ def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
         raise ValueError("horizon must be at least 3")
     ev = eval_fn if eval_fn is not None else a.eval_entry
     return all(
-        _defect(ev, i, i + 1, k).is_zero()
+        _defect_vanishes(ev, i, i + 1, k)
         for i in range(horizon - 2) for k in range(i + 2, horizon)
     )
 

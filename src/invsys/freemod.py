@@ -12,7 +12,11 @@ files through it.  The internal paths (``+``, ``-``, ``scale``,
 ``restrict_to`` and ``apply_hom``) only recombine the terms of elements that
 are already valid, and restriction keeps a valid node valid, so they skip
 those checks: they reduce, drop zeros and sort through the trusted
-``_canonical``.
+``_canonical``.  Two trusted accumulators sit below them: ``_add_terms``
+adds ``sign * e`` and ``_add_hom`` adds ``sign * hom(e)`` into an unreduced
+``(node, l) -> int`` map and validate nothing, so a caller can sum several
+elements and images and reduce once, or test the sum for zero without
+building an element at all.
 """
 
 from __future__ import annotations
@@ -54,8 +58,7 @@ class ModuleElement:
     def _merge(self, other: ModuleElement, sign: int) -> ModuleElement:
         self._check_mate(other)
         acc = {(n, l): c for n, l, c in self.terms}
-        for n, l, c in other.terms:
-            acc[(n, l)] = acc.get((n, l), 0) + sign * c
+        _add_terms(acc, other, sign)
         return _canonical(self.level, acc, self.ring, self.tree)
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
@@ -161,6 +164,24 @@ def generator(node: Node, l: int, ring: Ring, tree: Tree) -> ModuleElement:
     return module_element(node.level, {(node, l): 1}, ring, tree)
 
 
+def _add_terms(acc: dict, e: ModuleElement, sign: int) -> None:
+    """Add ``sign * e`` into the unreduced ``(node, l) -> int`` map ``acc``."""
+    for n, l, c in e.terms:
+        acc[(n, l)] = acc.get((n, l), 0) + sign * c
+
+
+def _add_hom(acc: dict, e: ModuleElement, i: int, sign: int) -> None:
+    """Add ``sign * hom(e)`` into ``acc``, for a level ``i`` the caller has
+    checked lies below ``e.level``: the generator rule, once."""
+    j = e.level
+    restrict = e.tree._restrict
+    for eta, l, c in e.terms:
+        down = restrict(eta, i)
+        c *= sign
+        acc[(down, l)] = acc.get((down, l), 0) + c
+        acc[(down, j)] = acc.get((down, j), 0) - c
+
+
 def apply_hom(e: ModuleElement, i: int) -> ModuleElement:
     """Image of a level-j element under the connecting homomorphism into level ``i < j``."""
     if i >= e.level:
@@ -168,9 +189,5 @@ def apply_hom(e: ModuleElement, i: int) -> ModuleElement:
     if i < 0:
         raise ValueError("target level must be non-negative")
     acc: dict[tuple[Node, int], int] = {}
-    j = e.level
-    for eta, l, c in e.terms:
-        down = e.tree._restrict(eta, i)
-        acc[(down, l)] = acc.get((down, l), 0) + c
-        acc[(down, j)] = acc.get((down, j), 0) - c
+    _add_hom(acc, e, i, 1)
     return _canonical(i, acc, e.ring, e.tree)

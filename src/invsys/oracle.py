@@ -98,14 +98,18 @@ class TruncatedSystem:
         if elem.level >= self.height:
             raise ValueError(f"level {elem.level} lies outside the truncation")
         vec = np.zeros(self.dim(elem.level), dtype=self.dtype)
-        index = self._index[elem.level]
         for node, l, c in elem.terms:
-            if l >= self.height:
-                raise ValueError(f"generator index {l} lies outside the truncation")
-            if (node, l) not in index:
-                raise ValueError(f"generator ({node!r}, {l}) lies outside the node universe")
-            vec[index[(node, l)]] = c % self.modulus
+            vec[self._position(elem.level, node, l)] = c % self.modulus
         return vec
+
+    def _position(self, level: int, node: Node, l: int) -> int:
+        """The coordinate of the generator ``(node, l)`` within its level."""
+        if l >= self.height:
+            raise ValueError(f"generator index {l} lies outside the truncation")
+        pos = self._index[level].get((node, l))
+        if pos is None:
+            raise ValueError(f"generator ({node!r}, {l}) lies outside the node universe")
+        return pos
 
     def _stack(self, table) -> np.ndarray:
         """The ``(Σ dim) × height`` block array of a table."""
@@ -130,12 +134,19 @@ class TruncatedSystem:
         return out
 
     def primary_table(self, a: Planted) -> dict[tuple[int, int], np.ndarray]:
-        """The symbolic evaluation path, vectorized for matrix checks."""
-        return {
-            (i, j): self.vectorize(a.eval_entry(i, j))
-            for i in range(self.height)
-            for j in range(i + 1, self.height)
-        }
+        """The symbolic evaluation path, vectorized for matrix checks: every
+        entry's coordinates are gathered, then scattered into one block array
+        by a single assignment."""
+        h, o = self.height, self._offsets
+        rows, cols, values = [], [], []
+        for i, j in _pairs(h):
+            for node, l, c in a.eval_entry(i, j).terms:
+                rows.append(o[i] + self._position(i, node, l))
+                cols.append(j)
+                values.append(c)  # canonical, so already reduced mod m
+        t = np.zeros((o[-1], h), dtype=self.dtype)
+        t[rows, cols] = values
+        return {(i, j): t[o[i]:o[i + 1], j] for i, j in _pairs(h)}
 
     def independent_table(self, a: Planted) -> dict[tuple[int, int], np.ndarray]:
         """Entries recomputed from the raw presentation: branch nodes are
@@ -314,6 +325,9 @@ def universe_for(system: System, elements, height: int) -> dict[int, set[Node]]:
     levels: dict[int, set[Node]] = {i: set() for i in range(height)}
 
     def add(node: Node) -> None:
+        # a node already present came with all its restrictions
+        if node in levels[node.level]:
+            return
         levels[node.level].add(node)
         for lower in range(node.level):
             levels[lower].add(tree.restrict(node, lower))

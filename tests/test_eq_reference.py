@@ -11,7 +11,10 @@ coherence off the recurrence sweep.
 
 ``check_coherence`` sweeps only the consecutive triples ``(i, i+1, k)``; on
 faulted entry maps it must agree with ``all_triples_coherent``, the sweep
-over every triple that it replaced.
+over every triple that it replaced.  Per triple it asks ``_defect_vanishes``,
+which sums the defect's coefficients without building it; that must agree
+with the canonical ``_defect`` on faulted tables, and reject a misplaced
+entry with the same error.
 """
 
 from math import comb
@@ -25,6 +28,7 @@ from invsys import (
     DecreasingSeqTree,
     DisjointBranchesTree,
     FiniteSupportTree,
+    ModuleElement,
     Ring,
     System,
     apply_hom,
@@ -182,25 +186,78 @@ def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
     h = 14
     consecutive = [(i, i + 1, k) for i in range(h - 2) for k in range(i + 2, h)]
     every = [(i, j, k) for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h)]
-    swept = []
-    defect = coherent._defect
+    tested, swept = [], []
+    vanishes, defect = coherent._defect_vanishes, coherent._defect
 
-    def counted(ev, i, j, k):
+    def counted_vanishes(ev, i, j, k):
+        tested.append((i, j, k))
+        return vanishes(ev, i, j, k)
+
+    def counted_defect(ev, i, j, k):
         swept.append((i, j, k))
         return defect(ev, i, j, k)
 
-    monkeypatch.setattr(coherent, "_defect", counted)
+    monkeypatch.setattr(coherent, "_defect_vanishes", counted_vanishes)
+    monkeypatch.setattr(coherent, "_defect", counted_defect)
     assert check_eq_recurrences(a, h).ok
-    assert swept == consecutive and len(swept) == comb(h - 1, 2)
+    assert tested == consecutive and len(tested) == comb(h - 1, 2)
+    assert swept == []
 
     # The fast path reads entry (0, 7) only as the (i,k) entry of (0, 1, 7).
-    swept.clear()
+    tested.clear()
     fault = module_element(0, {(sample_node(system.tree, rng, 0), 9): 1},
                            system.ring, system.tree)
     ev = perturbed(a, {(0, 7): fault})
     report = check_eq_recurrences(a, h, eval_fn=ev)
     assert not report.ok
-    head, tail = swept[:-len(every)], swept[-len(every):]
-    assert head == consecutive[:len(head)] and head[-1] == (0, 1, 7)
-    assert tail == every and len(tail) == comb(h, 3)
+    assert tested == consecutive[:len(tested)] and tested[-1] == (0, 1, 7)
+    assert swept == every and len(swept) == comb(h, 3)
     assert report.violations == reference_eq_recurrences(a, h, ev)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(SYSTEMS), rng=st.randoms(use_true_random=False),
+       horizon=st.integers(3, 8), data=st.data())
+def test_defect_vanishes_matches_defect(system, rng, horizon, data):
+    """The per-triple test of ``check_coherence`` against the canonical defect,
+    at every triple of a faulted table."""
+    a = random_planted(system, rng, level_cap=horizon)
+    pairs = data.draw(st.lists(st.sampled_from(pairs_below(horizon)), max_size=3, unique=True),
+                      label="faulted pairs")
+    ev = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng) for i, j in pairs})
+    for i in range(horizon):
+        for j in range(i + 1, horizon):
+            for k in range(j + 1, horizon):
+                want = coherent._defect(ev, i, j, k).is_zero()
+                assert coherent._defect_vanishes(ev, i, j, k) == want
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+@pytest.mark.parametrize("role", ["ik", "ij", "jk"])
+def test_defect_paths_reject_a_misplaced_entry_alike(system, role):
+    """An entry of the wrong level, or from another system, raises the same
+    ``ValueError`` on the canonical defect and on the per-triple test."""
+    a = random_planted(system, Random(f"misplaced/{system.tree.kind}"), level_cap=5)
+    i, j, k = 1, 2, 4
+    pair = {"ik": (i, k), "ij": (i, j), "jk": (j, k)}[role]
+    other = System(Ring(system.ring.modulus + 1), system.tree)
+    # A level-i entry at (i, k) or (i, j) is in place; at (j, k) any level
+    # above i is mapped without complaint, so there the wrong level is i.
+    wrong_level = i if role == "jk" else i + 1
+    misplaced = (
+        ModuleElement.zero(0, system.ring, system.tree),
+        ModuleElement.zero(wrong_level, system.ring, system.tree),
+        ModuleElement.zero(pair[0], other.ring, other.tree),
+    )
+    for wrong in misplaced:
+        def ev(p, q, wrong=wrong):
+            return wrong if (p, q) == pair else a.eval_entry(p, q)
+
+        message = raised(coherent._defect, ev, i, j, k)
+        assert raised(coherent._defect_vanishes, ev, i, j, k) == message

@@ -366,3 +366,50 @@ def test_block_checks_match_reference_at_every_pair(system, height):
             # hom(i, j) is the left side of every triple (i, j', j)
             assert wrong.composition_fault() is not None or j == i + 1
 
+
+# -- the scattered primary table -----------------------------------------------
+
+
+def reference_universe(system, elements, height):
+    """Every node an element touches below ``height``, with all its restrictions."""
+    tree = system.tree
+    levels = {i: set() for i in range(height)}
+    touched = [tree.branch_node(b, i) for e in elements for b, _ in e.combo for i in range(height)]
+    touched += [node for e in elements for _, y in e.fact.entries for node, _, _ in y.terms]
+    for node in touched:
+        levels[node.level].add(node)
+        for lower in range(node.level):
+            levels[lower].add(tree.restrict(node, lower))
+    return levels
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+def test_primary_table_matches_entrywise_vectors(system):
+    """The scattered table against ``vectorize`` run entry by entry, and the
+    early-returning ``universe_for`` against the plain restriction closure."""
+    rng = Random(f"primary/{system.tree.kind}/{system.ring.modulus}")
+    for height in (3, 6, 8):
+        for _ in range(8):
+            elems = [random_planted(system, rng, level_cap=min(3, height - 2),
+                                    index_cap=height - 1) for _ in range(2)]
+            universe = universe_for(system, elems, height)
+            assert universe == reference_universe(system, elems, height)
+            trunc = truncate(system, height, universe)
+            for elem in elems:
+                table = trunc.primary_table(elem)
+                assert sorted(table) == pairs(height)
+                for (i, j), vec in table.items():
+                    want = trunc.vectorize(elem.eval_entry(i, j))
+                    assert vec.dtype == want.dtype and np.array_equal(vec, want)
+
+
+def test_primary_table_rejects_entries_outside_the_truncation(sys1):
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
+    other = branch_generator(sys1, sys1.tree.branch(1))
+    with pytest.raises(ValueError, match="outside the node universe"):
+        trunc.primary_table(other)
+    y = module_element(1, {(Node(1, 0), 6): 1}, sys1.ring, sys1.tree)
+    tall = planted(sys1, {}, coboundary(sys1, {1: y}))
+    with pytest.raises(ValueError, match="generator index 6 lies outside the truncation"):
+        trunc.primary_table(tall)

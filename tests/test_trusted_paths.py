@@ -3,9 +3,10 @@ of the entry table.
 
 Module arithmetic and ``apply_hom`` skip node validation and canonicalize
 through a trusted helper; each must equal ``module_element`` built from the
-same term map.  Every ``Planted`` keeps its own entry table, which must stay
-invisible to equality, hashing and serialization, and must make ``check``
-compute each entry below its horizon exactly once.
+same term map, and an entry summed in one accumulator must equal the same
+entry composed of canonical parts.  Every ``Planted`` keeps its own entry
+table, which must stay invisible to equality, hashing and serialization, and
+must make ``check`` compute each entry below its horizon exactly once.
 """
 
 from math import comb
@@ -111,6 +112,34 @@ def test_warmed_element_is_indistinguishable_from_cold(system, rng):
             assert warm.eval_entry(i, j) == cold.eval_entry(i, j)
 
 
+WIDE_MODULI = (3, 4, 6, 2 ** 40 + 15)
+TREES = (DisjointBranchesTree(3), FiniteSupportTree((2, 3), 2), DecreasingSeqTree())
+
+
+def composed_entry(a, i, j):
+    """Entry ``(i, j)`` composed of canonical parts: the canonical branch part
+    plus the induced coboundary entry ``y_i - hom(y_j)``.  ``eval_entry`` sums
+    the same terms into one map and reduces once; the two must agree."""
+    tree = a.system.tree
+    branch_part = {}
+    for branch, coeff in a.combo:
+        node = tree.branch_node(branch, i)
+        branch_part[(node, j)] = branch_part.get((node, j), 0) + coeff
+    return coherent._canonical(i, branch_part, a.system.ring, tree) + a.fact.induced(i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from(WIDE_MODULI), tree=st.sampled_from(TREES),
+       rng=st.randoms(use_true_random=False))
+def test_fused_entry_matches_composition(m, tree, rng):
+    system = System(Ring(m), tree)
+    a = random_planted(system, rng, level_cap=6)
+    horizon = a.stab_bound + 3
+    for i in range(horizon):
+        for j in range(i + 1, horizon):
+            assert a.eval_entry(i, j) == composed_entry(a, i, j)
+
+
 def test_entry_rejects_bad_pair_even_when_warm():
     a = random_planted(SYSTEMS[0], Random(3))
     a.eval_entry(0, 1)
@@ -143,24 +172,33 @@ def test_check_computes_each_entry_once(system, monkeypatch):
         computed.append(level)
         return canonical(level, acc, ring, tree)
 
-    # eval_entry canonicalizes the branch part of each entry it computes, once.
+    # eval_entry sums the branch part, y_i and -hom(y_j) of each entry it
+    # computes into one map and canonicalizes it once.
     monkeypatch.setattr(coherent, "_canonical", counted)
     report, code = _run_check(system, [elem], ["elem.json"], HORIZON)
     assert (report["ok"], code) == (True, 0)
     assert len(computed) == len(elem._entries) == comb(HORIZON, 2)
 
 
+def counting_add_hom(monkeypatch):
+    """Count the hom applications of ``coherent``: every one goes through the
+    accumulator ``_add_hom``, in entries and in coherence defects alike."""
+    calls = []
+    add_hom = coherent._add_hom
+
+    def counted(acc, e, i, sign):
+        calls.append((e.level, i))
+        add_hom(acc, e, i, sign)
+
+    monkeypatch.setattr(coherent, "_add_hom", counted)
+    return calls
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
 def test_repeated_check_evaluates_no_entry(system, monkeypatch):
     elem = deep_element(system)
     assert check_coherence(elem, HORIZON)
-    calls = []
-
-    def counted(e, i):
-        calls.append((e.level, i))
-        return apply_hom(e, i)
-
-    monkeypatch.setattr(coherent, "apply_hom", counted)
+    calls = counting_add_hom(monkeypatch)
     for i in range(HORIZON):
         for j in range(i + 1, HORIZON):
             elem.eval_entry(i, j)
@@ -176,18 +214,13 @@ def test_repeated_check_evaluates_no_entry(system, monkeypatch):
 def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, monkeypatch):
     elem = deep_element(system)
     first = _run_check(system, [elem], ["elem.json"], HORIZON)
-    homs, ring_elems = [], []
+    homs, ring_elems = counting_add_hom(monkeypatch), []
     make_elem = Ring.elem
-
-    def counted_hom(e, i):
-        homs.append((e.level, i))
-        return apply_hom(e, i)
 
     def counted_elem(ring, value):
         ring_elems.append(value)
         return make_elem(ring, value)
 
-    monkeypatch.setattr(coherent, "apply_hom", counted_hom)
     monkeypatch.setattr(Ring, "elem", counted_elem)
     # Coherence and the recurrences come off the consecutive triples: one hom
     # application per triple (i, i+1, k), none for stability, and
