@@ -29,12 +29,6 @@ class TailSet:
     def to_json(self) -> dict:
         return {"finite": list(self.finite), "threshold": self.threshold}
 
-    @staticmethod
-    def from_json(obj: dict) -> TailSet:
-        if not isinstance(obj, dict) or "finite" not in obj:
-            raise ValueError(f"tail set description must have a finite part: {obj!r}")
-        return tailset(obj["finite"], obj.get("threshold"))
-
     # -- queries ------------------------------------------------------------
 
     def contains(self, x: int) -> bool:
@@ -190,16 +184,6 @@ class IndexSet:
 
     def to_json(self) -> dict:
         return {"first": self.first.to_json(), "pro": [p.to_json() for p in self.pieces]}
-
-    @staticmethod
-    def from_json(obj: dict) -> IndexSet:
-        if not isinstance(obj, dict) or "first" not in obj or "pro" not in obj:
-            raise ValueError(f"index set description must have first and pro: {obj!r}")
-        pieces = [
-            ProPiece(p["i_from"], p.get("i_to"), TailSet.from_json(p["set"]))
-            for p in obj["pro"]
-        ]
-        return index_set(TailSet.from_json(obj["first"]), pieces)
 
     # -- structure ----------------------------------------------------------
 

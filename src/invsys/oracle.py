@@ -38,6 +38,15 @@ arrays are ``int64`` whenever ``(m - 1) ** 2 * (max dim + 1)`` fits, which
 covers every small modulus; above it they hold Python integers
 (``dtype=object``), so the oracle stays exact for every ``m``.
 
+Node universe.  ``universe_for`` closes the nodes an element touches under
+restriction top-down: a branch adds its top node with all its restrictions
+first, so its lower nodes are already present and a branch costs
+``height - 1`` restrictions.  Those nodes come from trusted branch handles and
+validated ``y`` terms, so they are restricted without re-validation.
+``truncate`` takes any universe, so it validates each node once, then checks
+closure for every node against every lower level through the unvalidated
+restriction, and checks the hom maps' composition law on the result.
+
 At any finite height every coherent table is a coboundary: assigning each
 level the entry against the top level (and zero at the top) solves all the
 equations outright.  The oracle therefore checks evaluations and witnesses,
@@ -140,8 +149,12 @@ class TruncatedSystem:
         h, o = self.height, self._offsets
         rows, cols, values = [], [], []
         for i, j in _pairs(h):
+            index = self._index[i]
             for node, l, c in a.eval_entry(i, j).terms:
-                rows.append(o[i] + self._position(i, node, l))
+                pos = index.get((node, l))
+                if pos is None:
+                    pos = self._position(i, node, l)  # raises
+                rows.append(o[i] + pos)
                 cols.append(j)
                 values.append(c)  # canonical, so already reduced mod m
         t = np.zeros((o[-1], h), dtype=self.dtype)
@@ -151,21 +164,41 @@ class TruncatedSystem:
     def independent_table(self, a: Planted) -> dict[tuple[int, int], np.ndarray]:
         """Entries recomputed from the raw presentation: branch nodes are
         placed directly and the coboundary part uses the hom matrices."""
-        h = self.height
+        h, o = self.height, self._offsets
         tree = self.system.tree
-        y = np.concatenate([self.vectorize(a.fact.y(i)) for i in range(h)])
+        # the stacked y, scattered from its nonzero levels; levels at or above
+        # the height touch no entry below it
+        rows, values = [], []
+        for level, elem in a.fact.entries:
+            if level >= h:
+                break
+            index = self._index[level]
+            for node, l, c in elem.terms:
+                pos = index.get((node, l))
+                if pos is None:
+                    pos = self._position(level, node, l)  # raises
+                rows.append(o[level] + pos)
+                values.append(c)  # canonical, so already reduced mod m
+        y = np.zeros(o[-1], dtype=self.dtype)
+        y[rows] = values
         t = np.where(self._upper, y[:, None], 0) - self._applied(y)
+        # each branch adds its coefficient at the generators (node, j) of its
+        # level-i node, j = i+1 .. h-1, one per column j; branches may share a
+        # node, so the additions go through the unbuffered np.add.at
+        rows, cols, values = [], [], []
         for i in range(h - 1):
             index = self._index[i]
             for branch, coeff in a.combo:
                 node = tree.branch_node(branch, i)
-                if (node, i + 1) not in index:
+                pos = index.get((node, i + 1))
+                if pos is None:
                     raise ValueError(f"branch node ({node!r}, {i + 1}) lies outside the node universe")
-                # the generators (node, j) for j = i+1 .. h-1, one per column j
-                first = self._offsets[i] + index[(node, i + 1)]
-                t[first + np.arange(h - 1 - i), np.arange(i + 1, h)] += coeff
+                first = o[i] + pos
+                rows.extend(range(first, first + h - 1 - i))
+                cols.extend(range(i + 1, h))
+                values.extend([coeff] * (h - 1 - i))
+        np.add.at(t, (rows, cols), np.array(values, dtype=self.dtype))
         t %= self.modulus
-        o = self._offsets
         return {(i, j): t[o[i]:o[i + 1], j] for i, j in _pairs(h)}
 
     # -- checks ---------------------------------------------------------------
@@ -247,7 +280,8 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
     """Build the explicit truncated modules and hom matrices.
 
     ``universe`` maps each level below ``height`` to its node set, which must
-    be closed under restriction.
+    be closed under restriction.  Each node is validated once; its
+    restrictions are then taken without re-validation.
     """
     if not 3 <= height <= MAX_HEIGHT:
         raise ValueError(f"height must lie in [3, {MAX_HEIGHT}], got {height}")
@@ -269,7 +303,8 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
         for node in levels[i]:
             row = [0] * height
             for lower in range(i):
-                p = position[lower].get(tree.restrict(node, lower))
+                # node was validated above, so its restrictions need no re-check
+                p = position[lower].get(tree._restrict(node, lower))
                 if p is None:
                     raise ValueError(
                         f"universe is not closed under restriction: {node!r} at level {lower}"
@@ -320,7 +355,11 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
 
 
 def universe_for(system: System, elements, height: int) -> dict[int, set[Node]]:
-    """The restriction closure of every node an element can touch below ``height``."""
+    """The restriction closure of every node an element can touch below ``height``.
+
+    The nodes come from validated data (trusted branch handles and the terms
+    of validated ``y``), so they are restricted without re-validation.
+    """
     tree = system.tree
     levels: dict[int, set[Node]] = {i: set() for i in range(height)}
 
@@ -330,11 +369,13 @@ def universe_for(system: System, elements, height: int) -> dict[int, set[Node]]:
             return
         levels[node.level].add(node)
         for lower in range(node.level):
-            levels[lower].add(tree.restrict(node, lower))
+            levels[lower].add(tree._restrict(node, lower))
 
     for elem in elements:
         for branch, _ in elem.combo:
-            for i in range(height):
+            # top level first: every lower branch node is then a restriction
+            # already present, so a branch costs height - 1 restrictions
+            for i in reversed(range(height)):
                 add(tree.branch_node(branch, i))
         for level, y_elem in elem.fact.entries:
             if level >= height:

@@ -15,11 +15,19 @@ Three presented families are supported:
 Levels of the last two families are infinite, so there is deliberately no
 full-level enumeration: all operations are restriction and membership based
 and consult only nodes occurring in finite supports.
+
+Nodes and branch handles are named tuples, so the ``(node, l)`` keys of every
+term map are compared and hashed in C.  A node therefore equals the plain
+tuple ``(level, address)`` and is orderable as one, but that order means
+nothing: nodes and branches are always ordered through the tree's
+``node_sort_key`` and ``branch_sort_key``, and always serialized through
+``to_json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .schema import at, json_int, json_list
 
@@ -30,8 +38,7 @@ class NoBranchError(ValueError):
     """Raised when a branch handle is requested from a branchless tree."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A tree node: its level and a canonical, kind-specific address."""
 
     level: int
@@ -41,8 +48,7 @@ class Node:
         return {"level": self.level, "address": _address_to_json(self.address)}
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """A handle for a presented branch (a coherent selector of one node per level)."""
 
     presentation: int | tuple

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invsys import FULL, below, ind_omega, index_set, tail, tailset
-from invsys.indexset import ProPiece, TailSet
+from invsys.indexset import ProPiece
 
 # All generated parameters stay below 12, so membership on a window reaching 64
 # determines every set exactly: tails are fully visible past 12 and all finite
@@ -296,12 +296,3 @@ def test_pieces_must_cover_omega():
 def test_adjacent_equal_pieces_merge():
     got = index_set(FULL, [ProPiece(0, 3, tail(1)), ProPiece(3, None, tail(1))])
     assert got == index_set(FULL, [ProPiece(0, None, tail(1))])
-
-
-def test_index_set_json_round_trip():
-    from invsys import IndexSet
-
-    candidate = _ec_not_coherent_example()
-    assert IndexSet.from_json(candidate.to_json()) == candidate
-    ts = tailset([1, 4], 9)
-    assert TailSet.from_json(ts.to_json()) == ts

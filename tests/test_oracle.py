@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from math import comb
 from random import Random
 
 import numpy as np
@@ -413,3 +414,109 @@ def test_primary_table_rejects_entries_outside_the_truncation(sys1):
     tall = planted(sys1, {}, coboundary(sys1, {1: y}))
     with pytest.raises(ValueError, match="generator index 6 lies outside the truncation"):
         trunc.primary_table(tall)
+
+
+# -- the scattered independent table ---------------------------------------------
+
+
+def reference_independent_table(trunc, a):
+    """The independent table level by level: ``y`` from ``vectorize`` per level
+    below the height, each branch's coefficient added column by column."""
+    h, o = trunc.height, trunc._offsets
+    tree = trunc.system.tree
+    y = np.concatenate([trunc.vectorize(a.fact.y(i)) for i in range(h)])
+    t = np.where(trunc._upper, y[:, None], 0) - trunc._applied(y)
+    for i in range(h - 1):
+        for branch, coeff in a.combo:
+            node = tree.branch_node(branch, i)
+            for j in range(i + 1, h):
+                t[o[i] + trunc._position(i, node, j), j] += coeff
+    t %= trunc.modulus
+    return {(i, j): t[o[i]:o[i + 1], j] for i, j in pairs(h)}
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+def test_independent_table_matches_levelwise_reference(system):
+    rng = Random(f"independent/{system.tree.kind}/{system.ring.modulus}")
+    for height in (3, 6, 8):
+        for _ in range(8):
+            elems = [random_planted(system, rng, level_cap=min(3, height - 2),
+                                    index_cap=height - 1) for _ in range(2)]
+            trunc = truncate(system, height, universe_for(system, elems, height))
+            for elem in elems:
+                got, want = trunc.independent_table(elem), reference_independent_table(trunc, elem)
+                assert sorted(got) == pairs(height)
+                for pair, vec in got.items():
+                    assert vec.dtype == want[pair].dtype and np.array_equal(vec, want[pair])
+
+
+def test_independent_table_adds_branches_through_a_shared_node(sysf):
+    # both branches pass through the zero map at levels 0 and 1
+    a = planted(sysf, {sysf.tree.branch(((1, 1),)): 1, sysf.tree.branch(((2, 1),)): 1})
+    trunc = truncate(sysf, 5, universe_for(sysf, [a], 5))
+    table = trunc.independent_table(a)
+    assert np.array_equal(table[(0, 4)], reference_independent_table(trunc, a)[(0, 4)])
+    assert table[(0, 4)][trunc._position(0, Node(0, ()), 4)] == 2
+    assert trunc.agreement(a)
+
+
+def test_independent_table_ignores_y_at_and_above_the_height(sys1):
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
+    y = module_element(4, {(Node(4, 1), 9): 1}, sys1.ring, sys1.tree)
+    tall = planted(sys1, {}, coboundary(sys1, {4: y}))
+    assert all(not vec.any() for vec in trunc.independent_table(tall).values())
+
+
+def test_independent_table_rejects_data_outside_the_truncation(sys1):
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
+    other = branch_generator(sys1, sys1.tree.branch(1))
+    with pytest.raises(ValueError, match="outside the node universe"):
+        trunc.independent_table(other)
+    for node, l, message in ((Node(1, 1), 2, "outside the node universe"),
+                             (Node(1, 0), 6, "generator index 6 lies outside the truncation")):
+        y = module_element(1, {(node, l): 1}, sys1.ring, sys1.tree)
+        with pytest.raises(ValueError, match=message):
+            trunc.independent_table(planted(sys1, {}, coboundary(sys1, {1: y})))
+
+
+# -- restriction work in the oracle's setup ---------------------------------------
+
+SETUP_HEIGHT = 8
+SETUP_CASES = (
+    (System(Ring(3), DisjointBranchesTree(2)), 1),
+    (System(Ring(4), FiniteSupportTree((2, 3), 2)), ((0, 1), (1, 2), (4, 1))),
+)
+
+
+def counting_tree_work(monkeypatch, tree):
+    """Count ``_restrict`` (every restriction, validated or not) and
+    ``check_node`` on the tree's class."""
+    calls = {"_restrict": 0, "check_node": 0}
+    for name in calls:
+        original = getattr(type(tree), name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(type(tree), name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("system, presentation", SETUP_CASES, ids=[s.tree.kind for s, _ in SETUP_CASES])
+def test_oracle_setup_restricts_trusted_nodes_once(system, presentation, monkeypatch):
+    h = SETUP_HEIGHT
+    a = branch_generator(system, system.tree.branch(presentation))
+    calls = counting_tree_work(monkeypatch, system.tree)
+    # the branch's top node is restricted to every lower level; each lower
+    # branch node is then already present, and nothing is re-validated
+    universe = universe_for(system, [a], h)
+    assert calls == {"_restrict": h - 1, "check_node": 0}
+    assert [len(universe[i]) for i in range(h)] == [1] * h
+    calls.update(dict.fromkeys(calls, 0))
+    # truncate validates each universe node once and still checks closure for
+    # every node against every lower level
+    truncate(system, h, universe)
+    assert calls == {"_restrict": comb(h, 2), "check_node": h}

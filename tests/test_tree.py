@@ -1,12 +1,17 @@
+import json
+from dataclasses import dataclass
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invsys import (
     COUNTABLY_INFINITE,
     DecreasingSeqTree,
     DisjointBranchesTree,
     FiniteSupportTree,
+    Branch,
     NoBranchError,
     Node,
 )
@@ -177,3 +182,107 @@ def test_tree_json_round_trip(sys1, sys2, sysf):
         assert Tree.from_json(system.tree.to_json()) == system.tree
     node = Node(3, ((0, 1), (2, 1)))
     assert sysf.tree.node_from_json(node.to_json()) == node
+
+
+# -- value semantics of nodes and branch handles ------------------------------
+#
+# Nodes and branches are named tuples; these are the frozen dataclasses they
+# replaced, kept as the reference for hashing, repr and serialization.
+
+
+def _old_address_to_json(address):
+    if isinstance(address, int):
+        return address
+    return [list(p) if isinstance(p, tuple) else p for p in address]
+
+
+@dataclass(frozen=True)
+class OldNode:
+    level: int
+    address: int | tuple
+
+    def to_json(self) -> dict:
+        return {"level": self.level, "address": _old_address_to_json(self.address)}
+
+
+@dataclass(frozen=True)
+class OldBranch:
+    presentation: int | tuple
+
+    def to_json(self):
+        return _old_address_to_json(self.presentation)
+
+
+OldNode.__qualname__, OldBranch.__qualname__ = "Node", "Branch"
+
+ALL_TREES = (DisjointBranchesTree(3), FiniteSupportTree((2, 3), 2), DecreasingSeqTree())
+BRANCHED_TREES = ALL_TREES[:2]
+
+
+@st.composite
+def nodes(draw):
+    tree = draw(st.sampled_from(ALL_TREES))
+    return tree, sample_node(tree, draw(st.randoms(use_true_random=False)), draw(st.integers(0, 9)))
+
+
+@st.composite
+def branches(draw):
+    tree = draw(st.sampled_from(BRANCHED_TREES))
+    return tree, sample_branch(tree, draw(st.randoms(use_true_random=False)), max_position=6)
+
+
+def rebuilt(tree, node):
+    """An equal node built afresh from its serialized form: no shared objects."""
+    return tree.node_from_json(json.loads(json.dumps(node.to_json())))
+
+
+@given(nodes(), st.integers(0, 12))
+def test_equal_nodes_hash_alike_and_merge_as_keys(case, l):
+    tree, node = case
+    twin = rebuilt(tree, node)
+    assert twin == node and twin is not node
+    assert hash(twin) == hash(node) == hash(OldNode(node.level, node.address))
+    acc = {(node, l): 1}
+    acc[(twin, l)] = acc.get((twin, l), 0) + 2
+    assert acc == {(node, l): 3}
+    assert len({node, twin}) == 1
+
+
+@given(branches())
+def test_equal_branches_hash_alike_and_merge_as_keys(case):
+    tree, branch = case
+    twin = tree.branch_from_json(json.loads(json.dumps(branch.to_json())))
+    assert twin == branch and hash(twin) == hash(branch)
+    assert hash(branch) == hash(OldBranch(branch.presentation))
+    acc = {branch: 1}
+    acc[twin] = acc.get(twin, 0) + 1
+    assert acc == {branch: 2}
+
+
+@given(nodes())
+def test_node_repr_and_json_match_the_dataclass(case):
+    tree, node = case
+    old = OldNode(node.level, node.address)
+    assert repr(node) == repr(old)
+    assert json.dumps(node.to_json()) == json.dumps(old.to_json())
+    # an error message that embeds the node reads as it did
+    wrong = Node(-1 - node.level, node.address)
+    with pytest.raises(ValueError) as caught:
+        tree.check_node(wrong)
+    assert str(caught.value) == f"negative level: {OldNode(wrong.level, wrong.address)!r}"
+
+
+@given(branches(), st.integers(0, 9))
+def test_branch_repr_and_json_match_the_dataclass(case, level):
+    tree, branch = case
+    old = OldBranch(branch.presentation)
+    assert repr(branch) == repr(old)
+    assert json.dumps(branch.to_json()) == json.dumps(old.to_json())
+    node = tree.branch_node(branch, level)
+    assert repr(node) == repr(OldNode(node.level, node.address))
+
+
+def test_reprs_read_as_before():
+    assert repr(Node(0, 1)) == "Node(level=0, address=1)"
+    assert repr(Node(2, ((1, 2),))) == "Node(level=2, address=((1, 2),))"
+    assert repr(Branch(((0, 1),))) == "Branch(presentation=((0, 1),))"
