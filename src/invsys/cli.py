@@ -40,14 +40,18 @@ MAX_CHECK_HORIZON = 64
 MAX_CARD_DIGITS = 4300
 
 
-def load_system(path: str) -> System:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            return json.load(handle)
         except (ValueError, RecursionError) as exc:
             # a JSONDecodeError, an integer literal too long to read, or
             # nesting deeper than the decoder's recursion limit
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_system(path: str) -> System:
+    obj = _read_json(path)
     try:
         return System.from_json(obj)
     except SchemaError as exc:
@@ -55,13 +59,7 @@ def load_system(path: str) -> System:
 
 
 def load_element(path: str, system: System) -> Planted:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except (ValueError, RecursionError) as exc:
-            # a JSONDecodeError, an integer literal too long to read, or
-            # nesting deeper than the decoder's recursion limit
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    obj = _read_json(path)
     try:
         return Planted.from_json(obj, system)
     except ValueError as exc:

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .freemod import ModuleElement, _add_hom, _add_terms, _canonical, apply_hom
-from .indexset import below
 from .ring import RingElem
 from .schema import SchemaError, at, json_int, json_list
 from .system import System
@@ -78,14 +77,6 @@ class Coboundary:
     def stab_bound(self) -> int:
         """One past the last level with nonzero ``y``; 0 when empty."""
         return self.entries[-1][0] + 1 if self.entries else 0
-
-    def max_generator_index(self) -> int:
-        """The largest generator index appearing in any ``y``; 0 when empty."""
-        out = 0
-        for _, elem in self.entries:
-            for _, l, _ in elem.terms:
-                out = max(out, l)
-        return out
 
     def induced(self, i: int, j: int) -> ModuleElement:
         """Entry ``(i, j)`` of the induced coherent family."""
@@ -449,12 +440,13 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
 
 @dataclass(frozen=True)
 class LevelBounds:
-    """Per-level stabilization bounds; past the table the bound is ``i + 1``."""
+    """Per-level stabilization bounds, listed for the levels where ``y`` is
+    nonzero; at every other level the bound is ``i + 1``."""
 
-    table: tuple[int, ...]
+    table: dict[int, int]
 
     def at(self, i: int) -> int:
-        return self.table[i] if i < len(self.table) else i + 1
+        return self.table.get(i, i + 1)
 
 
 @dataclass(frozen=True)
@@ -473,21 +465,19 @@ def normalize_cobounded(a: Planted) -> Normalized:
     ``y_i``, and subtracting its induced family leaves an element whose
     ``(i, j)`` entry, for ``j >= i*``, vanishes below ``j`` and is supported
     entirely at index ``j``.  ``bounds`` records those ``i*``.
+
+    Only the levels where ``y`` is nonzero are read.  At any other level the
+    bound is ``i + 1``, and every level-i generator index exceeds ``i``, so
+    the cut of entry ``(i, i + 1)`` below ``i + 1`` is zero by definition.
+    The work is thus one entry per nonzero level of ``y``, however high the
+    levels lie.
     """
     system = a.system
-    bound_table = []
-    for i in range(a.stab_bound):
-        y_i = a.fact.y(i)
-        if y_i.is_zero():
-            bound_table.append(i + 1)
-        else:
-            bound_table.append(max(l for _, l, _ in y_i.terms) + 1)
-    bounds = LevelBounds(tuple(bound_table))
-
+    bounds = LevelBounds({i: max(l for _, l, _ in y_i.terms) + 1 for i, y_i in a.fact.entries})
     table = {}
-    for i in range(a.stab_bound):
+    for i, _ in a.fact.entries:
         istar = bounds.at(i)
-        cut = a.eval_entry(i, istar).restrict_to(below(istar))
+        cut = a.eval_entry(i, istar).below(istar)
         if not cut.is_zero():
             table[i] = cut
     witness = coboundary(system, table)

@@ -94,6 +94,12 @@ class ModuleElement:
     def coefficient(self, node: Node, l: int) -> RingElem:
         return self.ring.elem(self._coefficients.get((node, l), 0))
 
+    def below(self, j: int) -> ModuleElement:
+        """Keep exactly the terms with generator index below ``j``; a filter
+        of canonical terms is canonical."""
+        return ModuleElement(self.level, tuple(t for t in self.terms if t[1] < j),
+                             self.ring, self.tree)
+
     def restrict_to(self, s: TailSet) -> ModuleElement:
         """Keep exactly the terms whose generator index lies in ``s``."""
         return _canonical(

@@ -12,9 +12,11 @@ first, so level ``i`` owns the coordinates ``o[i]:o[i+1]`` with
 ``o[i] = dim(0) + ... + dim(i-1)``.  All hom maps live in one
 ``(Σ dim) × (Σ dim)`` array ``H`` whose block ``(i, j)`` is ``hom(i, j)`` for
 ``i < j`` and zero otherwise; ``hom_matrix`` hands out read-only views of its
-blocks.  A table becomes one ``(Σ dim) × height`` array ``t`` whose block
+blocks.  A table is one ``(Σ dim) × height`` array ``t`` whose block
 ``(i, j)`` (level ``i``'s rows, column ``j``) is the entry ``(i, j)``, zero
-outside ``i < j``.  Each triple law then reads off one product per middle
+outside ``i < j``, and a coboundary sequence ``y`` is one stacked vector of
+length ``Σ dim``; both stay in that layout from their build through every
+check.  Each triple law then reads off one product per middle
 level ``j``: the rows above ``o[j]`` are the levels ``i < j``, the columns
 from ``o[j+1]`` (from ``j + 1`` in a table) are the levels ``k > j``, and
 block ``(i, k)`` of ``H[:o[j], o[j]:o[j+1]] @ H[o[j]:o[j+1], o[j+1]:]`` is
@@ -24,7 +26,8 @@ in ``height - 2`` numpy calls rather than ``C(height, 3)``.  Coherence reads
 the same way: ``t[:o[j], j+1:] - t[:o[j], j]`` must equal, mod m,
 ``H[:o[j], o[j]:o[j+1]] @ t[o[j]:o[j+1], j+1:]``.  The coboundary parts
 ``hom(i, j) @ y_j`` of every pair come from one ``H @ diag(y)``, summed over
-each level's columns.
+each level's columns.  The coboundary solve reads ``y`` off the top column
+``t[:, height-1]``.
 
 Vectors and matrices are kept reduced mod m, so a matrix-vector product is a
 sum of at most ``dim`` terms, each at most ``(m - 1) ** 2``, and at most one
@@ -120,16 +123,6 @@ class TruncatedSystem:
             raise ValueError(f"generator ({node!r}, {l}) lies outside the node universe")
         return pos
 
-    def _stack(self, table) -> np.ndarray:
-        """The ``(Σ dim) × height`` block array of a table."""
-        t = np.zeros((self.height, self._offsets[-1]), dtype=self.dtype)
-        # column by column, each column's blocks top down: the order in which
-        # a boolean mask of the transposed array visits its entries
-        t[self._upper.T] = np.concatenate(
-            [table[(i, j)] for j in range(self.height) for i in range(j)]
-        )
-        return t.T
-
     def _applied(self, y: np.ndarray) -> np.ndarray:
         """The block array whose entry ``(i, j)`` is ``hom(i, j) @ y_j``, for a
         stacked sequence ``y``: ``H @ diag(y)`` summed over each level's columns."""
@@ -142,7 +135,7 @@ class TruncatedSystem:
             out[:, nonempty] = np.add.reduceat(self._hom * y, starts, axis=1)
         return out
 
-    def primary_table(self, a: Planted) -> dict[tuple[int, int], np.ndarray]:
+    def primary_table(self, a: Planted) -> np.ndarray:
         """The symbolic evaluation path, vectorized for matrix checks: every
         entry's coordinates are gathered, then scattered into one block array
         by a single assignment."""
@@ -159,9 +152,9 @@ class TruncatedSystem:
                 values.append(c)  # canonical, so already reduced mod m
         t = np.zeros((o[-1], h), dtype=self.dtype)
         t[rows, cols] = values
-        return {(i, j): t[o[i]:o[i + 1], j] for i, j in _pairs(h)}
+        return t
 
-    def independent_table(self, a: Planted) -> dict[tuple[int, int], np.ndarray]:
+    def independent_table(self, a: Planted) -> np.ndarray:
         """Entries recomputed from the raw presentation: branch nodes are
         placed directly and the coboundary part uses the hom matrices."""
         h, o = self.height, self._offsets
@@ -199,7 +192,7 @@ class TruncatedSystem:
                 values.extend([coeff] * (h - 1 - i))
         np.add.at(t, (rows, cols), np.array(values, dtype=self.dtype))
         t %= self.modulus
-        return {(i, j): t[o[i]:o[i + 1], j] for i, j in _pairs(h)}
+        return t
 
     # -- checks ---------------------------------------------------------------
 
@@ -217,11 +210,11 @@ class TruncatedSystem:
             if ((self.hom_matrix(i, j) @ self.hom_matrix(j, k) - self.hom_matrix(i, k)) % m).any():
                 return i, j, k
 
-    def table_coherent(self, table) -> bool:
-        """Whether ``table[i,k] = table[i,j] + hom(i, j) @ table[j,k]`` at every
-        triple ``i < j < k``."""
+    def table_coherent(self, t: np.ndarray) -> bool:
+        """Whether ``t[i,k] = t[i,j] + hom(i, j) @ t[j,k]`` at every triple
+        ``i < j < k``."""
         m, o, hom = self.modulus, self._offsets, self._hom
-        t = self._stack(table) % m
+        t = t % m
         for j in range(1, self.height - 1):
             lo, hi = o[j], o[j + 1]
             rhs = t[:lo, j, None] + hom[:lo, lo:hi] @ t[lo:hi, j + 1:]
@@ -236,33 +229,31 @@ class TruncatedSystem:
         """
         if primary is None:
             primary = self.primary_table(a)
-        return np.array_equal(self._stack(primary), self._stack(self.independent_table(a)))
+        return np.array_equal(primary, self.independent_table(a))
 
-    def coboundary_fault(self, table, y) -> tuple[int, int] | None:
+    def coboundary_fault(self, t: np.ndarray, y: np.ndarray) -> tuple[int, int] | None:
         """The first pair ``(i, j)`` in lexicographic order at which
-        ``table[i,j] = y_i - hom(i, j) @ y_j`` fails, or None."""
-        y = np.concatenate(y)
+        ``t[i,j] = y_i - hom(i, j) @ y_j`` fails, or None."""
         want = np.where(self._upper, y[:, None], 0) - self._applied(y)
-        wrong = (self._stack(table) - want) % self.modulus != 0
+        wrong = (t - want) % self.modulus != 0
         if not wrong.any():
             return None
         for i, j in _pairs(self.height):
             if wrong[self._rows(i), j].any():
                 return i, j
 
-    def solve_coboundary(self, table) -> list[np.ndarray]:
-        """A sequence ``y`` with ``table[i,j] = y_i - hom(y_j)`` at every pair.
+    def solve_coboundary(self, t: np.ndarray) -> np.ndarray:
+        """A stacked sequence ``y`` with ``t[i,j] = y_i - hom(y_j)`` at every pair.
 
-        Takes the entry against the top level for each ``y_i`` and zero at the
-        top; verifies the full equation system before returning.  Incoherent
-        tables are rejected as a usage error.
+        ``y`` is the top column of ``t``: each ``y_i`` is the entry against the
+        top level, and the top level's rows there are zero by the block layout.
+        Verifies the full equation system before returning.  Incoherent tables
+        are rejected as a usage error.
         """
-        if not self.table_coherent(table):
+        if not self.table_coherent(t):
             raise ValueError("table is not coherent; no coboundary solve is attempted")
-        top = self.height - 1
-        y = [table[(i, top)].copy() for i in range(top)]
-        y.append(np.zeros(self.dim(top), dtype=self.dtype))
-        fault = self.coboundary_fault(table, y)
+        y = t[:, self.height - 1].copy()
+        fault = self.coboundary_fault(t, y)
         if fault is not None:
             raise AssertionError(f"coboundary solve failed at {fault}")
         return y

@@ -131,6 +131,22 @@ def test_decompose_report_shape(tmp_path, sys1, sys1_path, capsys):
     assert report["verified_to"] >= 8
 
 
+def test_decompose_reads_only_the_levels_y_occupies(tmp_path, sys1_path, capsys):
+    # normalization evaluates one entry per nonzero level of y, so a term at
+    # level 10**6 costs no more than one at level 3
+    deep = 10 ** 6
+    y = [{"level": level, "elem": {"level": level, "terms": [
+        {"node": {"level": level, "address": address}, "l": level + 1, "coeff": coeff}]}}
+        for level, address, coeff in ((3, 0, 1), (deep, 1, 2))]
+    path = write_json(tmp_path / "deep.json", {"combo": [{"branch": 0, "coeff": 1}], "fact_y": y})
+    code = main(["--system", sys1_path, "--element", path, "--cmd", "decompose"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["combo"] == [{"branch": 0, "coeff": 1}]
+    assert report["residual_y"] == y
+    assert report["verified_to"] == 2 * (deep + 1) + 4
+
+
 def test_decomposition_certificate_reverifies(tmp_path, sys1, sys1_path, capsys):
     y0 = module_element(0, {(Node(0, 0), 2): 2}, sys1.ring, sys1.tree)
     elem = planted(sys1, {sys1.tree.branch(1): 2}, coboundary(sys1, {0: y0}))
@@ -457,7 +473,7 @@ def test_oracle_verify_incoherent_table_is_one_coherence_failure(tmp_path, sys1,
     def incoherent(self, a):
         table = real(self, a)
         top = self.height - 1
-        table[(0, top)] = (table[(0, top)] + 1) % self.modulus
+        table[self._rows(0), top] = (table[self._rows(0), top] + 1) % self.modulus
         return table
 
     monkeypatch.setattr(TruncatedSystem, "primary_table", incoherent)

@@ -221,7 +221,7 @@ def test_pure_coboundary_has_nonzero_cut(sys1, sysf):
                 continue
             produced += 1
             a = planted(system, {}, fact)
-            bound = fact.max_generator_index() + 2
+            bound = max(l for _, y in fact.entries for _, l, _ in y.terms) + 2
             hits = [
                 (i, j)
                 for i in range(bound)
@@ -317,6 +317,18 @@ def test_normalize_contract_randomized(sys1, sysf):
                 for j in range(i + 1, 12):
                     diff = a.eval_entry(i, j) - b.eval_entry(i, j)
                     assert diff == normal.witness.induced(i, j)
+
+
+def test_normalize_computes_one_entry_per_nonzero_level(sys1):
+    # levels between and below the two nonzero ones are never evaluated
+    fact = coboundary(sys1, {3: y_elem(sys1, 3, {(b0(3), 4): 1}),
+                             5000: y_elem(sys1, 5000, {(Node(5000, 1), 5003): 2})})
+    a = planted(sys1, {sys1.tree.branch(0): 1}, fact)
+    normal = normalize_cobounded(a)
+    assert sorted(a._entries) == [(3, 5), (5000, 5004)]
+    assert [normal.bounds.at(i) for i in (0, 3, 4, 4999, 5000, 5001)] == [1, 5, 5, 5000, 5004, 5002]
+    assert normal.witness == fact
+    assert normal.element == planted(sys1, {sys1.tree.branch(0): 1})
 
 
 def test_default_horizon_rule(sys1):

@@ -148,6 +148,16 @@ def test_restrict_kills_hom_image_below_source(sys1):
     assert image.restrict_to(below(2)).is_zero()
 
 
+def test_below_keeps_the_canonical_terms_under_the_cut(sys1):
+    e = module_element(0, {(b0(0), 1): 1, (b1(0), 2): 2, (b0(0), 4): 1, (b1(0), 7): 2},
+                       sys1.ring, sys1.tree)
+    for j in range(10):
+        cut = e.below(j)
+        assert cut == e.restrict_to(below(j))
+        assert cut == module_element(0, {(n, l): c for n, l, c in cut.terms}, e.ring, e.tree)
+    assert e.below(0).is_zero() and e.below(8) == e
+
+
 def test_restrict_to_singleton(sys1):
     e = module_element(0, {(b0(0), 1): 1, (b0(0), 4): 1}, sys1.ring, sys1.tree)
     assert e.restrict_to(singleton(4)) == generator(b0(0), 4, sys1.ring, sys1.tree)

@@ -94,7 +94,7 @@ def test_fault_injected_table_fails(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
     table = trunc.primary_table(a)
-    table[(0, 2)] = (table[(0, 2)] + 1) % trunc.modulus
+    table[trunc._rows(0), 2] = (table[trunc._rows(0), 2] + 1) % trunc.modulus
     assert not trunc.table_coherent(table)
 
 
@@ -113,15 +113,15 @@ def test_solve_on_branch_generator_uses_top_entries(sys1):
         expected = trunc.vectorize(
             module_element(i, {(Node(i, 0), 3): 1}, sys1.ring, sys1.tree)
         )
-        assert np.array_equal(y[i], expected)
-    assert np.array_equal(y[3], np.zeros(0, dtype=np.int64))
+        assert np.array_equal(y[trunc._rows(i)], expected)
+    assert np.array_equal(y[trunc._rows(3)], np.zeros(0, dtype=np.int64))
 
 
 def test_solve_zero_table(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
     y = trunc.solve_coboundary(trunc.primary_table(zero_element(sys1)))
-    assert all(not vec.any() for vec in y)
+    assert not y.any()
 
 
 def test_solve_recovers_planted_coboundary_up_to_shift(sys1):
@@ -133,15 +133,15 @@ def test_solve_recovers_planted_coboundary_up_to_shift(sys1):
     m = trunc.modulus
     for i in range(4):
         for j in range(i + 1, 4):
-            want = (y[i] - trunc.hom_matrix(i, j) @ y[j]) % m
-            assert np.array_equal(table[(i, j)], want)
+            want = (y[trunc._rows(i)] - trunc.hom_matrix(i, j) @ y[trunc._rows(j)]) % m
+            assert np.array_equal(table[trunc._rows(i), j], want)
 
 
 def test_solve_rejects_incoherent_table(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
     table = trunc.primary_table(a)
-    table[(0, 3)] = (table[(0, 3)] + 1) % trunc.modulus
+    table[trunc._rows(0), 3] = (table[trunc._rows(0), 3] + 1) % trunc.modulus
     with pytest.raises(ValueError):
         trunc.solve_coboundary(table)
 
@@ -170,7 +170,7 @@ def test_agreement_reads_the_given_primary_table(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
     table = trunc.primary_table(a)
-    table[(0, 3)] = (table[(0, 3)] + 1) % trunc.modulus
+    table[trunc._rows(0), 3] = (table[trunc._rows(0), 3] + 1) % trunc.modulus
     assert trunc.agreement(a) and not trunc.agreement(a, table)
 
 
@@ -244,6 +244,16 @@ def triples(height):
     return [(i, j, k) for i, j in pairs(height) for k in range(j + 1, height)]
 
 
+def blocks(trunc, t):
+    """The ``{(i, j): entry}`` dict of a block-array table, as the references read it."""
+    return {(i, j): t[trunc._rows(i), j] for i, j in pairs(trunc.height)}
+
+
+def levels(trunc, y):
+    """The per-level list of a stacked coboundary sequence."""
+    return [y[trunc._rows(i)] for i in range(trunc.height)]
+
+
 def reference_table_coherent(trunc, table):
     m = trunc.modulus
     for i, j, k in triples(trunc.height):
@@ -292,14 +302,23 @@ def with_hom_fault(trunc, i, j, rng):
 
 def top_solution(trunc, table):
     top = trunc.height - 1
-    return [table[(i, top)].copy() for i in range(top)] + [
-        np.zeros(trunc.dim(top), dtype=trunc.dtype)
-    ]
+    return np.concatenate([table[trunc._rows(i), top] for i in range(top)]
+                          + [np.zeros(trunc.dim(top), dtype=trunc.dtype)])
+
+
+def with_bump(trunc, vec, i, m, rng, column=None):
+    """A copy of the block array ``vec`` with level ``i``'s rows (in ``column``,
+    for a table) moved by ``bumped``."""
+    out = vec.copy()
+    where = trunc._rows(i) if column is None else (trunc._rows(i), column)
+    out[where] = bumped(vec[where], m, rng)
+    return out
 
 
 def assert_checks_match_reference(trunc, table, y):
-    assert trunc.table_coherent(table) == reference_table_coherent(trunc, table)
-    assert trunc.coboundary_fault(table, y) == reference_coboundary_fault(trunc, table, y)
+    assert trunc.table_coherent(table) == reference_table_coherent(trunc, blocks(trunc, table))
+    assert trunc.coboundary_fault(table, y) == reference_coboundary_fault(
+        trunc, blocks(trunc, table), levels(trunc, y))
 
 
 def reference_case(system, height, rng):
@@ -323,13 +342,13 @@ def test_block_checks_match_reference_on_faults(system, rng, height, data):
         return
     faults = data.draw(st.lists(st.sampled_from(filled), max_size=3, unique=True),
                        label="faulted pairs")
-    faulted = dict(table)
+    faulted = table
     for i, j in faults:
-        faulted[(i, j)] = bumped(faulted[(i, j)], m, rng)
+        faulted = with_bump(trunc, faulted, i, m, rng, j)
     assert_checks_match_reference(trunc, faulted, y)
-    moved = list(y)
+    moved = y
     for i, _ in faults:
-        moved[i] = bumped(moved[i], m, rng)
+        moved = with_bump(trunc, moved, i, m, rng)
     assert_checks_match_reference(trunc, table, moved)
 
     blocks = [(i, j) for i, j in filled if trunc.dim(j)]
@@ -355,17 +374,36 @@ def test_block_checks_match_reference_at_every_pair(system, height):
     for i, j in pairs(height):
         if not trunc.dim(i):
             continue
-        faulted = {**table, (i, j): bumped(table[(i, j)], m, rng)}
+        faulted = with_bump(trunc, table, i, m, rng, j)
         assert_checks_match_reference(trunc, faulted, y)
         assert trunc.coboundary_fault(faulted, y) is not None
-        moved = list(y)
-        moved[i] = bumped(y[i], m, rng)
+        moved = with_bump(trunc, y, i, m, rng)
         assert_checks_match_reference(trunc, table, moved)
         if trunc.dim(j):
             wrong = with_hom_fault(trunc, i, j, rng)
             assert wrong.composition_fault() == reference_composition_fault(wrong)
             # hom(i, j) is the left side of every triple (i, j', j)
             assert wrong.composition_fault() is not None or j == i + 1
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+def test_tables_are_zero_outside_their_blocks(system):
+    """Both tables leave every coordinate outside the blocks ``i < j`` at zero,
+    and the solve returns the top column, whose top-level rows are zero."""
+    rng = Random(f"layout/{system.tree.kind}/{system.ring.modulus}")
+    for height in (3, 6, 8):
+        for _ in range(4):
+            elem = random_planted(system, rng, level_cap=min(3, height - 2), index_cap=height - 1)
+            trunc = truncate(system, height, universe_for(system, [elem], height))
+            top = height - 1
+            for t in (trunc.primary_table(elem), trunc.independent_table(elem)):
+                assert t.shape == (trunc._offsets[-1], height) and t.dtype == trunc.dtype
+                assert not t[~trunc._upper].any()
+            t = trunc.primary_table(elem)
+            y = trunc.solve_coboundary(t)
+            assert y.dtype == trunc.dtype and np.array_equal(y, t[:, top])
+            assert not y[trunc._rows(top)].any()
+            assert np.array_equal(y, top_solution(trunc, t))
 
 
 # -- the scattered primary table -----------------------------------------------
@@ -397,8 +435,7 @@ def test_primary_table_matches_entrywise_vectors(system):
             assert universe == reference_universe(system, elems, height)
             trunc = truncate(system, height, universe)
             for elem in elems:
-                table = trunc.primary_table(elem)
-                assert sorted(table) == pairs(height)
+                table = blocks(trunc, trunc.primary_table(elem))
                 for (i, j), vec in table.items():
                     want = trunc.vectorize(elem.eval_entry(i, j))
                     assert vec.dtype == want.dtype and np.array_equal(vec, want)
@@ -432,7 +469,7 @@ def reference_independent_table(trunc, a):
             for j in range(i + 1, h):
                 t[o[i] + trunc._position(i, node, j), j] += coeff
     t %= trunc.modulus
-    return {(i, j): t[o[i]:o[i + 1], j] for i, j in pairs(h)}
+    return blocks(trunc, t)
 
 
 @pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
@@ -444,8 +481,8 @@ def test_independent_table_matches_levelwise_reference(system):
                                     index_cap=height - 1) for _ in range(2)]
             trunc = truncate(system, height, universe_for(system, elems, height))
             for elem in elems:
-                got, want = trunc.independent_table(elem), reference_independent_table(trunc, elem)
-                assert sorted(got) == pairs(height)
+                got = blocks(trunc, trunc.independent_table(elem))
+                want = reference_independent_table(trunc, elem)
                 for pair, vec in got.items():
                     assert vec.dtype == want[pair].dtype and np.array_equal(vec, want[pair])
 
@@ -454,7 +491,7 @@ def test_independent_table_adds_branches_through_a_shared_node(sysf):
     # both branches pass through the zero map at levels 0 and 1
     a = planted(sysf, {sysf.tree.branch(((1, 1),)): 1, sysf.tree.branch(((2, 1),)): 1})
     trunc = truncate(sysf, 5, universe_for(sysf, [a], 5))
-    table = trunc.independent_table(a)
+    table = blocks(trunc, trunc.independent_table(a))
     assert np.array_equal(table[(0, 4)], reference_independent_table(trunc, a)[(0, 4)])
     assert table[(0, 4)][trunc._position(0, Node(0, ()), 4)] == 2
     assert trunc.agreement(a)
@@ -465,7 +502,7 @@ def test_independent_table_ignores_y_at_and_above_the_height(sys1):
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
     y = module_element(4, {(Node(4, 1), 9): 1}, sys1.ring, sys1.tree)
     tall = planted(sys1, {}, coboundary(sys1, {4: y}))
-    assert all(not vec.any() for vec in trunc.independent_table(tall).values())
+    assert not trunc.independent_table(tall).any()
 
 
 def test_independent_table_rejects_data_outside_the_truncation(sys1):
