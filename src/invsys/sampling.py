@@ -13,6 +13,13 @@ from .freemod import module_element
 from .system import System
 from .tree import Branch, DecreasingSeqTree, DisjointBranchesTree, FiniteSupportTree, Node, Tree
 
+# Draw sizes no caller varies: branches per element, terms per y level, the
+# generator-index spread above a level, and finite-support branch positions.
+MAX_BRANCHES = 3
+MAX_TERMS = 3
+INDEX_SPREAD = 4
+BRANCH_POSITION_CAP = 4
+
 
 def sample_node(tree: Tree, rng: Random, level: int) -> Node:
     if isinstance(tree, DisjointBranchesTree):
@@ -41,13 +48,13 @@ def sample_branch(tree: Tree, rng: Random, max_position: int = 4) -> Branch:
     raise ValueError("tree has no branches to sample")
 
 
-def sample_branches(tree: Tree, rng: Random, count: int, max_position: int = 4) -> list[Branch]:
+def sample_branches(tree: Tree, rng: Random, count: int) -> list[Branch]:
     """Up to ``count`` distinct branches; fewer when the family is too small."""
     out: list[Branch] = []
     for _ in range(40 * (count + 1)):
         if len(out) >= count:
             break
-        b = sample_branch(tree, rng, max_position)
+        b = sample_branch(tree, rng, BRANCH_POSITION_CAP)
         if b not in out:
             out.append(b)
     return out
@@ -57,18 +64,16 @@ def random_coboundary(
     system: System,
     rng: Random,
     max_levels: int = 4,
-    max_terms: int = 3,
     level_cap: int = 4,
-    index_spread: int = 4,
     index_cap: int | None = None,
 ) -> Coboundary:
     table = {}
     levels = rng.sample(range(level_cap), rng.randint(0, min(max_levels, level_cap)))
     for level in levels:
         terms = {}
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, MAX_TERMS)):
             node = sample_node(system.tree, rng, level)
-            top = level + index_spread
+            top = level + INDEX_SPREAD
             if index_cap is not None:
                 top = min(top, index_cap)
             if top <= level:
@@ -85,23 +90,14 @@ def random_coboundary(
 def random_planted(
     system: System,
     rng: Random,
-    max_branches: int = 3,
     max_fact_levels: int = 4,
-    max_terms: int = 3,
     level_cap: int = 4,
-    index_spread: int = 4,
     index_cap: int | None = None,
-    branch_position_cap: int = 4,
 ) -> Planted:
     combo = {}
     if system.tree.has_branches():
-        for branch in sample_branches(
-            system.tree, rng, rng.randint(0, max_branches), branch_position_cap
-        ):
+        for branch in sample_branches(system.tree, rng, rng.randint(0, MAX_BRANCHES)):
             combo[branch] = rng.randrange(1, system.ring.modulus)
-    fact = random_coboundary(
-        system, rng,
-        max_levels=max_fact_levels, max_terms=max_terms, level_cap=level_cap,
-        index_spread=index_spread, index_cap=index_cap,
-    )
+    fact = random_coboundary(system, rng, max_levels=max_fact_levels, level_cap=level_cap,
+                             index_cap=index_cap)
     return planted(system, combo, fact)

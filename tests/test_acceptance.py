@@ -56,7 +56,7 @@ def test_criterion_1_round_trip_decomposition(capsys):
     mismatches = 0
     for system in _families():
         for _ in range(200):
-            a = random_planted(system, rng, max_branches=3, max_fact_levels=4)
+            a = random_planted(system, rng, max_fact_levels=4)
             if decompose(a).combo != a.combo:
                 mismatches += 1
     elapsed = time.perf_counter() - started

@@ -9,6 +9,7 @@ import pytest
 
 from invsys import (
     Node,
+    Planted,
     TruncatedSystem,
     branch_generator,
     cli,
@@ -520,19 +521,33 @@ def test_miscertified_decomposition_exit_3(tmp_path, sys1, sys1_path, capsys, mo
     assert out.err == ""
 
 
-def test_card_class_decided_equivalent_exit_3(tmp_path, sys3, capsys, monkeypatch):
-    real = decomp.equiv_decide
-    target = branch_generator(sys3, sys3.tree.branch(1))
+def _drop_a_term(entry):
+    return dataclasses.replace(entry, terms=entry.terms[1:])
 
-    def mutant(a, b):
-        equivalent, certificate = real(a, b)
-        return equivalent or a - b == target, certificate
 
-    monkeypatch.setattr(decomp, "equiv_decide", mutant)
-    path = write_json(tmp_path / "sys3.json", sys3.to_json())
+def _two_terms_on_one_node(entry):
+    (node, l, c0), (_, _, c1), *rest = entry.terms
+    terms = {(node, l): c0 + c1, **{(n, k): c for n, k, c in rest}}
+    return module_element(entry.level, terms, entry.ring, entry.tree)
+
+
+def _coefficient_two(entry):
+    (node, l, _), *rest = entry.terms
+    return dataclasses.replace(entry, terms=((node, l, 2), *rest))
+
+
+@pytest.mark.parametrize("fault", [_drop_a_term, _two_terms_on_one_node, _coefficient_two])
+def test_card_unseparated_probe_entry_exit_3(tmp_path, sys1, capsys, monkeypatch, fault):
+    """A probed entry that does not show n separated branch nodes, each with
+    coefficient 1, fails the separation certificate: exit 3, not an answer."""
+    real = Planted.eval_entry
+    monkeypatch.setattr(Planted, "eval_entry", lambda self, i, j: fault(real(self, i, j)))
+    with pytest.raises(AssertionError):
+        decomp.quotient_card_report(sys1)
+    path = write_json(tmp_path / "sys1.json", sys1.to_json())
     code = main(["--system", path, "--cmd", "card"])
     out = capsys.readouterr()
     assert code == 3
     assert json.loads(out.out) == {"error": "internal certification failure: "
-                                            "distinct canonical combinations decided equivalent"}
+                                            "branch nodes are not separated at the probe level"}
     assert out.err == ""
