@@ -254,10 +254,7 @@ def main(argv=None) -> int:
             report, code = _run_oracle_verify(
                 system, elements, args.element, args.horizon, args.seed
             )
-    except (SchemaError, OSError) as exc:
-        _emit({"error": str(exc)}, args.format)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _emit({"error": str(exc)}, args.format)
         return 2
     except AssertionError as exc:

@@ -34,10 +34,10 @@ read every entry O(h) times, look the rest up.
 Entries and defects are each built in one accumulator.  ``eval_entry`` sums
 the branch part, ``y_i`` and ``-hom(y_j)`` into one unreduced term map with
 ``freemod``'s ``_add_terms`` and ``_add_hom`` and canonicalizes it once;
-``check_coherence`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same way and
-only asks whether every coefficient vanishes mod m, so it sorts nothing and
-builds no element.  The canonical ``_defect`` is built only by the full
-sweep that lists the violations of an incoherent family.
+``_defect`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same way.
+``check_coherence`` only asks whether every coefficient of that map vanishes
+mod m, so it sorts nothing and builds no element; the full sweep that lists
+the violations of an incoherent family canonicalizes each map once.
 """
 
 from __future__ import annotations
@@ -299,19 +299,14 @@ def _triples(horizon: int):
                 yield i, j, k
 
 
-def _defect(ev, i: int, j: int, k: int) -> ModuleElement:
+def _defect(ev, i: int, j: int, k: int) -> dict[tuple[Node, int], int]:
     """The coherence defect ``a[i,k] - (a[i,j] + hom(a[j,k]))`` of one triple,
-    canonical: zero exactly when the identity holds there."""
-    return ev(i, k) - (ev(i, j) + apply_hom(ev(j, k), i))
-
-
-def _defect_vanishes(ev, i: int, j: int, k: int) -> bool:
-    """Whether ``_defect(ev, i, j, k)`` is zero, read off its unreduced
-    coefficients: no sort and no element is built.
+    as an unreduced ``(node, l) -> int`` map: the identity holds there exactly
+    when every coefficient vanishes mod m.
 
     The entries are checked as ``-``, ``+`` and ``apply_hom`` check their
     operands, so an entry of the wrong level or system raises the same
-    ``ValueError`` as in ``_defect``.
+    ``ValueError`` as the defect written in module arithmetic.
     """
     e_ik, e_ij, e_jk = ev(i, k), ev(i, j), ev(j, k)
     if i >= e_jk.level:
@@ -325,8 +320,7 @@ def _defect_vanishes(ev, i: int, j: int, k: int) -> bool:
     _add_terms(acc, e_ik, 1)
     _add_terms(acc, e_ij, -1)
     _add_hom(acc, e_jk, i, -1)
-    m = e_ik.ring.modulus
-    return not any(c % m for c in acc.values())
+    return acc
 
 
 def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
@@ -339,9 +333,11 @@ def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
     ev = eval_fn if eval_fn is not None else a.eval_entry
-    return all(
-        _defect_vanishes(ev, i, i + 1, k)
+    m = a.system.ring.modulus
+    return not any(
+        c % m
         for i in range(horizon - 2) for k in range(i + 2, horizon)
+        for c in _defect(ev, i, i + 1, k).values()
     )
 
 
@@ -412,9 +408,10 @@ def check_eq_recurrences(a: Planted, horizon: int, eval_fn=None) -> EqReport:
     ev = eval_fn if eval_fn is not None else a.eval_entry
     if check_coherence(a, horizon, ev):
         return EqReport(horizon, ())
+    ring, tree = a.system.ring, a.system.tree
     violations = []
     for i, j, k in _triples(horizon):
-        for nu, l, _ in _defect(ev, i, j, k).terms:
+        for nu, l, _ in _canonical(i, _defect(ev, i, j, k), ring, tree).terms:
             tag = "below" if l < j else "at" if l == j else "above"
             violations.append(EqViolation(tag, i, j, k, nu, l))
     return EqReport(horizon, tuple(violations))

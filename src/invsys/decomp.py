@@ -37,7 +37,8 @@ printed certificates keep their bytes.
 
 The witness and cardinality certificates are arguments too.  A finitely
 supported ``z`` with ``z_i = hom(z_j)`` for all ``i < j`` is zero, so a
-coboundary witness is unique and must present the difference exactly.
+coboundary witness is unique: it is the difference's own ``fact``, read off
+its canonical form, and it must present the difference exactly.
 Branches through pairwise distinct nodes at one level cannot be cancelled by
 a finitely supported coboundary, so one entry shows that all ``m ** n``
 combinations are pairwise inequivalent.
@@ -45,23 +46,30 @@ combinations are pairwise inequivalent.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .coherent import (
     Coboundary,
     Planted,
     branch_generator,
-    coboundary,
     default_horizon,
     normalize_cobounded,
     planted,
 )
 from .freemod import ModuleElement
-from .indexset import IndexSet, ind_omega
 from .ring import RingElem
 from .system import System
 from .tree import COUNTABLY_INFINITE, Branch, NoBranchError
+
+if TYPE_CHECKING:
+    from .indexset import IndexSet
+
+# ``ind_omega().to_json()``: the index set of every witness ``equiv_decide`` returns.
+IND_OMEGA_JSON = {"first": {"finite": [], "threshold": 0},
+                  "pro": [{"i_from": 0, "i_to": None, "set": {"finite": [], "threshold": 0}}]}
 
 
 @dataclass(frozen=True)
@@ -87,16 +95,17 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class EquivalenceWitness:
-    """A coboundary witnessing that two families differ by a boundary."""
+    """A coboundary witnessing that two families differ by a boundary, with
+    the JSON of the index set their agreement was checked on."""
 
     y: Coboundary
-    index_set: IndexSet
+    index_set: dict
     verified_to: int
 
     def to_json(self) -> dict:
         return {
             "y": self.y.to_json(),
-            "index_set": self.index_set.to_json(),
+            "index_set": copy.deepcopy(self.index_set),
             "verified_to": self.verified_to,
         }
 
@@ -185,17 +194,15 @@ def _verify_decomposition(a: Planted, dec: Decomposition) -> None:
 
 def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceWitness:
     """A coboundary ``y`` with ``(a - b)[i,j] = y_i - hom(y_j)`` everywhere,
-    built from agreement of ``a`` and ``b`` on an eventually coherent set.
+    given agreement of ``a`` and ``b`` on an eventually coherent set.
 
-    The construction repairs ``pairs`` into a set whose projections are a
-    decreasing chain of end segments, then reads ``y_i`` off the difference at
-    the pair ``(i, i'')`` given by the successor levels.  Agreement is checked
-    exactly first: the difference must vanish on every represented pair.
-
-    The witness is certified by its presentation, ``planted({}, y) == a - b``:
-    a finitely supported ``z`` with ``z_i = hom(z_j)`` for all ``i < j`` is
-    zero, so the witness is unique, the difference's own ``fact``, and equal
-    presentations agree at every index pair, not only below ``verified_to``.
+    Agreement is checked exactly first: the difference must vanish on every
+    represented pair, so it has no branch part.  A finitely supported ``z``
+    with ``z_i = hom(z_j)`` for all ``i < j`` is zero, so the witness is
+    unique: it is the difference's own ``fact``, read off its canonical form
+    without evaluating an entry.  It is certified by its presentation,
+    ``planted({}, y) == a - b``, and equal presentations agree at every index
+    pair, not only below ``verified_to``.
     """
     if b.system != a.system:
         raise ValueError("operands live in different systems")
@@ -203,19 +210,10 @@ def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceW
         raise ValueError("index set must be eventually coherent")
     diff = a - b
     _check_vanishes_on(diff, pairs)
-
-    repaired = pairs.coherify(pairs.first)
-    stab = diff.stab_bound
-    table = {}
-    for i in range(stab):
-        _, i2 = repaired.successor_pair(i)
-        y_i = diff.eval_entry(i, i2)
-        if not y_i.is_zero():
-            table[i] = y_i
-    y = coboundary(a.system, table)
+    y = diff.fact
     if planted(a.system, {}, y) != diff:
         raise AssertionError("witness does not present the difference")
-    return EquivalenceWitness(y, pairs, max(12, default_horizon(diff)))
+    return EquivalenceWitness(y, pairs.to_json(), max(12, default_horizon(diff)))
 
 
 def _check_vanishes_on(diff: Planted, pairs: IndexSet) -> None:
@@ -255,7 +253,7 @@ def equiv_decide(a: Planted, b: Planted):
     dec = decompose(a - b)
     if dec.combo:
         return False, dec
-    witness = EquivalenceWitness(dec.residual, ind_omega(), dec.verified_to)
+    witness = EquivalenceWitness(dec.residual, IND_OMEGA_JSON, dec.verified_to)
     return True, witness
 
 

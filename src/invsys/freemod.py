@@ -23,11 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .indexset import TailSet
 from .ring import Ring, RingElem
 from .schema import at, json_int, json_list
 from .tree import Node, Tree
+
+if TYPE_CHECKING:
+    from .indexset import TailSet
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,18 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invsys import (
     COUNTABLY_INFINITE,
+    DecreasingSeqTree,
+    DisjointBranchesTree,
+    FiniteSupportTree,
     NoBranchError,
     Planted,
+    Ring,
+    System,
     branch_generator,
     coboundary,
     coherent,
@@ -19,6 +26,7 @@ from invsys import (
     extract_branch,
     generator,
     ind_omega,
+    index_set,
     module_element,
     normalize_cobounded,
     planted,
@@ -26,10 +34,12 @@ from invsys import (
     refine_nonzero,
     support_bound,
     tail,
+    tailset,
     witness_equivalence,
     zero_element,
 )
 from invsys.decomp import Decomposition, EquivalenceWitness
+from invsys.indexset import ProPiece
 from invsys.sampling import random_coboundary, random_planted, sample_branches, sample_node
 from invsys.tree import Node
 
@@ -349,10 +359,11 @@ def test_witness_reproduces_coboundary_difference(sys1):
                 assert diff.eval_entry(i, j) == w.y.induced(i, j)
 
 
-def test_witness_computes_one_entry_per_level_below_its_bound(sys1, monkeypatch):
-    """One probe plus one entry per level below the stabilization bound: L + 2
-    entries for a ``y`` term at level L, where a sweep of every pair below
-    the horizon 2L + 6 computed C(806, 2) = 324 415 at L = 400."""
+def test_witness_computes_only_the_agreement_probe(sys1, monkeypatch):
+    """The witness is read off the canonical form, so only the agreement
+    check's probe computes an entry: 1 for a ``y`` term at level L = 400,
+    where the repair construction computed one entry per level below the
+    stabilization bound plus the probe, L + 2 = 402."""
     level = 400
     fact = coboundary(sys1, {level: module_element(
         level, {(Node(level, 1), level + 1): 1}, sys1.ring, sys1.tree)})
@@ -360,19 +371,80 @@ def test_witness_computes_one_entry_per_level_below_its_bound(sys1, monkeypatch)
     b = a + planted(sys1, {}, fact)
     computed = counting_entries(monkeypatch)
     w = witness_equivalence(a, b, ind_omega().square_restrict(tail(level + 1)))
-    assert len(computed) == level + 2
+    assert len(computed) == 1
     assert w.y == (a - b).fact
     assert w.verified_to == 2 * (level + 1) + 4
 
 
 def test_witness_refuses_a_tampered_coboundary(sys1, monkeypatch):
-    real = decomp.coboundary
-    extra = with_y0(sys1, {(Node(0, 0), 1): 1})
-    monkeypatch.setattr(decomp, "coboundary", lambda system, table: real(system, table) + extra)
+    """With the agreement check stubbed out, an inequivalent pair reaches the
+    presentation check, and a coboundary cannot present a branch part."""
+    monkeypatch.setattr(decomp, "_check_vanishes_on", lambda diff, pairs: None)
     a = branch_generator(sys1, sys1.tree.branch(0))
-    b = a + planted(sys1, {}, with_y0(sys1, {(Node(0, 1), 2): 1}))
+    b = branch_generator(sys1, sys1.tree.branch(1))
     with pytest.raises(AssertionError, match="^witness does not present the difference$"):
-        witness_equivalence(a, b, ind_omega().square_restrict(tail(1)))
+        witness_equivalence(a, b, ind_omega())
+
+
+WITNESS_SYSTEMS = (
+    System(Ring(3), DisjointBranchesTree(3)),
+    System(Ring(4), FiniteSupportTree((2, 3), 2)),
+    System(Ring(6), DecreasingSeqTree()),
+)
+
+
+def repair_witness(diff, pairs):
+    """The witness by the repair construction: ``pairs`` coherified, then
+    ``y_i`` read off the difference at the successor pair of each level below
+    the stabilization bound."""
+    repaired = pairs.coherify(pairs.first)
+    table = {}
+    for i in range(diff.stab_bound):
+        _, i2 = repaired.successor_pair(i)
+        table[i] = diff.eval_entry(i, i2)
+    return coboundary(diff.system, table)
+
+
+def agreeing_index_set(data, floor):
+    """An eventually coherent index set whose first members all lie at or past
+    ``floor``, with piecewise projections that the repair construction cuts."""
+    t = data.draw(st.integers(floor, floor + 3), label="first threshold")
+    extra = data.draw(st.lists(st.integers(floor, t + 3), max_size=3), label="first finite")
+    cuts = sorted(data.draw(st.sets(st.integers(1, t + 5), max_size=2), label="cuts"))
+    starts = [0, *cuts]
+    pieces = []
+    for n, start in enumerate(starts):
+        end = starts[n + 1] if n + 1 < len(starts) else None
+        finite = data.draw(st.lists(st.integers(0, t + 8), max_size=3), label="stored finite")
+        threshold = data.draw(st.integers(0, t + 6), label="stored threshold")
+        pieces.append(ProPiece(start, end, tailset(finite, threshold)))
+    return index_set(tailset(extra, t), pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(WITNESS_SYSTEMS), rng=st.randoms(use_true_random=False),
+       data=st.data())
+def test_witness_is_the_difference_fact(system, rng, data):
+    """On every family the witness is ``(a - b).fact``, the coboundary the
+    repair construction builds, and it records the index set it was given."""
+    a = random_planted(system, rng, max_fact_levels=2)
+    b = a + planted(system, {}, random_coboundary(system, rng))
+    diff = a - b
+    pairs = agreeing_index_set(data, diff.stab_bound)
+    w = witness_equivalence(a, b, pairs)
+    assert w.y == diff.fact
+    assert w.y == repair_witness(diff, pairs)
+    assert w.to_json()["index_set"] == pairs.to_json()
+
+
+def test_equiv_witness_index_set_is_the_full_index_set(sys1):
+    assert decomp.IND_OMEGA_JSON == ind_omega().to_json()
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    equivalent, w = equiv_decide(a, a)
+    assert equivalent
+    # Each witness hands out its own copy of the shared constant.
+    w.to_json()["index_set"]["pro"].clear()
+    assert w.to_json()["index_set"] == ind_omega().to_json()
 
 
 def test_witness_precondition_violation_raises(sys1):

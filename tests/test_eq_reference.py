@@ -11,10 +11,11 @@ coherence off the recurrence sweep.
 
 ``check_coherence`` sweeps only the consecutive triples ``(i, i+1, k)``; on
 faulted entry maps it must agree with ``all_triples_coherent``, the sweep
-over every triple that it replaced.  Per triple it asks ``_defect_vanishes``,
-which sums the defect's coefficients without building it; that must agree
-with the canonical ``_defect`` on faulted tables, and reject a misplaced
-entry with the same error.
+over every triple that it replaced.  Per triple it reads ``_defect``, which
+sums the defect's coefficients into one unreduced map without building an
+element; on faulted tables that map must present ``reference_defect``, the
+defect written in module arithmetic, and reject a misplaced entry with the
+same error.
 """
 
 from math import comb
@@ -179,6 +180,11 @@ def test_consecutive_triples_decide_coherence_at_every_pair(system):
             assert check_coherence(a, horizon, eval_fn=ev) == all_triples_coherent(horizon, ev)
 
 
+def reference_defect(ev, i, j, k):
+    """The coherence defect of one triple in module arithmetic, canonical."""
+    return ev(i, k) - (ev(i, j) + apply_hom(ev(j, k), i))
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
 def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
     rng = Random(f"fallback/{system.tree.kind}")
@@ -186,41 +192,36 @@ def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
     h = 14
     consecutive = [(i, i + 1, k) for i in range(h - 2) for k in range(i + 2, h)]
     every = [(i, j, k) for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h)]
-    tested, swept = [], []
-    vanishes, defect = coherent._defect_vanishes, coherent._defect
-
-    def counted_vanishes(ev, i, j, k):
-        tested.append((i, j, k))
-        return vanishes(ev, i, j, k)
+    swept = []
+    defect = coherent._defect
 
     def counted_defect(ev, i, j, k):
         swept.append((i, j, k))
         return defect(ev, i, j, k)
 
-    monkeypatch.setattr(coherent, "_defect_vanishes", counted_vanishes)
     monkeypatch.setattr(coherent, "_defect", counted_defect)
     assert check_eq_recurrences(a, h).ok
-    assert tested == consecutive and len(tested) == comb(h - 1, 2)
-    assert swept == []
+    assert swept == consecutive and len(swept) == comb(h - 1, 2)
 
-    # The fast path reads entry (0, 7) only as the (i,k) entry of (0, 1, 7).
-    tested.clear()
+    # The fast path reads entry (0, 7) only as the (i,k) entry of (0, 1, 7),
+    # stops there, and the full sweep then reads every triple once.
+    swept.clear()
     fault = module_element(0, {(sample_node(system.tree, rng, 0), 9): 1},
                            system.ring, system.tree)
     ev = perturbed(a, {(0, 7): fault})
     report = check_eq_recurrences(a, h, eval_fn=ev)
     assert not report.ok
-    assert tested == consecutive[:len(tested)] and tested[-1] == (0, 1, 7)
-    assert swept == every and len(swept) == comb(h, 3)
+    fast = consecutive[:consecutive.index((0, 1, 7)) + 1]
+    assert swept == fast + every and len(swept) == len(fast) + comb(h, 3)
     assert report.violations == reference_eq_recurrences(a, h, ev)
 
 
 @settings(max_examples=80, deadline=None)
 @given(system=st.sampled_from(SYSTEMS), rng=st.randoms(use_true_random=False),
        horizon=st.integers(3, 8), data=st.data())
-def test_defect_vanishes_matches_defect(system, rng, horizon, data):
-    """The per-triple test of ``check_coherence`` against the canonical defect,
-    at every triple of a faulted table."""
+def test_defect_matches_reference(system, rng, horizon, data):
+    """The unreduced defect map presents the reference defect at every triple
+    of a faulted table."""
     a = random_planted(system, rng, level_cap=horizon)
     pairs = data.draw(st.lists(st.sampled_from(pairs_below(horizon)), max_size=3, unique=True),
                       label="faulted pairs")
@@ -228,8 +229,8 @@ def test_defect_vanishes_matches_defect(system, rng, horizon, data):
     for i in range(horizon):
         for j in range(i + 1, horizon):
             for k in range(j + 1, horizon):
-                want = coherent._defect(ev, i, j, k).is_zero()
-                assert coherent._defect_vanishes(ev, i, j, k) == want
+                got = module_element(i, coherent._defect(ev, i, j, k), system.ring, system.tree)
+                assert got == reference_defect(ev, i, j, k)
 
 
 def raised(fn, *args):
@@ -242,7 +243,7 @@ def raised(fn, *args):
 @pytest.mark.parametrize("role", ["ik", "ij", "jk"])
 def test_defect_paths_reject_a_misplaced_entry_alike(system, role):
     """An entry of the wrong level, or from another system, raises the same
-    ``ValueError`` on the canonical defect and on the per-triple test."""
+    ``ValueError`` on the defect map and on the reference defect."""
     a = random_planted(system, Random(f"misplaced/{system.tree.kind}"), level_cap=5)
     i, j, k = 1, 2, 4
     pair = {"ik": (i, k), "ij": (i, j), "jk": (j, k)}[role]
@@ -259,5 +260,5 @@ def test_defect_paths_reject_a_misplaced_entry_alike(system, role):
         def ev(p, q, wrong=wrong):
             return wrong if (p, q) == pair else a.eval_entry(p, q)
 
-        message = raised(coherent._defect, ev, i, j, k)
-        assert raised(coherent._defect_vanishes, ev, i, j, k) == message
+        message = raised(reference_defect, ev, i, j, k)
+        assert raised(coherent._defect, ev, i, j, k) == message
