@@ -33,18 +33,6 @@ from .decomp import (
     witness_equivalence,
 )
 from .freemod import ModuleElement, apply_hom, generator, module_element
-from .indexset import (
-    FULL,
-    IndexSet,
-    TailSet,
-    below,
-    ind_omega,
-    index_set,
-    singleton,
-    tail,
-    tailset,
-)
-from .oracle import TruncatedSystem, truncate, universe_for
 from .ring import Ring, RingElem
 from .system import SchemaError, System
 from .tree import (
@@ -108,3 +96,23 @@ __all__ = [
     "witness_equivalence",
     "zero_element",
 ]
+
+# Names resolved on first access (PEP 562), so that importing the package or
+# its symbolic commands loads neither numpy (the oracle) nor the index sets.
+_ORACLE_NAMES = frozenset({"TruncatedSystem", "truncate", "universe_for"})
+_INDEXSET_NAMES = frozenset({"FULL", "IndexSet", "TailSet", "below", "ind_omega",
+                             "index_set", "singleton", "tail", "tailset"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle as module
+    elif name in _INDEXSET_NAMES:
+        from . import indexset as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES, *_INDEXSET_NAMES})

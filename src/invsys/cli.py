@@ -7,6 +7,10 @@ Exit codes: 0 success / true / equivalent, 1 false / inequivalent (with a
 certificate in the report), 2 input or schema error; a schema error names
 the JSON path of the offending value.  3 is an internal certification
 failure: a certificate the library built did not re-verify.
+
+Only ``oracle-verify`` imports the matrix oracle (and with it numpy) and the
+random sampler, inside its handler; ``check``, ``decompose``, ``equiv`` and
+``card`` run on the symbolic modules alone.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from .coherent import (
     restriction_stability,
 )
 from .decomp import decompose, equiv_decide, quotient_card_report
-from .oracle import MAX_HEIGHT, truncate, universe_for
-from .sampling import random_planted
 from .system import SchemaError, System
 
 # ``check`` decides coherence from the C(h-1, 2) consecutive index triples,
@@ -162,6 +164,10 @@ def _run_card(system: System, elements, paths, horizon):
 
 
 def _run_oracle_verify(system: System, elements, paths, horizon, seed):
+    # The only command that needs numpy, so the only one that loads it.
+    from .oracle import MAX_HEIGHT, truncate, universe_for
+    from .sampling import random_planted
+
     height = horizon if horizon is not None else 6
     if height > MAX_HEIGHT:
         raise SchemaError(f"oracle-verify horizon must be at most {MAX_HEIGHT}, got {height}")

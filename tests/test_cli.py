@@ -16,6 +16,7 @@ from invsys import (
     coboundary,
     decomp,
     module_element,
+    oracle,
     planted,
 )
 from invsys.cli import main
@@ -459,10 +460,11 @@ def test_oracle_verify_sweeps_coherence_once_per_element(sys1_path, capsys, monk
 
 def test_oracle_verify_builds_one_primary_table_per_element(sys1_path, capsys, monkeypatch):
     tables, truncations = [], []
-    real_table, real_truncate = TruncatedSystem.primary_table, cli.truncate
+    real_table, real_truncate = TruncatedSystem.primary_table, oracle.truncate
     monkeypatch.setattr(TruncatedSystem, "primary_table",
                         lambda self, a: tables.append(1) or real_table(self, a))
-    monkeypatch.setattr(cli, "truncate", lambda *args: truncations.append(1) or real_truncate(*args))
+    # cli imports the oracle inside the command, so it reads the patched name.
+    monkeypatch.setattr(oracle, "truncate", lambda *args: truncations.append(1) or real_truncate(*args))
     assert main(["--system", sys1_path, "--cmd", "oracle-verify", "--seed", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["checked"] == len(tables) == len(truncations) == 20
 

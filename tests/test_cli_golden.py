@@ -14,12 +14,15 @@ after an intended change of output::
 
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
+import invsys
 from invsys.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -126,6 +129,50 @@ def test_cli_stdout_matches_golden(case, expected, tmp_path, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert run(CASES[case]) == expected[case]
+
+
+# Runs the golden cases in argv[1] through ``main`` in a fresh interpreter,
+# reports which of numpy, the oracle, the index sets and the sampler they
+# loaded, then runs the oracle-verify case in argv[2] in the same process.
+FRESH_PROCESS = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+from invsys.cli import main
+
+def run(argv):
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+symbolic = {case: run(argv) for case, argv in json.loads(sys.argv[1]).items()}
+loaded = [name for name in ("numpy", "invsys.oracle", "invsys.indexset", "invsys.sampling")
+          if name in sys.modules]
+verify = run(json.loads(sys.argv[2]))
+print(json.dumps({"symbolic": symbolic, "loaded": loaded, "verify": verify,
+                  "numpy_after_verify": "numpy" in sys.modules}))
+"""
+
+
+def test_symbolic_commands_never_load_the_oracle(expected, tmp_path):
+    symbolic = {case: argv for case, argv in CASES.items()
+                if case.split("/")[0] in ("disjoint", "finite_support")
+                and case.split("/")[1] != "oracle-verify" and case.endswith("/json")}
+    assert len(symbolic) == 10  # check, decompose, two equivs and card per family
+    write_inputs(tmp_path)
+    src = str(Path(invsys.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    verify_case = "disjoint/oracle-verify/json"
+    child = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, json.dumps(symbolic), json.dumps(CASES[verify_case])],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120, check=True)
+    report = json.loads(child.stdout)
+    assert report["symbolic"] == {case: expected[case] for case in symbolic}
+    assert report["loaded"] == []
+    assert report["verify"]["exit"] == 0
+    assert json.loads(report["verify"]["stdout"])["failures"] == []
+    assert report["numpy_after_verify"] is True
 
 
 if __name__ == "__main__":

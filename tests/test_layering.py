@@ -1,16 +1,24 @@
-"""Only the package ``__init__`` imports the index-set layer when it runs.
+"""The import graph keeps the symbolic path apart from the oracle and the index sets.
 
-Witnesses are read off the canonical form, so no other module needs
+Only the package ``__init__`` imports the index-set layer when it runs:
+witnesses are read off the canonical form, so no other module needs
 ``indexset`` at run time; a module may still name its types for annotations
-under ``if TYPE_CHECKING:``.
+under ``if TYPE_CHECKING:``.  Only ``oracle`` imports numpy, and no module
+imports ``oracle`` or ``sampling`` at its top level, so the symbolic commands
+never load them.  The package resolves the oracle's and the index sets' names
+on first access.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import invsys
+from invsys import indexset, oracle
 
 SRC = Path(invsys.__file__).parent
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def _type_checking(test) -> bool:
@@ -31,19 +39,75 @@ def runtime_imports(node):
             yield from runtime_imports(stmt)
 
 
-def imports_indexset(stmt) -> bool:
+def top_level_imports(tree):
+    """The run-time imports of a module that run when it is imported, that is,
+    those outside every function body."""
+    nested = {id(stmt) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for stmt in runtime_imports(fn)}
+    return [stmt for stmt in runtime_imports(tree) if id(stmt) not in nested]
+
+
+def imported_names(stmt):
+    """The absolute dotted names an import statement binds or loads; a relative
+    import resolves inside the (flat) ``invsys`` package."""
     if isinstance(stmt, ast.Import):
-        return any(alias.name.split(".")[-1] == "indexset" for alias in stmt.names)
+        return [alias.name for alias in stmt.names]
     module = stmt.module or ""
-    if module.split(".")[-1] == "indexset":
-        return True
-    return module in ("", "invsys") and any(alias.name == "indexset" for alias in stmt.names)
+    if stmt.level:
+        module = f"invsys.{module}" if module else "invsys"
+    return [module] + [f"{module}.{alias.name}" for alias in stmt.names]
+
+
+def imports(stmt, target: str) -> bool:
+    return any(name == target or name.startswith(target + ".") for name in imported_names(stmt))
+
+
+def importers(target: str, walk=runtime_imports):
+    return sorted(name for name, tree in MODULES.items()
+                  if any(imports(stmt, target) for stmt in walk(tree)))
 
 
 def test_only_the_package_init_imports_indexset_at_run_time():
-    importers = sorted(
-        path.name for path in SRC.glob("*.py")
-        if any(imports_indexset(stmt) for stmt in runtime_imports(ast.parse(path.read_text())))
-    )
-    assert importers == ["__init__.py"]
+    assert importers("invsys.indexset") == ["__init__.py"]
 
+
+def test_only_the_oracle_imports_numpy():
+    assert importers("numpy") == ["oracle.py"]
+
+
+@pytest.mark.parametrize("target", ["invsys.oracle", "invsys.sampling"])
+def test_oracle_and_sampling_are_imported_only_inside_functions(target):
+    assert importers(target, top_level_imports) == []
+    assert importers(target) != []
+
+
+# -- the package surface -------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in invsys.__all__ if not hasattr(invsys, name)] == []
+    assert set(invsys.__all__) <= set(dir(invsys))
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    from invsys import (
+        TruncatedSystem,
+        below,
+        ind_omega,
+        singleton,
+        tail,
+        truncate,
+        universe_for,
+    )
+
+    pairs = [(truncate, oracle.truncate), (universe_for, oracle.universe_for),
+             (TruncatedSystem, oracle.TruncatedSystem), (ind_omega, indexset.ind_omega),
+             (singleton, indexset.singleton), (tail, indexset.tail), (below, indexset.below)]
+    assert all(lazy is defined for lazy, defined in pairs)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        invsys.no_such_name  # noqa: B018
+    assert not hasattr(invsys, "no_such_name")
