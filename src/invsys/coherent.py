@@ -478,8 +478,6 @@ def normalize_cobounded(a: Planted) -> Normalized:
         if not cut.is_zero():
             table[i] = cut
     witness = coboundary(system, table)
-
-    remainder = planted(system, a.combo, a.fact - witness)
-    if not remainder.fact.is_zero():
+    if witness != a.fact:
         raise AssertionError("normalization must absorb the whole coboundary part")
-    return Normalized(remainder, witness, bounds)
+    return Normalized(planted(system, a.combo), witness, bounds)

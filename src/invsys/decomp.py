@@ -219,27 +219,28 @@ def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceW
 def _check_vanishes_on(diff: Planted, pairs: IndexSet) -> None:
     """Exact check that every represented pair evaluates to zero in ``diff``.
 
-    One probe past the probe bound decides whether a branch part survives;
-    with none, entries with both coordinates past the stabilization bound
-    vanish identically, so the finitely many remaining pairs are evaluated
-    directly (entries with only the upper coordinate past it are constant in
-    that coordinate, so one representative is enough).
+    One probe past the probe bound decides whether a branch part survives.
+    With none, entry ``(i, j)`` is ``y_i - hom(y_j)`` for ``y = diff.fact``,
+    so it vanishes unless ``i`` or ``j`` is a level ``k`` of ``y``; only the
+    represented pairs ``(i, k)`` and ``(k, j)`` are evaluated, in
+    lexicographic order.  Past the stabilization bound ``y_j`` is zero, so
+    ``(k, j)`` is ``y_k`` there and one representative stands for all such ``j``.
     """
     p = pairs.first.min_from(diff.probe_bound)
     q = pairs.pro(p).min_value()
     if not diff.eval_entry(p, q).is_zero():
         raise ValueError(f"entries differ on the index set at ({p}, {q})")
     stab = diff.stab_bound
-    for i in range(stab):
-        if not pairs.first.contains(i):
-            continue
-        pro = pairs.pro(i)
-        for j in pro.elements_below(stab):
-            if not diff.eval_entry(i, j).is_zero():
-                raise ValueError(f"entries differ on the index set at ({i}, {j})")
-        j_tail = pro.min_from(stab)
-        if not diff.eval_entry(i, j_tail).is_zero():
-            raise ValueError(f"entries differ on the index set at ({i}, {j_tail})")
+    todo = set()
+    for k, _ in diff.fact.entries:
+        todo.update((i, k) for i in range(k) if pairs.contains(i, k))
+        if pairs.first.contains(k):
+            pro = pairs.pro(k)
+            todo.update((k, j) for j in pro.elements_below(stab))
+            todo.add((k, pro.min_from(stab)))
+    for i, j in sorted(todo):
+        if not diff.eval_entry(i, j).is_zero():
+            raise ValueError(f"entries differ on the index set at ({i}, {j})")
 
 
 def equiv_decide(a: Planted, b: Planted):

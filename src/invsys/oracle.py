@@ -9,7 +9,10 @@ code with the symbolic side.
 
 Block layout.  The generators of every level are laid end to end, level 0
 first, so level ``i`` owns the coordinates ``o[i]:o[i+1]`` with
-``o[i] = dim(0) + ... + dim(i-1)``.  All hom maps live in one
+``o[i] = dim(0) + ... + dim(i-1)``.  Within a level they run node by node in
+node sort order, ``l = i+1 .. height-1`` within a node, so the generator
+``(node, l)`` of level ``i`` is row ``_row0[i][node] + l`` of every block
+array, and only the nodes are indexed.  All hom maps live in one
 ``(Σ dim) × (Σ dim)`` array ``H`` whose block ``(i, j)`` is ``hom(i, j)`` for
 ``i < j`` and zero otherwise; ``hom_matrix`` hands out read-only views of its
 blocks.  A table is one ``(Σ dim) × height`` array ``t`` whose block
@@ -71,29 +74,25 @@ MAX_HEIGHT = 8
 MAX_NODES_PER_LEVEL = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedSystem:
     system: System
     height: int
-    universe: dict[int, tuple[Node, ...]]
-    _gens: dict[int, list[tuple[Node, int]]] = field(default_factory=dict, repr=False)
-    _index: dict[int, dict[tuple[Node, int], int]] = field(default_factory=dict, repr=False)
     # level i owns rows and columns _offsets[i]:_offsets[i+1] of _hom
-    _offsets: list[int] = field(default_factory=list, repr=False)
-    _hom: np.ndarray = field(default=None, repr=False)
+    _offsets: list[int] = field(repr=False)
+    # _row0[i]: level i's node map of the block layout (module docstring)
+    _row0: list[dict[Node, int]] = field(repr=False)
+    _hom: np.ndarray = field(repr=False)
     # _upper[r, j]: the level of coordinate r lies below j, so (r, j) is in a table block
-    _upper: np.ndarray = field(default=None, repr=False)
-    dtype: type = np.int64
+    _upper: np.ndarray = field(repr=False)
+    dtype: type
 
     @property
     def modulus(self) -> int:
         return self.system.ring.modulus
 
     def dim(self, level: int) -> int:
-        return len(self._gens[level])
-
-    def generators(self, level: int) -> list[tuple[Node, int]]:
-        return list(self._gens[level])
+        return self._offsets[level + 1] - self._offsets[level]
 
     def _rows(self, level: int) -> slice:
         return slice(self._offsets[level], self._offsets[level + 1])
@@ -118,10 +117,10 @@ class TruncatedSystem:
         """The coordinate of the generator ``(node, l)`` within its level."""
         if l >= self.height:
             raise ValueError(f"generator index {l} lies outside the truncation")
-        pos = self._index[level].get((node, l))
-        if pos is None:
+        r = self._row0[level].get(node)
+        if r is None or l <= level:
             raise ValueError(f"generator ({node!r}, {l}) lies outside the node universe")
-        return pos
+        return r + l - self._offsets[level]
 
     def _applied(self, y: np.ndarray) -> np.ndarray:
         """The block array whose entry ``(i, j)`` is ``hom(i, j) @ y_j``, for a
@@ -139,25 +138,25 @@ class TruncatedSystem:
         """The symbolic evaluation path, vectorized for matrix checks: every
         entry's coordinates are gathered, then scattered into one block array
         by a single assignment."""
-        h, o = self.height, self._offsets
+        h = self.height
         rows, cols, values = [], [], []
         for i, j in _pairs(h):
-            index = self._index[i]
+            row0 = self._row0[i]
             for node, l, c in a.eval_entry(i, j).terms:
-                pos = index.get((node, l))
-                if pos is None:
-                    pos = self._position(i, node, l)  # raises
-                rows.append(o[i] + pos)
+                r = row0.get(node)
+                if r is None or not i < l < h:
+                    self._position(i, node, l)  # raises
+                rows.append(r + l)
                 cols.append(j)
                 values.append(c)  # canonical, so already reduced mod m
-        t = np.zeros((o[-1], h), dtype=self.dtype)
+        t = np.zeros((self._offsets[-1], h), dtype=self.dtype)
         t[rows, cols] = values
         return t
 
     def independent_table(self, a: Planted) -> np.ndarray:
         """Entries recomputed from the raw presentation: branch nodes are
         placed directly and the coboundary part uses the hom matrices."""
-        h, o = self.height, self._offsets
+        h = self.height
         tree = self.system.tree
         # the stacked y, scattered from its nonzero levels; levels at or above
         # the height touch no entry below it
@@ -165,14 +164,14 @@ class TruncatedSystem:
         for level, elem in a.fact.entries:
             if level >= h:
                 break
-            index = self._index[level]
+            row0 = self._row0[level]
             for node, l, c in elem.terms:
-                pos = index.get((node, l))
-                if pos is None:
-                    pos = self._position(level, node, l)  # raises
-                rows.append(o[level] + pos)
+                r = row0.get(node)
+                if r is None or not level < l < h:
+                    self._position(level, node, l)  # raises
+                rows.append(r + l)
                 values.append(c)  # canonical, so already reduced mod m
-        y = np.zeros(o[-1], dtype=self.dtype)
+        y = np.zeros(self._offsets[-1], dtype=self.dtype)
         y[rows] = values
         t = np.where(self._upper, y[:, None], 0) - self._applied(y)
         # each branch adds its coefficient at the generators (node, j) of its
@@ -180,13 +179,13 @@ class TruncatedSystem:
         # node, so the additions go through the unbuffered np.add.at
         rows, cols, values = [], [], []
         for i in range(h - 1):
-            index = self._index[i]
+            row0 = self._row0[i]
             for branch, coeff in a.combo:
                 node = tree.branch_node(branch, i)
-                pos = index.get((node, i + 1))
-                if pos is None:
+                r = row0.get(node)
+                if r is None:
                     raise ValueError(f"branch node ({node!r}, {i + 1}) lies outside the node universe")
-                first = o[i] + pos
+                first = r + i + 1
                 rows.extend(range(first, first + h - 1 - i))
                 cols.extend(range(i + 1, h))
                 values.extend([coeff] * (h - 1 - i))
@@ -277,7 +276,7 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
     if not 3 <= height <= MAX_HEIGHT:
         raise ValueError(f"height must lie in [3, {MAX_HEIGHT}], got {height}")
     tree = system.tree
-    levels: dict[int, tuple[Node, ...]] = {}
+    levels: list[tuple[Node, ...]] = []
     for i in range(height):
         nodes = tuple(sorted(set(universe.get(i, ())), key=tree.node_sort_key))
         if len(nodes) > MAX_NODES_PER_LEVEL:
@@ -286,58 +285,48 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
             tree.check_node(node)
             if node.level != i:
                 raise ValueError(f"node {node!r} filed under level {i}")
-        levels[i] = nodes
-    position = {i: {node: p for p, node in enumerate(levels[i])} for i in range(height)}
-    # down[n][i]: the position at level i of the n-th node's restriction (0 from its own level up)
+        levels.append(nodes)
+    dims = [len(levels[i]) * (height - 1 - i) for i in range(height)]
+    offsets = [0, *np.cumsum(dims).tolist()]
+    row0 = [{node: offsets[i] + p * (height - 1 - i) - i - 1 for p, node in enumerate(levels[i])}
+            for i in range(height)]
+    # down[n][i]: _row0 at level i of the n-th node's restriction (0 from its own level up)
     down = []
     for i in range(height):
         for node in levels[i]:
             row = [0] * height
             for lower in range(i):
                 # node was validated above, so its restrictions need no re-check
-                p = position[lower].get(tree._restrict(node, lower))
-                if p is None:
+                r = row0[lower].get(tree._restrict(node, lower))
+                if r is None:
                     raise ValueError(
                         f"universe is not closed under restriction: {node!r} at level {lower}"
                     )
-                row[lower] = p
+                row[lower] = r
             down.append(row)
 
-    trunc = TruncatedSystem(system, height, levels)
-    for i in range(height):
-        gens = [(node, l) for node in levels[i] for l in range(i + 1, height)]
-        trunc._gens[i] = gens
-        trunc._index[i] = {gen: pos for pos, gen in enumerate(gens)}
-    dims = [trunc.dim(i) for i in range(height)]
-    trunc._offsets = [0, *np.cumsum(dims).tolist()]
-    total = trunc._offsets[-1]
-
     m = system.ring.modulus
-    if (m - 1) ** 2 * (max(dims) + 1) >= 2 ** 63:
-        trunc.dtype = object
+    dtype = object if (m - 1) ** 2 * (max(dims) + 1) >= 2 ** 63 else np.int64
 
     # hom(i, j) sends the generator (eta, l) of level j to (eta|i, l) - (eta|i, j).
-    # Level i lists its generators node by node, l = i+1 .. height-1 within a
-    # node, so (nu, l) is row o[i] + pos(nu) * width[i] + l - i - 1.  Every
-    # column gets one 1 and one m - 1 in each block above its level, at
+    # Every column gets one 1 and one m - 1 in each block above its level, at
     # distinct rows, so two plain assignments place them all.
     lv = np.arange(height)
     width = height - 1 - lv  # generators per node at each level
-    node_level = np.repeat(lv, [len(levels[i]) for i in range(height)])
+    node_level = np.repeat(lv, [len(nodes) for nodes in levels])
     col_level = np.repeat(node_level, width[node_level])
-    col_l = np.array([l for i in range(height) for _, l in trunc._gens[i]], dtype=np.int64)
-    col_down = np.repeat(np.array(down, dtype=np.int64).reshape(-1, height),
-                         width[node_level], axis=0)
+    col_l = np.array([l for i in range(height) for _ in levels[i] for l in range(i + 1, height)],
+                     dtype=np.int64)
+    # per (column, level i): the _row0 of eta|i
+    base = np.repeat(np.array(down, dtype=np.int64).reshape(-1, height), width[node_level], axis=0)
     below = lv < col_level[:, None]  # (column, lower level) pairs with a block
-    # per (column, level i): (eta|i, l) is row base + l, and (eta|i, j) row base + j
-    base = np.array(trunc._offsets[:height]) + col_down * width - lv - 1
+    total = offsets[-1]
     cols = np.broadcast_to(np.arange(total)[:, None], below.shape)[below]
-    hom = np.zeros((total, total), dtype=trunc.dtype)
+    hom = np.zeros((total, total), dtype=dtype)
     hom[(base + col_l[:, None])[below], cols] = 1
     hom[(base + col_level[:, None])[below], cols] = m - 1
     hom.flags.writeable = False
-    trunc._hom = hom
-    trunc._upper = col_level[:, None] < lv
+    trunc = TruncatedSystem(system, height, offsets, row0, hom, col_level[:, None] < lv, dtype)
 
     fault = trunc.composition_fault()
     if fault is not None:

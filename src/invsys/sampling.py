@@ -95,7 +95,7 @@ def random_planted(
     index_cap: int | None = None,
 ) -> Planted:
     combo = {}
-    if system.tree.has_branches():
+    if system.tree.branch_count() != 0:
         for branch in sample_branches(system.tree, rng, rng.randint(0, MAX_BRANCHES)):
             combo[branch] = rng.randrange(1, system.ring.modulus)
     fact = random_coboundary(system, rng, max_levels=max_fact_levels, level_cap=level_cap,

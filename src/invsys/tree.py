@@ -102,9 +102,6 @@ class Tree:
 
     # -- branches ---------------------------------------------------------
 
-    def has_branches(self) -> bool:
-        raise NotImplementedError
-
     def branch(self, presentation) -> Branch:
         """Validate a presentation and wrap it as a branch handle."""
         raise NotImplementedError
@@ -125,7 +122,8 @@ class Tree:
 
     def branch_from_node(self, node: Node) -> Branch:
         """The canonical branch through ``node`` (minimal continuation)."""
-        raise NotImplementedError
+        self.check_node(node)
+        return Branch(node.address)
 
     def separation_level(self, b1: Branch, b2: Branch) -> int:
         """Least level past which two distinct branches select distinct nodes."""
@@ -217,9 +215,6 @@ class DisjointBranchesTree(Tree):
     def node_sort_key(self, node: Node):
         return (node.address,)
 
-    def has_branches(self) -> bool:
-        return True
-
     def branch(self, presentation) -> Branch:
         if not isinstance(presentation, int) or not 0 <= presentation < self.count:
             raise ValueError(f"branch index must lie below {self.count}: {presentation!r}")
@@ -235,10 +230,6 @@ class DisjointBranchesTree(Tree):
 
     def branch_sort_key(self, branch: Branch):
         return (branch.presentation,)
-
-    def branch_from_node(self, node: Node) -> Branch:
-        self.check_node(node)
-        return Branch(node.address)
 
     def separation_level(self, b1: Branch, b2: Branch) -> int:
         return 0
@@ -306,9 +297,6 @@ class FiniteSupportTree(Tree):
     def node_sort_key(self, node: Node):
         return node.address
 
-    def has_branches(self) -> bool:
-        return True
-
     def branch(self, presentation) -> Branch:
         if not isinstance(presentation, tuple):
             presentation = _as_support_map(presentation)
@@ -325,10 +313,6 @@ class FiniteSupportTree(Tree):
 
     def branch_sort_key(self, branch: Branch):
         return branch.presentation
-
-    def branch_from_node(self, node: Node) -> Branch:
-        self.check_node(node)
-        return Branch(node.address)
 
     def separation_level(self, b1: Branch, b2: Branch) -> int:
         m1 = dict(b1.presentation)
@@ -376,9 +360,6 @@ class DecreasingSeqTree(Tree):
 
     def node_sort_key(self, node: Node):
         return node.address
-
-    def has_branches(self) -> bool:
-        return False
 
     def branch(self, presentation) -> Branch:
         raise NoBranchError("a decreasing-sequence tree has no branches")

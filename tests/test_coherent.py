@@ -331,6 +331,24 @@ def test_normalize_computes_one_entry_per_nonzero_level(sys1):
     assert normal.element == planted(sys1, {sys1.tree.branch(0): 1})
 
 
+def test_normalize_refuses_a_perturbed_cut(sys1, monkeypatch):
+    """A cut that is not ``y_i`` yields a witness other than the coboundary
+    part, which normalization must absorb whole."""
+    a = planted(sys1, {sys1.tree.branch(1): 1}, with_y0(sys1, {(b0(0), 1): 1}))
+    cut = (0, normalize_cobounded(a).bounds.at(0))
+    real = Planted.eval_entry
+
+    def perturbed(self, i, j):
+        entry = real(self, i, j)
+        if (i, j) == cut:
+            entry = entry + y_elem(sys1, 0, {(b0(0), 1): 1})
+        return entry
+
+    monkeypatch.setattr(Planted, "eval_entry", perturbed)
+    with pytest.raises(AssertionError, match="^normalization must absorb the whole coboundary part$"):
+        normalize_cobounded(a)
+
+
 def test_default_horizon_rule(sys1):
     assert default_horizon(zero_element(sys1)) == 8
     deep = planted(sys1, {}, coboundary(sys1, {

@@ -292,7 +292,7 @@ def _forge(tamper, dec, system, rng):
                          system.ring, system.tree)
         return dataclasses.replace(dec, residual=dec.residual + coboundary(system, {level: bump}))
     if tamper == "add":
-        if not tree.has_branches():
+        if tree.branch_count() == 0:
             return None
         present = {b for b, _ in combo}
         extra = [b for b in sample_branches(tree, rng, 4) if b not in present]
@@ -376,6 +376,26 @@ def test_witness_computes_only_the_agreement_probe(sys1, monkeypatch):
     assert w.verified_to == 2 * (level + 1) + 4
 
 
+def test_agreement_check_evaluates_only_pairs_at_the_y_levels(sys1, monkeypatch):
+    """Past the probe the difference has no branch part, so entry ``(i, j)``
+    vanishes unless ``i`` or ``j`` is a level of its ``y``.  With the index
+    set omitting only that level L = 400, the probe is the one entry
+    computed, where a sweep of every represented pair below L + 1 computed
+    80,201; the full index set still fails at ``(0, L)``."""
+    level = 400
+    fact = coboundary(sys1, {level: module_element(
+        level, {(Node(level, 1), level + 1): 1}, sys1.ring, sys1.tree)})
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    b = a + planted(sys1, {}, fact)
+    all_but_level = tailset(range(level), level + 1)
+    computed = counting_entries(monkeypatch)
+    w = witness_equivalence(a, b, index_set(all_but_level, [ProPiece(0, None, all_but_level)]))
+    assert len(computed) == 1
+    assert w.y == (a - b).fact
+    with pytest.raises(ValueError, match=rf"^entries differ on the index set at \(0, {level}\)$"):
+        witness_equivalence(a, b, ind_omega())
+
+
 def test_witness_refuses_a_tampered_coboundary(sys1, monkeypatch):
     """With the agreement check stubbed out, an inequivalent pair reaches the
     presentation check, and a coboundary cannot present a branch part."""
@@ -435,6 +455,50 @@ def test_witness_is_the_difference_fact(system, rng, data):
     assert w.y == diff.fact
     assert w.y == repair_witness(diff, pairs)
     assert w.to_json()["index_set"] == pairs.to_json()
+
+
+def reference_vanishes_on(diff, pairs):
+    """The sweep the agreement check replaced: the probe, then every
+    represented pair below the stabilization bound and one representative of
+    each row past it, in lexicographic order."""
+    p = pairs.first.min_from(diff.probe_bound)
+    q = pairs.pro(p).min_value()
+    if not diff.eval_entry(p, q).is_zero():
+        raise ValueError(f"entries differ on the index set at ({p}, {q})")
+    stab = diff.stab_bound
+    for i in range(stab):
+        if not pairs.first.contains(i):
+            continue
+        pro = pairs.pro(i)
+        for j in (*pro.elements_below(stab), pro.min_from(stab)):
+            if not diff.eval_entry(i, j).is_zero():
+                raise ValueError(f"entries differ on the index set at ({i}, {j})")
+
+
+def vanishing_verdict(check, diff, pairs):
+    try:
+        check(diff, pairs)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(WITNESS_SYSTEMS), rng=st.randoms(use_true_random=False),
+       data=st.data())
+def test_agreement_check_matches_the_full_sweep(system, rng, data):
+    """Agreement and the first disagreeing pair, read at the levels of ``y``
+    only, are those of the sweep over every represented pair."""
+    a = random_planted(system, rng, max_fact_levels=2)
+    if data.draw(st.booleans(), label="branch part"):
+        b = random_planted(system, rng, max_fact_levels=2)
+    else:
+        # one level of y, so most pairs (i, k) have i outside the levels of y
+        b = a + planted(system, {}, random_coboundary(system, rng, max_levels=1))
+    diff = a - b
+    pairs = agreeing_index_set(data, data.draw(st.integers(0, diff.stab_bound), label="floor"))
+    assert (vanishing_verdict(decomp._check_vanishes_on, diff, pairs)
+            == vanishing_verdict(reference_vanishes_on, diff, pairs))
 
 
 def test_equiv_witness_index_set_is_the_full_index_set(sys1):

@@ -17,6 +17,7 @@ from invsys import (
     System,
     branch_generator,
     coboundary,
+    generator,
     module_element,
     planted,
     truncate,
@@ -404,6 +405,62 @@ def test_tables_are_zero_outside_their_blocks(system):
             assert y.dtype == trunc.dtype and np.array_equal(y, t[:, top])
             assert not y[trunc._rows(top)].any()
             assert np.array_equal(y, top_solution(trunc, t))
+
+
+# -- the coordinate layout -------------------------------------------------------
+
+
+def layout_case(system, height):
+    """A truncation over two random elements' universe, with its nodes per
+    level in sort order."""
+    rng = Random(f"rows/{system.tree.kind}/{system.ring.modulus}/{height}")
+    elems = [random_planted(system, rng, level_cap=min(3, height - 2), index_cap=height - 1)
+             for _ in range(2)]
+    universe = universe_for(system, elems, height)
+    nodes = [sorted(universe[i], key=system.tree.node_sort_key) for i in range(height)]
+    return truncate(system, height, universe), nodes
+
+
+@pytest.mark.parametrize("height", range(3, 9))
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+def test_generators_run_node_by_node_then_by_index(system, height):
+    """Level ``i`` lists its generators node by node in sort order, ``l = i+1
+    .. height-1`` within a node, and a generator vectorizes to its unit vector."""
+    trunc, nodes = layout_case(system, height)
+    for i in range(height):
+        gens = [(node, l) for node in nodes[i] for l in range(i + 1, height)]
+        assert [trunc._position(i, node, l) for node, l in gens] == list(range(trunc.dim(i)))
+        unit = np.eye(trunc.dim(i), dtype=np.int64)
+        for pos, (node, l) in enumerate(gens):
+            vec = trunc.vectorize(generator(node, l, system.ring, system.tree))
+            assert vec.dtype == trunc.dtype and np.array_equal(vec, unit[pos])
+
+
+@pytest.mark.parametrize("height", range(3, 9))
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+def test_hom_columns_follow_the_generator_rule(system, height):
+    """Column ``(eta, l)`` of level ``j`` holds, in each block ``i < j``,
+    exactly ``1`` at ``(eta|i, l)`` and ``m - 1`` at ``(eta|i, j)``, and
+    nothing in the rows of level ``j`` and above."""
+    trunc, nodes = layout_case(system, height)
+    tree, m, o = system.tree, trunc.modulus, trunc._offsets
+    for j in range(height):
+        for eta in nodes[j]:
+            for l in range(j + 1, height):
+                want = np.zeros(o[-1], dtype=np.int64)
+                for i in range(j):
+                    nu = tree.restrict(eta, i)
+                    want[o[i] + trunc._position(i, nu, l)] = 1
+                    want[o[i] + trunc._position(i, nu, j)] = m - 1
+                assert np.array_equal(trunc._hom[:, o[j] + trunc._position(j, eta, l)], want)
+
+
+def test_truncated_system_fields_are_set_once(sys1):
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
+    for f in dataclasses.fields(trunc):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trunc, f.name, getattr(trunc, f.name))
 
 
 # -- the scattered primary table -----------------------------------------------
