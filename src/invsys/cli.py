@@ -11,11 +11,17 @@ failure: a certificate the library built did not re-verify.
 Only ``oracle-verify`` imports the matrix oracle (and with it numpy) and the
 random sampler, inside its handler; ``check``, ``decompose``, ``equiv`` and
 ``card`` run on the symbolic modules alone.
+
+``main(argv)`` may be called any number of times in one process.  The calls
+share one argument parser, built on the first call (never at import), and
+each gets a fresh namespace, so the stdout of a call is byte for byte what a
+fresh process prints for the same arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,7 +74,9 @@ def load_element(path: str, system: System) -> Planted:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="invsys",
         description="exact computations in inverse systems of free Z/m-modules over a tree",

@@ -24,6 +24,13 @@ sweep over all C(h, 3) runs only to report the violations of an incoherent
 family.  ``check`` still tests restriction stability on every triple, so its
 cost stays O(h^3).
 
+Restriction stability is a corollary of coherence: coherence on all triples
+implies stability on all triples.  For ``i < j < k`` coherence gives
+``a[i,k] - a[i,j] = hom_i(a[j,k])``, and ``hom_i`` sends a level-j generator
+``(eta, l)``, where ``l > j``, to ``(eta|i, l) - (eta|i, j)``, so every term of
+the difference has index >= j and the parts below ``j`` agree.  The stability
+sweep is kept as an independent reading of the entries.
+
 Input is validated where it enters: ``planted`` checks every branch
 presentation, ``coboundary`` every level, and the ``from_json`` constructors
 parse files through them and ``module_element``.  A ``Planted`` is a frozen
@@ -137,13 +144,18 @@ class Planted:
     """A branch-generator combination plus a coboundary part.
 
     ``_entries`` is the element's table of evaluated entries, keyed by
-    ``(i, j)``; it takes no part in equality, hashing or ``repr``.
+    ``(i, j)``, and ``_branch_nodes`` maps a level ``i`` to the ``(node,
+    coefficient)`` pairs of ``combo`` at that level, which every entry
+    ``(i, j)`` shares; neither takes part in equality, hashing or ``repr``.
     """
 
     system: System
     combo: tuple[tuple[Branch, int], ...]  # (branch, nonzero coefficient), canonical
     fact: Coboundary
     _entries: dict[tuple[int, int], ModuleElement] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+    _branch_nodes: dict[int, tuple[tuple[Node, int], ...]] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
@@ -184,9 +196,12 @@ class Planted:
         if not 0 <= i < j:
             raise ValueError(f"need 0 <= i < j, got ({i}, {j})")
         tree = self.system.tree
+        nodes = self._branch_nodes.get(i)
+        if nodes is None:
+            nodes = tuple((tree.branch_node(branch, i), coeff) for branch, coeff in self.combo)
+            self._branch_nodes[i] = nodes
         acc: dict[tuple[Node, int], int] = {}
-        for branch, coeff in self.combo:
-            node = tree.branch_node(branch, i)
+        for node, coeff in nodes:
             acc[(node, j)] = acc.get((node, j), 0) + coeff
         # the coboundary part y_i - hom(y_j), summed into the same map
         y = self.fact._by_level
@@ -422,6 +437,12 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
 
     Entries are canonical, so the parts agree exactly when the terms with
     generator index below ``j`` do, in order.
+
+    Coherence on all triples implies stability on all triples:
+    ``a[i,k] - a[i,j] = hom_i(a[j,k])``, and every term of that has index
+    >= j, since ``hom_i`` sends the level-j generator ``(eta, l)`` to
+    ``(eta|i, l) - (eta|i, j)`` with ``l > j``.  The argument needs only that
+    every entry's generator indices exceed its level.
 
     ``eval_fn`` substitutes the entry map, letting tests inject faults.
     """

@@ -10,28 +10,36 @@ arithmetic inside the package trusts it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 
 class SchemaError(ValueError):
     """An input file failed validation; the message carries the JSON path."""
 
 
-@contextmanager
-def at(path: str):
+class at:
     """Report a malformed value met in the block as a ``SchemaError`` at ``path``.
 
     A missing key is reported at ``path.key``, so a block subscripts only the
     JSON object found at ``path``.  A ``SchemaError`` passes through unchanged.
+    A class rather than a generator-based context manager, since every parsed
+    JSON value enters two or three of these blocks.
     """
-    try:
-        yield
-    except SchemaError:
-        raise
-    except KeyError as exc:
-        raise SchemaError(f"{path}.{exc.args[0]}: missing key") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if kind is None or issubclass(kind, SchemaError):
+            return False
+        if issubclass(kind, KeyError):
+            raise SchemaError(f"{self.path}.{exc.args[0]}: missing key") from exc
+        if issubclass(kind, (TypeError, ValueError)):
+            raise SchemaError(f"{self.path}: {exc}") from exc
+        return False
 
 
 def json_int(value, what: str) -> int:

@@ -553,3 +553,62 @@ def test_card_unseparated_probe_entry_exit_3(tmp_path, sys1, capsys, monkeypatch
     assert json.loads(out.out) == {"error": "internal certification failure: "
                                             "branch nodes are not separated at the probe level"}
     assert out.err == ""
+
+
+# -- one parser per process ------------------------------------------------------------
+
+FRESH_CALL = "import sys; from invsys.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def fresh_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def fresh_call(argv, cwd):
+    """Exit code and stdout of ``main(argv)`` in a new interpreter."""
+    child = subprocess.run([sys.executable, "-c", FRESH_CALL, *argv], capture_output=True,
+                           text=True, cwd=cwd, env=fresh_env(), timeout=120)
+    return child.returncode, child.stdout
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_builds_no_parser(tmp_path):
+    probe = "import invsys.cli as c; print(c.build_parser.cache_info().currsize)"
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           cwd=tmp_path, env=fresh_env(), timeout=120, check=True)
+    assert child.stdout == "0\n"
+
+
+def test_repeated_elements_do_not_leak_into_the_next_call(tmp_path, sys1, sys1_path, capsys,
+                                                          monkeypatch):
+    """``--element`` appends to a list whose default the parser keeps; two
+    elements for ``equiv`` must not reach the ``decompose`` call after it."""
+    monkeypatch.chdir(tmp_path)
+    gen_file(tmp_path, sys1, "a.json", 0)
+    gen_file(tmp_path, sys1, "b.json", 1)
+    calls = [["--system", "sys1.json", "--element", "a.json", "--element", "b.json",
+              "--cmd", "equiv"],
+             ["--system", "sys1.json", "--element", "a.json", "--cmd", "decompose"]]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert in_process == [fresh_call(argv, tmp_path) for argv in calls]
+    assert [code for code, _ in in_process] == [1, 0]
+
+
+def test_a_call_refused_by_the_parser_leaves_the_next_unchanged(tmp_path, sys1, sys1_path,
+                                                                 capsys):
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    argv = ["--system", sys1_path, "--element", a, "--cmd", "decompose"]
+    before = main(argv), capsys.readouterr().out
+    assert before[0] == 0
+    with pytest.raises(SystemExit) as caught:
+        main(["--system", sys1_path, "--element", a, "--element", a])  # no --cmd
+    assert caught.value.code == 2
+    assert "--cmd" in capsys.readouterr().err
+    assert (main(argv), capsys.readouterr().out) == before

@@ -19,7 +19,7 @@ from invsys import (
     singleton,
     zero_element,
 )
-from invsys.sampling import random_coboundary, random_planted
+from invsys.sampling import random_coboundary, random_planted, sample_node
 
 
 def b0(level):
@@ -204,6 +204,38 @@ def test_restriction_stability_detects_fault(sys1):
 
 def test_restriction_stability_zero(sys2):
     assert restriction_stability(zero_element(sys2), 0, 1, 2)
+
+
+def test_coherence_rejects_every_fault_that_breaks_stability(sys1, sys2, sysf):
+    """Stability is a corollary of coherence: ``a[i,k] - a[i,j] = hom_i(a[j,k])``
+    has every term at index >= j.  So a single-term fault that breaks stability
+    on some triple below the horizon also breaks coherence there."""
+    h = 9
+    rng = Random(91)
+    for system in (sys1, sys2, sysf):
+        ring, tree = system.ring, system.tree
+        unstable = 0
+        for _ in range(200):
+            a = random_planted(system, rng, level_cap=4, index_cap=h)
+            i = rng.randrange(h - 1)
+            j = rng.randrange(i + 1, h)
+            terms = a.eval_entry(i, j).terms
+            if terms and rng.random() < 0.5:  # a fault on a term already there
+                node, l, _ = rng.choice(terms)
+            else:
+                node, l = sample_node(tree, rng, i), rng.randint(i + 1, h)
+            fault = y_elem(system, i, {(node, l): rng.randrange(1, ring.modulus)})
+
+            def faulted(p, q, a=a, i=i, j=j, fault=fault):
+                entry = a.eval_entry(p, q)
+                return entry + fault if (p, q) == (i, j) else entry
+
+            stable = all(restriction_stability(a, p, q, r, eval_fn=faulted)
+                         for p in range(h) for q in range(p + 1, h) for r in range(q + 1, h))
+            if not stable:
+                unstable += 1
+                assert not check_coherence(a, h, eval_fn=faulted), (a, i, j, fault)
+        assert unstable >= 10, (system, unstable)
 
 
 # -- the nonzero-cut witness for coboundaries ------------------------------------------
