@@ -168,19 +168,16 @@ class Planted:
         """A level past which entries are supported on separated branch nodes,
         each naming its branch outright and carrying its exact coefficient.
 
-        This single number stands in for the unbounded-pigeonhole arguments
-        that justify branch extraction: all structure read at or beyond it is
-        still certified against the evaluation map afterwards.
+        It is the larger of the coboundary's stability bound and every
+        branch's presentation level: at or above both presentation levels a
+        node names its branch, so distinct branches already select distinct
+        nodes there, with no pairwise comparison.  This single number stands
+        in for the unbounded-pigeonhole arguments that justify branch
+        extraction: all structure read at or beyond it is still certified
+        against the evaluation map afterwards.
         """
-        bound = self.stab_bound
-        branches = [b for b, _ in self.combo]
         tree = self.system.tree
-        for b in branches:
-            bound = max(bound, tree.presentation_level(b))
-        for m, b1 in enumerate(branches):
-            for b2 in branches[m + 1:]:
-                bound = max(bound, tree.separation_level(b1, b2))
-        return bound
+        return max([self.stab_bound, *(tree.presentation_level(b) for b, _ in self.combo)])
 
     def is_zero(self) -> bool:
         return not self.combo and self.fact.is_zero()

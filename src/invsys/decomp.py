@@ -263,10 +263,11 @@ def quotient_card_report(system: System) -> dict:
 
     Branchless trees collapse to a single class.  A finite branch family of
     size n yields exactly ``|R| ** n`` classes, certified up to 64 classes by
-    the separation lemma.  At the probe bound ``p`` of the sum of all n
-    generators, entry ``(p, p+1)`` must be n terms at index ``p + 1`` with
-    coefficient 1: the branch nodes at ``p`` are pairwise distinct, and stay
-    so at every ``q >= p``.  Entry ``(q, q+1)`` of ``sum_t c_t g_t`` is
+    the separation lemma.  The probe bound ``p`` of the sum of all n
+    generators is their largest presentation level, where each branch node
+    names its branch.  Entry ``(p, p+1)`` must be n terms at index ``p + 1``
+    with coefficient 1, which checks that: the branch nodes at ``p`` are
+    pairwise distinct, and stay so at every ``q >= p``.  Entry ``(q, q+1)`` of ``sum_t c_t g_t`` is
     ``sum_t c_t (t(q), q+1)``, nonzero whenever some ``c_t`` is, while a
     coboundary's entries vanish once ``q`` passes its top level.  So no
     nonzero combination is equivalent to zero and, by linearity, all

@@ -8,11 +8,10 @@ the generator ``(eta, l)`` of level j to ``(eta|i, l) - (eta|i, j)``.
 
 Terms are validated once, where they enter: ``module_element`` checks each
 term's node, level and generator index, and ``ModuleElement.from_json`` reads
-files through it.  The internal paths (``+``, ``-``, ``scale``,
-``restrict_to`` and ``apply_hom``) only recombine the terms of elements that
-are already valid, and restriction keeps a valid node valid, so they skip
-those checks: they reduce, drop zeros and sort through the trusted
-``_canonical``.  Two trusted accumulators sit below them: ``_add_terms``
+files through it.  The internal paths (``+``, ``-``, ``restrict_to`` and
+``apply_hom``) only recombine the terms of elements that are already valid,
+and restriction keeps a valid node valid, so they skip those checks: they
+reduce, drop zeros and sort through the trusted ``_canonical``.  Two trusted accumulators sit below them: ``_add_terms``
 adds ``sign * e`` and ``_add_hom`` adds ``sign * hom(e)`` into an unreduced
 ``(node, l) -> int`` map and validate nothing, so a caller can sum several
 elements and images and reduce once, or test the sum for zero without
@@ -73,13 +72,6 @@ class ModuleElement:
     def __neg__(self) -> ModuleElement:
         return _canonical(
             self.level, {(n, l): -c for n, l, c in self.terms}, self.ring, self.tree
-        )
-
-    def scale(self, c) -> ModuleElement:
-        value = c.value if isinstance(c, RingElem) else int(c)
-        return _canonical(
-            self.level, {(n, l): value * coeff for n, l, coeff in self.terms},
-            self.ring, self.tree,
         )
 
     # -- queries ------------------------------------------------------------

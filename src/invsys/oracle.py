@@ -45,10 +45,13 @@ covers every small modulus; above it they hold Python integers
 (``dtype=object``), so the oracle stays exact for every ``m``.
 
 Node universe.  ``universe_for`` closes the nodes an element touches under
-restriction top-down: a branch adds its top node with all its restrictions
-first, so its lower nodes are already present and a branch costs
+restriction: a branch adds only its top node, whose restrictions are the
+branch's lower nodes, so a branch costs one ``branch_node`` call and
 ``height - 1`` restrictions.  Those nodes come from trusted branch handles and
-validated ``y`` terms, so they are restricted without re-validation.
+validated ``y`` terms, so they are restricted without re-validation.  A tree
+whose branch nodes broke that rule would still be caught: by ``truncate``'s
+closure check, and by ``independent_table``, which refuses a branch node
+outside the universe.
 ``truncate`` takes any universe, so it validates each node once, then checks
 closure for every node against every lower level through the unvalidated
 restriction, and checks the hom maps' composition law on the result.
@@ -353,10 +356,8 @@ def universe_for(system: System, elements, height: int) -> dict[int, set[Node]]:
 
     for elem in elements:
         for branch, _ in elem.combo:
-            # top level first: every lower branch node is then a restriction
-            # already present, so a branch costs height - 1 restrictions
-            for i in reversed(range(height)):
-                add(tree.branch_node(branch, i))
+            # the restrictions of the top node are the branch's lower nodes
+            add(tree.branch_node(branch, height - 1))
         for level, y_elem in elem.fact.entries:
             if level >= height:
                 raise ValueError(f"coboundary level {level} lies outside the truncation")

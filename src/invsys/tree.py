@@ -109,7 +109,9 @@ class Tree:
     def branch_node(self, branch: Branch, i: int) -> Node:
         """The node the branch passes through at level ``i``.
 
-        The handle is trusted: ``branch`` validated its presentation.
+        The handle is trusted: ``branch`` validated its presentation.  Every
+        branch node is the restriction of the branch's higher nodes, so the
+        node at the top level of a truncation supplies all the lower ones.
         """
         raise NotImplementedError
 
@@ -126,11 +128,27 @@ class Tree:
         return Branch(node.address)
 
     def separation_level(self, b1: Branch, b2: Branch) -> int:
-        """Least level past which two distinct branches select distinct nodes."""
-        raise NotImplementedError
+        """Least level from which two distinct branches select distinct nodes.
+
+        It never exceeds the larger presentation level, where each node names
+        its branch, so the search starts there and steps down while the two
+        branch nodes still differ.
+        """
+        level = max(self.presentation_level(b1), self.presentation_level(b2))
+        if b1 == b2:
+            raise ValueError("branches do not separate: equal presentations")
+        while level and self.branch_node(b1, level - 1) != self.branch_node(b2, level - 1):
+            level -= 1
+        return level
 
     def presentation_level(self, branch: Branch) -> int:
-        """Least level from which the branch's node determines the branch."""
+        """Least level from which the branch's node determines the branch.
+
+        At or above it no other branch passes through that node, so distinct
+        branches select distinct nodes at any level at or above both of their
+        presentation levels; the probe bound and ``card``'s certificate rest
+        on this alone.
+        """
         raise NotImplementedError
 
     # -- serialization ----------------------------------------------------
@@ -231,9 +249,6 @@ class DisjointBranchesTree(Tree):
     def branch_sort_key(self, branch: Branch):
         return (branch.presentation,)
 
-    def separation_level(self, b1: Branch, b2: Branch) -> int:
-        return 0
-
     def presentation_level(self, branch: Branch) -> int:
         return 0
 
@@ -314,14 +329,6 @@ class FiniteSupportTree(Tree):
     def branch_sort_key(self, branch: Branch):
         return branch.presentation
 
-    def separation_level(self, b1: Branch, b2: Branch) -> int:
-        m1 = dict(b1.presentation)
-        m2 = dict(b2.presentation)
-        if m1 == m2:
-            raise ValueError("branches do not separate: equal presentations")
-        first_diff = min(p for p in set(m1) | set(m2) if m1.get(p, 0) != m2.get(p, 0))
-        return first_diff + 1
-
     def presentation_level(self, branch: Branch) -> int:
         if not branch.presentation:
             return 0
@@ -375,9 +382,6 @@ class DecreasingSeqTree(Tree):
 
     def branch_from_node(self, node: Node) -> Branch:
         raise NoBranchError("no branch passes through a decreasing-sequence node")
-
-    def separation_level(self, b1: Branch, b2: Branch) -> int:
-        raise NoBranchError("a decreasing-sequence tree has no branches")
 
     def presentation_level(self, branch: Branch) -> int:
         raise NoBranchError("a decreasing-sequence tree has no branches")

@@ -3,8 +3,13 @@ from random import Random
 import pytest
 
 from invsys import (
+    DecreasingSeqTree,
+    DisjointBranchesTree,
+    FiniteSupportTree,
     Node,
     Planted,
+    Ring,
+    System,
     below,
     branch_generator,
     check_coherence,
@@ -19,7 +24,7 @@ from invsys import (
     singleton,
     zero_element,
 )
-from invsys.sampling import random_coboundary, random_planted, sample_node
+from invsys.sampling import random_coboundary, random_planted, sample_branches, sample_node
 
 
 def b0(level):
@@ -163,6 +168,45 @@ def test_entries_past_stab_bound_are_pure_branch_form(sys1, sysf):
             for i in range(a.stab_bound, a.stab_bound + 3):
                 for j in range(i + 1, i + 4):
                     assert a.eval_entry(i, j) == bare.eval_entry(i, j)
+
+
+def pairwise_probe_bound(a):
+    """The probe bound as the larger of the stability bound, every presentation
+    level and every pair's separation level, each family's formula spelled out."""
+    tree = a.system.tree
+    branches = [b for b, _ in a.combo]
+
+    def separation(b1, b2):
+        if isinstance(tree, DisjointBranchesTree):
+            return 0
+        m1, m2 = dict(b1.presentation), dict(b2.presentation)
+        return min(p for p in set(m1) | set(m2) if m1.get(p, 0) != m2.get(p, 0)) + 1
+
+    bound = max([a.stab_bound, *(tree.presentation_level(b) for b in branches)])
+    for k, b1 in enumerate(branches):
+        for b2 in branches[k + 1:]:
+            bound = max(bound, separation(b1, b2))
+    return bound
+
+
+@pytest.mark.parametrize("system", (
+    System(Ring(3), DisjointBranchesTree(7)),
+    System(Ring(2), FiniteSupportTree((), 2)),
+    System(Ring(4), FiniteSupportTree((2, 3), 2)),
+    System(Ring(5), FiniteSupportTree((1, 3, 1), 3)),
+    System(Ring(6), DecreasingSeqTree()),
+), ids=lambda s: f"{s.tree.kind}-m{s.ring.modulus}")
+def test_probe_bound_matches_pairwise_separation(system):
+    """Presentation levels alone give the probe bound: no pair of branches
+    separates above the larger of their presentation levels."""
+    rng = Random(f"probe/{system.tree.to_json()}/{system.ring.modulus}")
+    has_branches = system.tree.branch_count() != 0
+    for _ in range(60):
+        count = rng.randint(0, 6) if has_branches else 0
+        combo = {b: rng.randrange(1, system.ring.modulus)
+                 for b in sample_branches(system.tree, rng, count)}
+        a = planted(system, combo, random_coboundary(system, rng))
+        assert a.probe_bound == pairwise_probe_bound(a)
 
 
 def test_eq_randomized(sys1, sys3, sysf):

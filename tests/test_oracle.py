@@ -498,6 +498,40 @@ def test_primary_table_matches_entrywise_vectors(system):
                     assert vec.dtype == want.dtype and np.array_equal(vec, want)
 
 
+def levelwise_universe(system, elements, height):
+    """``universe_for`` as a walk over every level of each branch, top down."""
+    tree = system.tree
+    levels = {i: set() for i in range(height)}
+
+    def add(node):
+        if node in levels[node.level]:
+            return
+        levels[node.level].add(node)
+        for lower in range(node.level):
+            levels[lower].add(tree._restrict(node, lower))
+
+    for elem in elements:
+        for branch, _ in elem.combo:
+            for i in reversed(range(height)):
+                add(tree.branch_node(branch, i))
+        for _, y_elem in elem.fact.entries:
+            for node, _, _ in y_elem.terms:
+                add(node)
+    return levels
+
+
+@pytest.mark.parametrize("height", range(3, 9))
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+def test_branch_top_node_supplies_its_lower_nodes(system, height):
+    """Adding each branch's top node alone gives the universe that adding its
+    node at every level gives."""
+    rng = Random(f"top-node/{system.tree.kind}/{system.ring.modulus}/{height}")
+    for _ in range(6):
+        elems = [random_planted(system, rng, level_cap=min(3, height - 2),
+                                index_cap=height - 1) for _ in range(2)]
+        assert universe_for(system, elems, height) == levelwise_universe(system, elems, height)
+
+
 def test_primary_table_rejects_entries_outside_the_truncation(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
@@ -604,8 +638,8 @@ def test_oracle_setup_restricts_trusted_nodes_once(system, presentation, monkeyp
     h = SETUP_HEIGHT
     a = branch_generator(system, system.tree.branch(presentation))
     calls = counting_tree_work(monkeypatch, system.tree)
-    # the branch's top node is restricted to every lower level; each lower
-    # branch node is then already present, and nothing is re-validated
+    # the branch adds only its top node, restricted to every lower level,
+    # and nothing is re-validated
     universe = universe_for(system, [a], h)
     assert calls == {"_restrict": h - 1, "check_node": 0}
     assert [len(universe[i]) for i in range(h)] == [1] * h

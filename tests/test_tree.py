@@ -175,6 +175,48 @@ def test_separation_and_presentation_levels():
     assert disj.separation_level(disj.branch(0), disj.branch(1)) == 0
 
 
+SEPARATION_TREES = (
+    DisjointBranchesTree(3),
+    FiniteSupportTree((), 2),
+    FiniteSupportTree((2, 3), 2),
+    FiniteSupportTree((1, 4, 1), 3),
+    FiniteSupportTree((3, 1, 2, 5), 2),
+)
+SEPARATION_CAP = 12  # above every position sample_branch draws
+
+
+def brute_separation_level(tree, b1, b2):
+    """The least level at which the branch nodes differ, and they differ at
+    every level above it up to the cap; read off ``branch_node`` alone."""
+    differ = [tree.branch_node(b1, i) != tree.branch_node(b2, i) for i in range(SEPARATION_CAP)]
+    level = differ.index(True)
+    assert all(differ[level:])
+    return level
+
+
+@given(tree=st.sampled_from(SEPARATION_TREES), rng=st.randoms(use_true_random=False),
+       max_position=st.integers(0, 6))
+def test_separation_level_is_the_first_level_where_branch_nodes_differ(tree, rng, max_position):
+    b1 = sample_branch(tree, rng, max_position)
+    b2 = sample_branch(tree, rng, max_position)
+    if b1 == b2:
+        with pytest.raises(ValueError, match="branches do not separate: equal presentations"):
+            tree.separation_level(b1, b2)
+        return
+    level = tree.separation_level(b1, b2)
+    assert level == tree.separation_level(b2, b1) == brute_separation_level(tree, b1, b2)
+    assert level <= max(tree.presentation_level(b1), tree.presentation_level(b2))
+
+
+def test_separation_level_refuses_equal_branches_and_branchless_trees():
+    for tree in SEPARATION_TREES:
+        b = sample_branch(tree, Random(7))
+        with pytest.raises(ValueError, match="branches do not separate: equal presentations"):
+            tree.separation_level(b, b)
+    with pytest.raises(NoBranchError, match="a decreasing-sequence tree has no branches"):
+        DecreasingSeqTree().separation_level(Branch(()), Branch((1,)))
+
+
 def test_tree_json_round_trip(sys1, sys2, sysf):
     from invsys import Tree
 
