@@ -1,7 +1,12 @@
 """Command-line front door: load system and element files, run checks,
 decompositions, equivalence decisions, cardinality reports, and brute-force
-verification.  Output is deterministic JSON (stable key order) or a plain
-text rendering of the same structure.
+verification.  Output is deterministic JSON or a plain text rendering of the
+same structure.  The JSON layout is exactly that of ``json.dumps(report,
+sort_keys=True, indent=2)``: two-space indent, sorted keys, ASCII escapes.  The
+CLI writes it itself because before Python 3.14 ``json`` runs its C encoder only
+without ``indent``, and the pure-Python indented path was a large share of a
+small call's time.  In both formats, a path that is not valid UTF-8 appears
+with its undecodable bytes escaped as ``\\udcXX``.
 
 Exit codes: 0 success / true / equivalent, 1 false / inequivalent (with a
 certificate in the report), 2 input or schema error; a schema error names
@@ -35,6 +40,9 @@ from .coherent import (
 )
 from .decomp import decompose, equiv_decide, quotient_card_report
 from .system import SchemaError, System
+
+# The C escaper ``json.dumps`` uses for ``ensure_ascii`` output.
+_escape = json.encoder.encode_basestring_ascii
 
 # ``check`` decides coherence from the C(h-1, 2) consecutive index triples,
 # but it tests restriction stability on all C(h, 3) triples, and an
@@ -238,11 +246,62 @@ def _render_text(report, indent: int = 0) -> list[str]:
     return lines
 
 
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` exactly as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it, ``pad`` being the indent of the line it starts on.
+
+    Only what reports hold is accepted: dicts with ``str`` keys, lists and
+    tuples, ``str``, ``int``, ``bool`` and ``None``; anything else raises
+    ``TypeError``, as ``json.dumps`` does for a type it cannot encode.
+    """
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, _escape(key), ": ")
+            _write_json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        out: list[str] = []
+        _write_json(report, "", out)
+        print("".join(out))
     else:
-        print("\n".join(_render_text(report)))
+        # A path that is not valid UTF-8 reaches the report as lone
+        # surrogates, which a strict stdout refuses; print them escaped.
+        text = "\n".join(_render_text(report))
+        print(text.encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invsys import (
     Node,
@@ -612,3 +614,67 @@ def test_a_call_refused_by_the_parser_leaves_the_next_unchanged(tmp_path, sys1, 
     assert caught.value.code == 2
     assert "--cmd" in capsys.readouterr().err
     assert (main(argv), capsys.readouterr().out) == before
+
+
+# -- the JSON writer and the output encoding -------------------------------------------
+
+# Strings over all of Unicode, lone surrogates included, with the characters
+# JSON must escape drawn often.
+JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\udcff\u2028')))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 300, 10 ** 300) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_writer_prints_the_bytes_of_indented_json_dumps(value):
+    out = []
+    cli._write_json(value, "", out)
+    assert "".join(out) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_writer_writes_tuples_as_lists():
+    out = []
+    cli._write_json({"t": (1, ("a", None)), "e": ()}, "", out)
+    assert "".join(out) == json.dumps({"t": [1, ["a", None]], "e": []}, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, [{"ok": [None, 2.0]}], {"k": object()}])
+def test_writer_refuses_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._write_json(value, "", [])
+
+
+def test_path_that_is_not_utf8_prints_escaped_in_both_formats(tmp_path, sys1):
+    """A path with an undecodable byte reaches the report as a lone surrogate;
+    a strict UTF-8 stdout must print it escaped, with the exit code of the
+    answer, not a traceback."""
+    name, bad = os.fsdecode(b"a\xff.json"), os.fsdecode(b"c\xff.json")
+    try:
+        gen_file(tmp_path, sys1, name, 0)
+        write_json(tmp_path / bad, {"combo": 3})
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a name that is not valid UTF-8")
+    gen_file(tmp_path, sys1, "a.json", 0)
+    write_json(tmp_path / "sys1.json", sys1.to_json())
+    env = {**fresh_env(), "PYTHONIOENCODING": "utf-8"}
+
+    def call(element, fmt):
+        argv = ["--system", "sys1.json", "--element", element, "--cmd", "decompose",
+                "--format", fmt]
+        child = subprocess.run([sys.executable, "-c", FRESH_CALL, *argv], capture_output=True,
+                               cwd=tmp_path, env=env, timeout=120)
+        assert child.stderr == b""
+        return child.returncode, child.stdout.decode("ascii")
+
+    error = r"c\udcff.json: $.combo: expected a list, got int"
+    for fmt in ("json", "text"):
+        code, out = call("a.json", fmt)
+        assert code == 0
+        assert call(name, fmt) == (0, out.replace("a.json", r"a\udcff.json"))
+    assert call(bad, "json") == (2, f'{{\n  "error": "{error}"\n}}\n')
+    assert call(bad, "text") == (2, f"error: {error}\n")

@@ -131,6 +131,27 @@ def test_cli_stdout_matches_golden(case, expected, tmp_path, monkeypatch):
     assert run(CASES[case]) == expected[case]
 
 
+def test_reports_never_reach_the_pure_python_encoder(expected, tmp_path, monkeypatch):
+    """``json.dumps(indent=2)`` runs the pure-Python ``_make_iterencode``; the
+    CLI must print the same bytes without it."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(RuntimeError, match="pure-Python"):
+        json.dumps({"probe": 1}, indent=2)
+    write_inputs(tmp_path)
+    (tmp_path / "bad.json").write_text('{"combo": 3}')
+    monkeypatch.chdir(tmp_path)
+    for case in ("disjoint/decompose/json", "disjoint/equiv-equivalent/json",
+                 "disjoint/equiv-inequivalent/json", "disjoint/card/json",
+                 "finite_support/check/json"):
+        assert run(CASES[case]) == expected[case]
+    refused = ["--system", "disjoint.system.json", "--element", "bad.json", "--cmd", "decompose"]
+    assert run(refused) == {
+        "exit": 2, "stdout": '{\n  "error": "bad.json: $.combo: expected a list, got int"\n}\n'}
+
+
 # Runs the golden cases in argv[1] through ``main`` in a fresh interpreter,
 # reports which of numpy, the oracle, the index sets and the sampler they
 # loaded, then runs the oracle-verify case in argv[2] in the same process.
