@@ -161,17 +161,12 @@ def decompose(a: Planted) -> Decomposition:
     p = remainder.probe_bound
 
     extracted: list[tuple[Branch, int]] = []
-    if refine_nonzero(remainder, p):
-        n_star = support_bound(remainder, p)
-        while True:
-            d, branch = extract_branch(remainder, p)
-            extracted.append((branch, d.value))
-            remainder = remainder - branch_generator(a.system, branch, d)
-            if len(extracted) > n_star:
-                raise AssertionError("peeling exceeded its support bound")
-            if not refine_nonzero(remainder, p):
-                break
-        if not len(extracted) < n_star:
+    n_star = support_bound(remainder, p)
+    while refine_nonzero(remainder, p):
+        d, branch = extract_branch(remainder, p)
+        extracted.append((branch, d.value))
+        remainder = remainder - branch_generator(a.system, branch, d)
+        if len(extracted) >= n_star:
             raise AssertionError("peeling must finish strictly below the support bound")
 
     tree = a.system.tree

@@ -8,10 +8,14 @@ last interval unbounded.  The effective projection at i is the stored set cut
 down to ``(i, omega)``, so a single stored set can describe the i-dependent
 family ``[i+1, omega)``.
 
-The family is closed under every construction performed here (square
-restriction, coherence repair, refinements); arbitrary subsets of omega such
-as the even numbers are deliberately not representable, which keeps the
-cobounded / coherent / eventually-coherent classification exactly decidable.
+The family is closed under every construction performed here (intersection,
+square restriction, coherence repair); arbitrary subsets of omega such as the
+even numbers are deliberately not representable, which keeps the cobounded /
+coherent / eventually-coherent classification exactly decidable.  Its one
+caller in the package is ``decomp.witness_equivalence``, which classifies the
+index set it is handed and evaluates entries on its pairs; square restriction,
+coherence repair and successor pairs have no caller there and stay defined
+while the benchmark's span tracer names them.
 """
 
 from __future__ import annotations
@@ -40,20 +44,26 @@ class TailSet:
         return self.threshold is not None
 
     def min_value(self) -> int:
-        if self.finite:
-            return self.finite[0]
-        if self.threshold is not None:
-            return self.threshold
-        raise ValueError("empty tail set has no minimum")
+        least = self.least_in(0)
+        if least is None:
+            raise ValueError("empty tail set has no minimum")
+        return least
+
+    def least_in(self, start: int, end: int | None = None) -> int | None:
+        """Least member of ``[start, end)`` (``end=None`` = omega), or ``None``."""
+        least = next((x for x in self.finite if x >= start), None)
+        if least is None and self.threshold is not None:
+            least = max(self.threshold, start)
+        if least is None or (end is not None and least >= end):
+            return None
+        return least
 
     def min_from(self, k: int) -> int:
         """Least member >= k; raises on bounded sets exhausted below k."""
-        for x in self.finite:
-            if x >= k:
-                return x
-        if self.threshold is not None:
-            return max(self.threshold, k)
-        raise ValueError(f"no member of {self!r} at or above {k}")
+        least = self.least_in(k)
+        if least is None:
+            raise ValueError(f"no member of {self!r} at or above {k}")
+        return least
 
     def elements_below(self, k: int) -> tuple[int, ...]:
         out = [x for x in self.finite if x < k]
@@ -64,20 +74,11 @@ class TailSet:
     # -- algebra ------------------------------------------------------------
 
     def intersect(self, other: TailSet) -> TailSet:
-        if self.threshold is not None and other.threshold is not None:
-            t = max(self.threshold, other.threshold)
-        else:
-            t = None
-        cut = t if t is not None else 0
-        probe_to = max(
-            [cut]
-            + [x + 1 for x in self.finite]
-            + [x + 1 for x in other.finite]
-            + ([self.threshold] if self.threshold is not None else [])
-            + ([other.threshold] if other.threshold is not None else [])
-        )
-        finite = [x for x in range(probe_to) if self.contains(x) and other.contains(x)]
-        return tailset(finite, t)
+        finite = [x for x in self.finite if other.contains(x)]
+        finite += [x for x in other.finite if self.contains(x)]
+        if self.threshold is None or other.threshold is None:
+            return tailset(finite)
+        return tailset(finite, max(self.threshold, other.threshold))
 
     def union(self, other: TailSet) -> TailSet:
         if self.threshold is not None or other.threshold is not None:
@@ -87,40 +88,14 @@ class TailSet:
         finite = set(self.finite) | set(other.finite)
         return tailset(finite, t)
 
-    def minus(self, other: TailSet) -> TailSet:
-        """Set difference with a bounded subtrahend."""
-        if other.threshold is not None:
-            raise ValueError("cannot subtract an unbounded set")
-        removed = set(other.finite)
-        finite = [x for x in self.finite if x not in removed]
-        t = self.threshold
-        if t is not None:
-            hi = max(removed, default=-1) + 1
-            finite.extend(x for x in range(t, hi) if x not in removed)
-            t = max(t, hi)
-        return tailset(finite, t)
-
     def shift_past(self, i: int) -> TailSet:
         """The members strictly above ``i``."""
         return self.intersect(tail(i + 1))
 
-    def bounded_minus(self, other: TailSet) -> tuple[int, ...]:
-        """Exact ``self - other`` as a finite tuple; raises if unbounded."""
-        if self.threshold is not None and other.threshold is None:
-            raise ValueError("difference is unbounded")
-        out = [x for x in self.finite if not other.contains(x)]
-        if self.threshold is not None:
-            out.extend(
-                x for x in range(self.threshold, max(other.threshold, self.threshold))
-                if not other.contains(x)
-            )
-        return tuple(sorted(out))
-
     def issubset(self, other: TailSet) -> bool:
-        try:
-            return not self.bounded_minus(other)
-        except ValueError:
-            return False
+        if other.threshold is None:
+            return self.threshold is None and all(other.contains(x) for x in self.finite)
+        return all(other.contains(x) for x in self.elements_below(other.threshold))
 
 
 def tailset(finite=(), threshold: int | None = None) -> TailSet:
@@ -202,19 +177,13 @@ class IndexSet:
     def contains(self, i: int, j: int) -> bool:
         return j > i and self.first.contains(i) and self.stored_at(i).contains(j)
 
-    def boundaries(self) -> tuple[int, ...]:
-        return tuple(p.start for p in self.pieces)
-
     def _relevant_pieces(self) -> list[tuple[int, ProPiece]]:
         """Pieces meeting ``first``, tagged with their least first-member."""
         out = []
         for piece in self.pieces:
-            if piece.end is None:
-                candidates = [self.first.min_from(piece.start)] if _has_from(self.first, piece.start) else []
-            else:
-                candidates = [x for x in self.first.elements_below(piece.end) if x >= piece.start][:1]
-            if candidates:
-                out.append((candidates[0], piece))
+            i0 = self.first.least_in(piece.start, piece.end)
+            if i0 is not None:
+                out.append((i0, piece))
         return out
 
     # -- classification -------------------------------------------------------
@@ -259,20 +228,17 @@ class IndexSet:
         if not s.issubset(self.first):
             raise ValueError("the selector set must lie within the first projection")
 
-        # Per piece: the least s-member hitting it and the stored-set defect D.
+        # Per piece: the least s-member hitting it and the top of the defect
+        # ``first - pro``, which lies below pro's threshold: eventual coherence
+        # makes every piece that meets ``first`` unbounded.
         hits = []
         for piece in self.pieces:
-            if piece.end is None:
-                if not _has_from(s, piece.start):
-                    continue
-                j_hit = s.min_from(piece.start)
-            else:
-                inside = [x for x in s.elements_below(piece.end) if x >= piece.start]
-                if not inside:
-                    continue
-                j_hit = inside[0]
-            defect = self.first.bounded_minus(piece.pro)
-            hits.append((j_hit, max(defect) if defect else None))
+            j_hit = s.least_in(piece.start, piece.end)
+            if j_hit is None:
+                continue
+            defect = [x for x in self.first.elements_below(piece.pro.threshold)
+                      if not piece.pro.contains(x)]
+            hits.append((j_hit, max(defect, default=None)))
         hits.sort()
 
         pieces = []
@@ -313,31 +279,17 @@ class IndexSet:
     def issubset(self, other: IndexSet) -> bool:
         if not self.first.issubset(other.first):
             return False
-        cuts = sorted(set(self.boundaries()) | set(other.boundaries()))
+        cuts = sorted({p.start for p in self.pieces} | {p.start for p in other.pieces})
         for k, start in enumerate(cuts):
             end = cuts[k + 1] if k + 1 < len(cuts) else None
-            if end is None:
-                if not _has_from(self.first, start):
-                    continue
-                i0 = self.first.min_from(start)
-            else:
-                inside = [x for x in self.first.elements_below(end) if x >= start]
-                if not inside:
-                    continue
-                i0 = inside[0]
+            i0 = self.first.least_in(start, end)
+            if i0 is None:
+                continue
             mine = self.stored_at(i0).shift_past(i0)
             theirs = other.stored_at(i0).shift_past(i0)
             if not mine.issubset(theirs):
                 return False
         return True
-
-
-def _has_from(s: TailSet, k: int) -> bool:
-    try:
-        s.min_from(k)
-    except ValueError:
-        return False
-    return True
 
 
 def index_set(first: TailSet, pieces) -> IndexSet:
@@ -363,13 +315,10 @@ def index_set(first: TailSet, pieces) -> IndexSet:
     for piece in merged:
         if piece.pro.is_unbounded():
             continue
-        # the stored set is bounded: members at or past its maximum see nothing
+        # bounded stored set: first-members in [max(start, its top), end) see nothing
         top = max(piece.pro.finite) if piece.pro.finite else 0
         cut_from = max(piece.start, top)
-        if piece.end is None:
-            first = tailset(first.elements_below(cut_from))
-        elif cut_from < piece.end:
-            first = first.minus(tailset(range(cut_from, piece.end)))
+        first = first.intersect(tailset(range(cut_from), piece.end))
     return IndexSet(first, tuple(merged))
 
 

@@ -256,7 +256,7 @@ class DisjointBranchesTree(Tree):
         return {"kind": self.kind, "count": self.count}
 
     def _address_from_json(self, obj):
-        if not isinstance(obj, int):
+        if isinstance(obj, bool) or not isinstance(obj, int):
             raise ValueError(f"disjoint-branch address must be an integer: {obj!r}")
         return obj
 

@@ -363,6 +363,10 @@ MALFORMED_ELEMENTS = {
     "combo[].coeff a float": ({"combo": [{"branch": 0, "coeff": 2.7}], "fact_y": []}, "$.combo[0]"),
     "combo[].coeff a bool": ({"combo": [{"branch": 0, "coeff": True}], "fact_y": []}, "$.combo[0]"),
     "combo[].coeff a string": ({"combo": [{"branch": 0, "coeff": "5"}], "fact_y": []}, "$.combo[0]"),
+    "combo[].branch a bool": ({"combo": [{"branch": True, "coeff": 1}], "fact_y": []},
+                              "$.combo[0].branch"),
+    "node address a bool": (with_term(node={"level": 0, "address": True}),
+                            "$.fact_y[0].elem.terms[0].node"),
     "terms[].coeff a float": (with_term(coeff=2.7), "$.fact_y[0].elem.terms[0]"),
     "terms[].coeff a bool": (with_term(coeff=True), "$.fact_y[0].elem.terms[0]"),
     "terms[].coeff a string": (with_term(coeff="5"), "$.fact_y[0].elem.terms[0]"),

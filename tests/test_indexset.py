@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invsys import FULL, below, ind_omega, index_set, tail, tailset
-from invsys.indexset import ProPiece
+from invsys import FULL, below, ind_omega, index_set, singleton, tail, tailset
+from invsys.indexset import Classification, ProPiece
 
 # All generated parameters stay below 12, so membership on a window reaching 64
 # determines every set exactly: tails are fully visible past 12 and all finite
@@ -32,16 +32,6 @@ def test_shift_past_example():
     assert FULL.shift_past(4) == tail(5)
 
 
-def test_minus_example():
-    got = tailset([2], 6).minus(tailset([2, 7]))
-    assert got == tailset([6], 8)
-
-
-def test_minus_unbounded_subtrahend_rejected():
-    with pytest.raises(ValueError):
-        FULL.minus(tail(3))
-
-
 def test_canonical_absorbs_adjacent_finite():
     assert tailset([5], 6) == tail(5)
     assert tailset([4, 5, 9], 6) == tailset([4], 5)
@@ -56,24 +46,21 @@ def test_intersect_union_match_brute_membership(a, b):
     assert a.union(b).is_unbounded() == (a.is_unbounded() or b.is_unbounded())
 
 
-@given(tailsets, st.lists(st.integers(0, 2 * PARAM_HI), max_size=6))
-def test_minus_matches_brute_membership(a, removed):
-    b = tailset(removed)
-    got = a.minus(b)
-    for x in range(3 * PARAM_HI):
-        assert got.contains(x) == (a.contains(x) and not b.contains(x))
-    assert got.is_unbounded() == a.is_unbounded()
-
-
 @given(tailsets, tailsets)
-def test_bounded_minus_exact_or_rejected(a, b):
-    if a.is_unbounded() and not b.is_unbounded():
-        with pytest.raises(ValueError):
-            a.bounded_minus(b)
-        return
-    diff = set(a.bounded_minus(b))
+def test_tailset_issubset_matches_brute_membership(a, b):
+    # the window reaches past both thresholds, where both sets are full or empty
+    brute = all(b.contains(x) for x in range(3 * PARAM_HI) if a.contains(x))
+    assert a.issubset(b) == brute
+    meet = a.intersect(b)
     for x in range(3 * PARAM_HI):
-        assert (x in diff) == (a.contains(x) and not b.contains(x))
+        # the common part plus one number lies in b exactly when b holds it
+        assert meet.union(singleton(x)).issubset(b) == b.contains(x)
+
+
+@given(tailsets, st.integers(0, 3 * PARAM_HI), st.one_of(st.none(), st.integers(0, 3 * PARAM_HI)))
+def test_least_in_is_least_member_in_range(a, start, end):
+    window = range(start, 4 * PARAM_HI if end is None else end)
+    assert a.least_in(start, end) == min((x for x in window if a.contains(x)), default=None)
 
 
 @given(tailsets, st.integers(0, 2 * PARAM_HI))
@@ -84,6 +71,16 @@ def test_min_from_is_least_member(a, k):
     else:
         with pytest.raises(ValueError):
             a.min_from(k)
+
+
+@given(tailsets)
+def test_min_value_is_least_member(a):
+    members = [x for x in range(3 * PARAM_HI) if a.contains(x)]
+    if members:
+        assert a.min_value() == members[0]
+    else:
+        with pytest.raises(ValueError):
+            a.min_value()
 
 
 # -- classification ---------------------------------------------------------------
@@ -160,6 +157,103 @@ def _random_index_set(rng):
         end = starts[idx + 1] if idx + 1 < len(starts) else None
         pieces.append(ProPiece(start, end, _random_tailset(rng)))
     return index_set(first, pieces)
+
+
+@st.composite
+def piece_lists(draw):
+    """Contiguous pieces covering omega, cut at up to three points below 9."""
+    cuts = sorted(draw(st.sets(st.integers(1, 8), max_size=3)))
+    return [ProPiece(start, end, draw(tailsets))
+            for start, end in zip([0] + cuts, cuts + [None])]
+
+
+def _scan(s, start, end):
+    """Least member of ``s`` in ``[start, end)`` as the piece scans found it
+    before ``TailSet.least_in``: ``min_from`` on the last piece, a cut of
+    ``elements_below`` on the others."""
+    if end is None:
+        later = [x for x in s.finite if x >= start]
+        if later:
+            return later[0]
+        return None if s.threshold is None else max(s.threshold, start)
+    inside = [x for x in s.elements_below(end) if x >= start]
+    return inside[0] if inside else None
+
+
+def _minus(a, b):
+    """``a - b`` for a bounded ``b``, as ``TailSet.minus`` computed it."""
+    removed = set(b.finite)
+    finite = [x for x in a.finite if x not in removed]
+    t = a.threshold
+    if t is not None:
+        hi = max(removed, default=-1) + 1
+        finite.extend(x for x in range(t, hi) if x not in removed)
+        t = max(t, hi)
+    return tailset(finite, t)
+
+
+def _first_by_minus(first, pieces):
+    """The first projection ``index_set`` kept when it cut with ``minus``."""
+    for piece in pieces:
+        if piece.pro.is_unbounded():
+            continue
+        top = max(piece.pro.finite) if piece.pro.finite else 0
+        cut_from = max(piece.start, top)
+        if piece.end is None:
+            first = tailset(first.elements_below(cut_from))
+        elif cut_from < piece.end:
+            first = _minus(first, tailset(range(cut_from, piece.end)))
+    return first
+
+
+def _classify_by_scan(ind):
+    if not ind.first.is_unbounded():
+        return Classification(False, False, False)
+    relevant = [(_scan(ind.first, p.start, p.end), p) for p in ind.pieces]
+    relevant = [(i0, p) for i0, p in relevant if i0 is not None]
+    unbounded = all(p.pro.is_unbounded() for _, p in relevant)
+    coherent = all(p.pro.shift_past(i0) == ind.first.shift_past(i0) for i0, p in relevant)
+    return Classification(unbounded, coherent, unbounded)
+
+
+def _issubset_by_scan(a, b):
+    if not a.first.issubset(b.first):
+        return False
+    cuts = sorted({p.start for p in a.pieces} | {p.start for p in b.pieces})
+    for start, end in zip(cuts, cuts[1:] + [None]):
+        i0 = _scan(a.first, start, end)
+        if i0 is not None and not a.stored_at(i0).shift_past(i0).issubset(
+                b.stored_at(i0).shift_past(i0)):
+            return False
+    return True
+
+
+@given(tailsets, piece_lists())
+def test_index_set_first_matches_the_minus_construction(first, pieces):
+    assert index_set(first, pieces).first == _first_by_minus(first, pieces)
+
+
+@given(tailsets, piece_lists(), piece_lists(), tailsets)
+def test_classify_and_issubset_match_the_piece_scans(first, mine, theirs, s):
+    # a shared first projection leaves the pieces to decide most inclusions
+    a, b = index_set(first, mine), index_set(first, theirs)
+    assert a.classify() == _classify_by_scan(a)
+    assert a.issubset(b) == _issubset_by_scan(a, b)
+    restricted = a.square_restrict(s)
+    assert restricted.issubset(a) and _issubset_by_scan(restricted, a)
+
+
+@given(tailsets, piece_lists(), st.integers(0, 3), st.integers(0, 3 * PARAM_HI))
+def test_issubset_notices_one_dropped_projection_member(first, pieces, k, x):
+    """Dropping ``x`` from one stored set loses exactly the pairs ``(i, x)``
+    with ``i`` in that piece's interval."""
+    k %= len(pieces)
+    piece = pieces[k]
+    dropped = ProPiece(piece.start, piece.end, piece.pro.intersect(tailset(range(x), x + 1)))
+    a = index_set(first, pieces)
+    b = index_set(first, pieces[:k] + [dropped] + pieces[k + 1:])
+    lost = any(a.contains(i, x) for i in range(piece.start, x) if piece.end is None or i < piece.end)
+    assert a.issubset(b) == (not lost) == _issubset_by_scan(a, b)
 
 
 # -- square restriction ---------------------------------------------------------
