@@ -16,13 +16,19 @@ adds ``sign * e`` and ``_add_hom`` adds ``sign * hom(e)`` into an unreduced
 ``(node, l) -> int`` map and validate nothing, so a caller can sum several
 elements and images and reduce once, or test the sum for zero without
 building an element at all.
+
+``ModuleElement`` is a named tuple, as ``tree.Node`` and ``Branch`` are, so it
+is built, compared and hashed in C.  An element therefore equals the plain
+tuple ``(level, terms, ring, tree)`` of its fields and is orderable as one,
+but that order means nothing.  Operands are matched by comparing the pairs
+``(ring, tree)`` as tuples, which returns at once for the identical objects
+that elements of one system share and falls back to value equality
+otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ring import Ring, RingElem
 from .schema import at, json_int, json_list
@@ -32,8 +38,7 @@ if TYPE_CHECKING:
     from .indexset import TailSet
 
 
-@dataclass(frozen=True)
-class ModuleElement:
+class ModuleElement(NamedTuple):
     """A finitely supported element of the level-``level`` free module."""
 
     level: int
@@ -52,7 +57,7 @@ class ModuleElement:
             raise TypeError(f"cannot combine ModuleElement with {type(other).__name__}")
         if self.level != other.level:
             raise ValueError(f"mismatched levels: {self.level} vs {other.level}")
-        if self.ring != other.ring or self.tree != other.tree:
+        if (self.ring, self.tree) != (other.ring, other.tree):
             raise ValueError("operands live in different systems")
 
     # -- arithmetic ---------------------------------------------------------
@@ -82,12 +87,11 @@ class ModuleElement:
     def support(self) -> tuple[tuple[Node, int], ...]:
         return tuple((n, l) for n, l, _ in self.terms)
 
-    @cached_property
-    def _coefficients(self) -> dict[tuple[Node, int], int]:
-        return {(n, l): c for n, l, c in self.terms}
-
     def coefficient(self, node: Node, l: int) -> RingElem:
-        return self.ring.elem(self._coefficients.get((node, l), 0))
+        for n, k, c in self.terms:
+            if k == l and n == node:
+                return self.ring.elem(c)
+        return self.ring.elem(0)
 
     def below(self, j: int) -> ModuleElement:
         """Keep exactly the terms with generator index below ``j``; a filter
@@ -156,7 +160,9 @@ def _canonical(level: int, acc: dict, ring: Ring, tree: Tree) -> ModuleElement:
     reduced, zeros dropped, terms sorted."""
     m = ring.modulus
     terms = [(n, l, v) for (n, l), c in acc.items() if (v := c % m)]
-    terms.sort(key=lambda t: (tree.node_sort_key(t[0]), t[1]))
+    if len(terms) > 1:
+        key = tree.node_sort_key
+        terms.sort(key=lambda t: (key(t[0]), t[1]))
     return ModuleElement(level, tuple(terms), ring, tree)
 
 

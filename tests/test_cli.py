@@ -530,7 +530,7 @@ def test_miscertified_decomposition_exit_3(tmp_path, sys1, sys1_path, capsys, mo
 
 
 def _drop_a_term(entry):
-    return dataclasses.replace(entry, terms=entry.terms[1:])
+    return entry._replace(terms=entry.terms[1:])
 
 
 def _two_terms_on_one_node(entry):
@@ -541,7 +541,7 @@ def _two_terms_on_one_node(entry):
 
 def _coefficient_two(entry):
     (node, l, _), *rest = entry.terms
-    return dataclasses.replace(entry, terms=((node, l, 2), *rest))
+    return entry._replace(terms=((node, l, 2), *rest))
 
 
 @pytest.mark.parametrize("fault", [_drop_a_term, _two_terms_on_one_node, _coefficient_two])

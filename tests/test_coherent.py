@@ -246,6 +246,36 @@ def test_restriction_stability_detects_fault(sys1):
     assert restriction_stability(a, 0, 3, 5, eval_fn=corrupted) is False
 
 
+def test_restriction_stability_computes_a_missing_entry(sys1, sys2, sysf):
+    """Table hits are read directly; a miss goes through ``eval_entry``, which
+    computes the entry, files it, and validates the pair."""
+    rng = Random(33)
+    for system in (sys1, sys2, sysf):
+        for _ in range(10):
+            a = random_planted(system, rng)
+            twin = Planted.from_json(a.to_json(), system)
+            i = rng.randint(0, 5)
+            j = rng.randint(i + 1, 6)
+            k = rng.randint(j + 1, 7)
+            assert restriction_stability(a, i, j, k)
+            assert sorted(a._entries) == [(i, j), (i, k)]
+            assert all(a._entries[key] == twin.eval_entry(*key) for key in a._entries)
+            assert restriction_stability(a, i, j, k)
+        with pytest.raises(ValueError, match=r"^need 0 <= i < j, got \(-1, 1\)$"):
+            restriction_stability(a, -1, 1, 2)
+        with pytest.raises(ValueError, match=r"^need i < j < k, got \(1, 1, 2\)$"):
+            restriction_stability(a, 1, 1, 2)
+
+
+def test_restriction_stability_reads_the_entry_table(sys1):
+    bump = generator(b0(0), 2, sys1.ring, sys1.tree)
+    for key in ((0, 3), (0, 5)):
+        a = planted(sys1, {}, with_y0(sys1, {(b0(0), 2): 1}))
+        assert restriction_stability(a, 0, 3, 5)
+        a._entries[key] = a._entries[key] + bump
+        assert restriction_stability(a, 0, 3, 5) is False
+
+
 def test_restriction_stability_zero(sys2):
     assert restriction_stability(zero_element(sys2), 0, 1, 2)
 

@@ -13,11 +13,12 @@ from invsys import (
     System,
     apply_hom,
     below,
+    check_eq_recurrences,
     generator,
     module_element,
     singleton,
 )
-from invsys.sampling import sample_node
+from invsys.sampling import random_planted, sample_node
 
 
 def b0(level):
@@ -230,3 +231,99 @@ def test_hom_additivity_law(system, rng, data):
     x = element()
     y = element(x.support())
     assert apply_hom(x + y, i) == apply_hom(x, i) + apply_hom(y, i)
+
+
+# -- value semantics ----------------------------------------------------------------
+#
+# Operands are matched by value: the pairs (ring, tree) are compared as tuples,
+# which returns at once for identical objects and compares values otherwise.
+# Elements over a separately parsed copy of a system must therefore combine,
+# and elements over a system that differs by value must not.
+
+
+def random_terms(system, rng, level):
+    m = system.ring.modulus
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        key = (sample_node(system.tree, rng, level), rng.randint(level + 1, level + 5))
+        terms[key] = terms.get(key, 0) + rng.randint(1, m - 1)
+    return terms
+
+
+def parsed_copy(system):
+    copy = System.from_json(system.to_json())
+    assert copy == system and copy.ring is not system.ring and copy.tree is not system.tree
+    return copy
+
+
+def foreign(system, field):
+    """A ring or a tree that differs from the system's by value."""
+    if field == "ring":
+        return Ring(system.ring.modulus + 1)
+    return next(s.tree for s in HOM_SYSTEMS if s.tree != system.tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False),
+       level=st.integers(0, 5))
+def test_elements_over_equal_systems_combine(system, rng, level):
+    copy = parsed_copy(system)
+    terms = random_terms(system, rng, level)
+    x = module_element(level, terms, system.ring, system.tree)
+    y = module_element(level, terms, copy.ring, copy.tree)
+    assert x == y and hash(x) == hash(y)
+    assert x + y == x + x
+    assert (x - y).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False))
+def test_defects_read_entries_over_an_equal_system(system, rng):
+    a = random_planted(system, rng, level_cap=5)
+    copy = parsed_copy(system)
+
+    def reparsed(i, j):
+        # every triple mixes entries over both copies
+        entry = a.eval_entry(i, j)
+        return entry._replace(ring=copy.ring, tree=copy.tree) if (i + j) % 2 else entry
+
+    assert check_eq_recurrences(a, 7, reparsed).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False),
+       level=st.integers(0, 5), field=st.sampled_from(["ring", "tree"]))
+def test_elements_over_different_systems_do_not_combine(system, rng, level, field):
+    x = module_element(level, random_terms(system, rng, level), system.ring, system.tree)
+    y = x._replace(**{field: foreign(system, field)})
+    assert x != y
+    for combine in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: y - x):
+        with pytest.raises(ValueError, match="^operands live in different systems$"):
+            combine()
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False),
+       data=st.data(), field=st.sampled_from(["ring", "tree"]))
+def test_defect_rejects_an_entry_of_another_system(system, rng, data, field):
+    a = random_planted(system, rng, level_cap=5)
+    horizon = 7
+    j = data.draw(st.integers(1, horizon - 1), label="j")
+    i = data.draw(st.integers(0, j - 1), label="i")
+    other = foreign(system, field)
+
+    def faulted(p, q):
+        entry = a.eval_entry(p, q)
+        return entry._replace(**{field: other}) if (p, q) == (i, j) else entry
+
+    with pytest.raises(ValueError, match="^operands live in different systems$"):
+        check_eq_recurrences(a, horizon, faulted)
+
+
+def test_repr_is_the_field_listing(sys1):
+    e = module_element(0, {(b0(0), 1): 2, (b1(0), 3): 1}, sys1.ring, sys1.tree)
+    assert repr(e) == (
+        "ModuleElement(level=0, terms=((Node(level=0, address=0), 1, 2), "
+        "(Node(level=0, address=1), 3, 1)), ring=Ring(modulus=3), "
+        "tree=DisjointBranchesTree(count=2))"
+    )

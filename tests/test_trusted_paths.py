@@ -6,7 +6,9 @@ through a trusted helper; each must equal ``module_element`` built from the
 same term map, and an entry summed in one accumulator must equal the same
 entry composed of canonical parts.  Every ``Planted`` keeps its own entry
 table, which must stay invisible to equality, hashing and serialization, and
-must make ``check`` compute each entry below its horizon exactly once.
+must make ``check`` compute each entry below its horizon exactly once; a
+repeated ``check`` builds no element at all, while still testing stability on
+every triple.
 """
 
 from math import comb
@@ -28,7 +30,7 @@ from invsys import (
     check_coherence,
     module_element,
 )
-from invsys import coherent
+from invsys import cli, coherent, freemod
 from invsys.cli import _run_check
 from invsys.sampling import random_planted, sample_node
 
@@ -225,3 +227,38 @@ def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, 
     assert _run_check(system, [elem], ["elem.json"], HORIZON) == first
     assert len(homs) == comb(HORIZON - 1, 2)
     assert ring_elems == []
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_check_tests_stability_on_every_triple(system, monkeypatch):
+    elem = deep_element(system)
+    triples = []
+    stability = cli.restriction_stability
+
+    def counted(a, i, j, k):
+        triples.append((i, j, k))
+        return stability(a, i, j, k)
+
+    monkeypatch.setattr(cli, "restriction_stability", counted)
+    report, code = _run_check(system, [elem], ["elem.json"], HORIZON)
+    assert (report["ok"], code) == (True, 0)
+    assert len(triples) == len(set(triples)) == comb(HORIZON, 3) == 364
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_repeated_check_builds_no_element(system, monkeypatch):
+    elem = deep_element(system)
+    first = _run_check(system, [elem], ["elem.json"], HORIZON)
+    built = []
+    for module in (coherent, freemod):
+        canonical = module._canonical
+
+        def counted(level, acc, ring, tree, canonical=canonical):
+            built.append(level)
+            return canonical(level, acc, ring, tree)
+
+        monkeypatch.setattr(module, "_canonical", counted)
+    # Every entry is in the table, the coherence sweep only tests its defect
+    # maps for zero, and stability reads table hits, so nothing is canonicalized.
+    assert _run_check(system, [elem], ["elem.json"], HORIZON) == first
+    assert built == []
