@@ -22,9 +22,7 @@ consecutive triples ``(i, i+1, k)`` do (``check_eq_recurrences`` gives the
 induction): coherence is swept over those C(h-1, 2) triples, and the full
 sweep over all C(h, 3) runs only to report the violations of an incoherent
 family.  ``check`` still tests restriction stability on every triple, so its
-cost stays O(h^3).  Each of those tests reads its two entries straight from
-the element's table and calls ``eval_entry`` only for an entry not yet
-computed, so a table hit costs one dictionary lookup.
+cost stays O(h^3).
 
 Restriction stability is a corollary of coherence: coherence on all triples
 implies stability on all triples.  For ``i < j < k`` coherence gives
@@ -447,17 +445,9 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
     """
     if not i < j < k:
         raise ValueError(f"need i < j < k, got ({i}, {j}, {k})")
-    if eval_fn is None:
-        # a table hit needs no call; eval_entry computes (and validates) a miss
-        e_ij, e_ik = a._entries.get((i, j)), a._entries.get((i, k))
-        if e_ij is None:
-            e_ij = a.eval_entry(i, j)
-        if e_ik is None:
-            e_ik = a.eval_entry(i, k)
-    else:
-        e_ij, e_ik = eval_fn(i, j), eval_fn(i, k)
-    low = [t for t in e_ij.terms if t[1] < j]
-    return low == [t for t in e_ik.terms if t[1] < j]
+    ev = eval_fn if eval_fn is not None else a.eval_entry
+    low = [t for t in ev(i, j).terms if t[1] < j]
+    return low == [t for t in ev(i, k).terms if t[1] < j]
 
 
 # -- normalization ---------------------------------------------------------------

@@ -20,7 +20,10 @@ building an element at all.
 ``ModuleElement`` is a named tuple, as ``tree.Node`` and ``Branch`` are, so it
 is built, compared and hashed in C.  An element therefore equals the plain
 tuple ``(level, terms, ring, tree)`` of its fields and is orderable as one,
-but that order means nothing.  Operands are matched by comparing the pairs
+but that order means nothing; nor do ``len``, iteration or concatenation onto
+a plain tuple, which are tuple operations and not module arithmetic.  ``*``
+is refused with ``TypeError``, so ``2 * e`` cannot repeat the fields where a
+scalar multiple was meant.  Operands are matched by comparing the pairs
 ``(ring, tree)`` as tuples, which returns at once for the identical objects
 that elements of one system share and falls back to value equality
 otherwise.
@@ -78,6 +81,12 @@ class ModuleElement(NamedTuple):
         return _canonical(
             self.level, {(n, l): -c for n, l, c in self.terms}, self.ring, self.tree
         )
+
+    def __mul__(self, other):
+        # Refuse the tuple repetition a named tuple would inherit.
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     # -- queries ------------------------------------------------------------
 

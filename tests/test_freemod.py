@@ -327,3 +327,11 @@ def test_repr_is_the_field_listing(sys1):
         "(Node(level=0, address=1), 3, 1)), ring=Ring(modulus=3), "
         "tree=DisjointBranchesTree(count=2))"
     )
+
+
+def test_scalar_times_element_is_refused(sys1):
+    # A named tuple would repeat its fields; there is no scalar multiple.
+    e = module_element(0, {(b0(0), 1): 2}, sys1.ring, sys1.tree)
+    for product in (lambda: 2 * e, lambda: e * 2, lambda: e * e):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            product()

@@ -221,12 +221,24 @@ def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, 
         return make_elem(ring, value)
 
     monkeypatch.setattr(Ring, "elem", counted_elem)
+    built = []
+    for module in (coherent, freemod):
+        canonical = module._canonical
+
+        def counted(level, acc, ring, tree, canonical=canonical):
+            built.append(level)
+            return canonical(level, acc, ring, tree)
+
+        monkeypatch.setattr(module, "_canonical", counted)
     # Coherence and the recurrences come off the consecutive triples: one hom
     # application per triple (i, i+1, k), none for stability, and
-    # coefficients stay plain integers.
+    # coefficients stay plain integers.  Every entry is in the table and the
+    # coherence sweep only tests its defect maps for zero, so no element is
+    # canonicalized.
     assert _run_check(system, [elem], ["elem.json"], HORIZON) == first
     assert len(homs) == comb(HORIZON - 1, 2)
     assert ring_elems == []
+    assert built == []
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
@@ -243,22 +255,3 @@ def test_check_tests_stability_on_every_triple(system, monkeypatch):
     report, code = _run_check(system, [elem], ["elem.json"], HORIZON)
     assert (report["ok"], code) == (True, 0)
     assert len(triples) == len(set(triples)) == comb(HORIZON, 3) == 364
-
-
-@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
-def test_repeated_check_builds_no_element(system, monkeypatch):
-    elem = deep_element(system)
-    first = _run_check(system, [elem], ["elem.json"], HORIZON)
-    built = []
-    for module in (coherent, freemod):
-        canonical = module._canonical
-
-        def counted(level, acc, ring, tree, canonical=canonical):
-            built.append(level)
-            return canonical(level, acc, ring, tree)
-
-        monkeypatch.setattr(module, "_canonical", counted)
-    # Every entry is in the table, the coherence sweep only tests its defect
-    # maps for zero, and stability reads table hits, so nothing is canonicalized.
-    assert _run_check(system, [elem], ["elem.json"], HORIZON) == first
-    assert built == []
