@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import invsys
 from invsys import DecreasingSeqTree, DisjointBranchesTree, FiniteSupportTree, Ring, System
 
 
@@ -25,3 +31,20 @@ def sys3():
 def sysf():
     """Z/3 over the width-2 finite-support tree."""
     return System(Ring(3), FiniteSupportTree((), 2))
+
+
+@pytest.fixture
+def fresh_cli():
+    """Runs ``python -m invsys.cli *argv`` in a new interpreter that imports
+    this checkout's ``src``, or ``python -c code *argv`` when ``code`` is given.
+    ``env`` adds variables; other keywords go to ``subprocess.run``, with
+    output captured as text unless ``text=False``."""
+    src = str(Path(invsys.__file__).resolve().parents[1])
+    base = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(argv, *, code=None, env=(), **kwargs):
+        head = ["-m", "invsys.cli"] if code is None else ["-c", code]
+        return subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                              env={**base, **dict(env)}, **{"text": True, **kwargs})
+
+    return run

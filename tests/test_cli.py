@@ -1,9 +1,7 @@
 import dataclasses
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -247,7 +245,7 @@ DEEP_NESTING = "[" * 100000
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("which", ["system", "element"])
-def test_deeply_nested_file_is_invalid_json(tmp_path, sys1_path, which, fmt):
+def test_deeply_nested_file_is_invalid_json(tmp_path, sys1_path, fresh_cli, which, fmt):
     """The decoder gives up with a ``RecursionError``; it is reported as
     invalid JSON in the named file, exit 2, with no traceback."""
     bad = tmp_path / f"{which}.json"
@@ -256,10 +254,7 @@ def test_deeply_nested_file_is_invalid_json(tmp_path, sys1_path, which, fmt):
         argv = ["--system", str(bad), "--cmd", "card"]
     else:
         argv = ["--system", sys1_path, "--element", str(bad), "--cmd", "check"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-m", "invsys.cli", *argv, "--format", fmt],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = fresh_cli([*argv, "--format", fmt], timeout=120)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     error = json.loads(run.stdout)["error"] if fmt == "json" else run.stdout.removeprefix("error: ")
@@ -563,34 +558,18 @@ def test_card_unseparated_probe_entry_exit_3(tmp_path, sys1, capsys, monkeypatch
 
 # -- one parser per process ------------------------------------------------------------
 
-FRESH_CALL = "import sys; from invsys.cli import main; sys.exit(main(sys.argv[1:]))"
-
-
-def fresh_env():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
-def fresh_call(argv, cwd):
-    """Exit code and stdout of ``main(argv)`` in a new interpreter."""
-    child = subprocess.run([sys.executable, "-c", FRESH_CALL, *argv], capture_output=True,
-                           text=True, cwd=cwd, env=fresh_env(), timeout=120)
-    return child.returncode, child.stdout
-
-
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_import_builds_no_parser(tmp_path):
+def test_import_builds_no_parser(tmp_path, fresh_cli):
     probe = "import invsys.cli as c; print(c.build_parser.cache_info().currsize)"
-    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                           cwd=tmp_path, env=fresh_env(), timeout=120, check=True)
+    child = fresh_cli([], code=probe, cwd=tmp_path, timeout=120, check=True)
     assert child.stdout == "0\n"
 
 
 def test_repeated_elements_do_not_leak_into_the_next_call(tmp_path, sys1, sys1_path, capsys,
-                                                          monkeypatch):
+                                                          monkeypatch, fresh_cli):
     """``--element`` appends to a list whose default the parser keeps; two
     elements for ``equiv`` must not reach the ``decompose`` call after it."""
     monkeypatch.chdir(tmp_path)
@@ -603,7 +582,8 @@ def test_repeated_elements_do_not_leak_into_the_next_call(tmp_path, sys1, sys1_p
     for argv in calls:
         code = main(argv)
         in_process.append((code, capsys.readouterr().out))
-    assert in_process == [fresh_call(argv, tmp_path) for argv in calls]
+    fresh = [fresh_cli(argv, cwd=tmp_path, timeout=120) for argv in calls]
+    assert in_process == [(child.returncode, child.stdout) for child in fresh]
     assert [code for code, _ in in_process] == [1, 0]
 
 
@@ -653,7 +633,7 @@ def test_writer_refuses_what_reports_never_hold(value):
         cli._write_json(value, "", [])
 
 
-def test_path_that_is_not_utf8_prints_escaped_in_both_formats(tmp_path, sys1):
+def test_path_that_is_not_utf8_prints_escaped_in_both_formats(tmp_path, sys1, fresh_cli):
     """A path with an undecodable byte reaches the report as a lone surrogate;
     a strict UTF-8 stdout must print it escaped, with the exit code of the
     answer, not a traceback."""
@@ -665,13 +645,12 @@ def test_path_that_is_not_utf8_prints_escaped_in_both_formats(tmp_path, sys1):
         pytest.skip("the filesystem refuses a name that is not valid UTF-8")
     gen_file(tmp_path, sys1, "a.json", 0)
     write_json(tmp_path / "sys1.json", sys1.to_json())
-    env = {**fresh_env(), "PYTHONIOENCODING": "utf-8"}
 
     def call(element, fmt):
         argv = ["--system", "sys1.json", "--element", element, "--cmd", "decompose",
                 "--format", fmt]
-        child = subprocess.run([sys.executable, "-c", FRESH_CALL, *argv], capture_output=True,
-                               cwd=tmp_path, env=env, timeout=120)
+        child = fresh_cli(argv, env={"PYTHONIOENCODING": "utf-8"}, text=False, cwd=tmp_path,
+                          timeout=120)
         assert child.stderr == b""
         return child.returncode, child.stdout.decode("ascii")
 

@@ -5,6 +5,13 @@ invocation, the exit code and the exact stdout bytes.  Criterion 8 of the
 acceptance suite compares two runs of one checkout; this test pins the output
 itself, so a change that alters any byte of a report fails here.
 
+The ``session/`` cases, json only, are the README's example session and the
+edge cases of the CLI: 64 and 81 classes, a term at level 10**9, the largest
+``check`` horizon, a modulus above 2**32, the minimal truncation height and
+branches that separate late.  Next to each, ``SESSION`` keeps the facts its
+report must hold, checked on the parsed report, so a regenerated golden file
+cannot absorb a wrong answer.
+
 Element paths are passed relative to the working directory, so the reports
 name them the same way on every machine.  To regenerate the expected file
 after an intended change of output::
@@ -14,15 +21,12 @@ after an intended change of output::
 
 import json
 import os
-import subprocess
-import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
-import invsys
 from invsys.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -98,11 +102,94 @@ def invocations():
                 yield f"{family}/{command}/{fmt}", ["--system", sys_path, *argv, "--format", fmt]
 
 
+def disjoint(m, count):
+    return {"ring": {"kind": "zmod", "m": m}, "tree": {"kind": "disjoint_branches", "count": count}}
+
+
+# Two branches that agree below position 5: the probe level 6 is both the
+# larger presentation level and their separation level.
+LATE_COMBO = [{"branch": [[3, 1]], "coeff": 1}, {"branch": [[3, 1], [5, 1]], "coeff": 3}]
+SESSION_FILES = {
+    "sys.json": disjoint(3, 2),
+    "a.json": {"combo": [{"branch": 0, "coeff": 1}], "fact_y": []},
+    "b.json": {"combo": [{"branch": 1, "coeff": 1}], "fact_y": []},
+    "card64.json": disjoint(2, 6),
+    "card81.json": disjoint(3, 4),
+    "tall.json": {"combo": [{"branch": 0, "coeff": 1}],
+                  "fact_y": fact((3, [term(3, 0, 4, 1)]),
+                                 (10 ** 9, [term(10 ** 9, 1, 10 ** 9 + 1, 2)]))},
+    "wide.json": disjoint(4294967311, 2),
+    "fs.json": {"ring": {"kind": "zmod", "m": 4},
+                "tree": {"kind": "finite_support", "widths": {"table": [2, 3], "eventual": 2}}},
+    "ds.json": {"ring": {"kind": "zmod", "m": 3}, "tree": {"kind": "decreasing_seq"}},
+    "late.json": {"combo": LATE_COMBO, "fact_y": fact((2, [term(2, [[1, 2]], 3, 1)]))},
+    "late-bare.json": {"combo": LATE_COMBO, "fact_y": []},
+}
+
+ABSENT = "<absent>"
+SUITE_PASSES = {"checked": 20, "failures": []}
+
+
+def suite(system, horizon):
+    return f"--system {system} --cmd oracle-verify --horizon {horizon} --seed 3"
+
+
+# case -> (exit code, argv, {dotted key path: value}); ``ABSENT`` marks a key
+# the report must not have.
+SESSION = {
+    "session/equiv/a-b/json": (
+        1, "--system sys.json --element a.json --element b.json --cmd equiv",
+        {"equivalent": False, "certificate.kind": "decomposition",
+         "certificate.combo": [{"branch": 0, "coeff": 1}, {"branch": 1, "coeff": 2}]}),
+    "session/card/sys/json": (0, "--system sys.json --cmd card", {
+        "cardinality": 9,
+        "certified": {"classes": 9, "pairs_checked": 36, "all_inequivalent": True}}),
+    "session/oracle-verify/a/json": (0, "--system sys.json --element a.json --cmd oracle-verify",
+                                     {"checked": 1, "failures": []}),
+    "session/decompose/a/json": (0, "--system sys.json --element a.json --cmd decompose",
+                                 {"combo": [{"branch": 0, "coeff": 1}]}),
+    "session/card/card64/json": (0, "--system card64.json --cmd card", {
+        "certified": {"classes": 64, "pairs_checked": 2016, "all_inequivalent": True}}),
+    "session/card/card81/json": (0, "--system card81.json --cmd card",
+                                 {"cardinality": 81, "certified": ABSENT}),
+    "session/decompose/tall/json": (0, "--system sys.json --element tall.json --cmd decompose",
+                                    {"combo": [{"branch": 0, "coeff": 1}]}),
+    "session/check/horizon-64/json": (
+        0, "--system sys.json --element a.json --cmd check --horizon 64", {"ok": True}),
+    "session/oracle-verify/wide/json": (0, suite("wide.json", 8), {"failures": []}),
+    "session/oracle-verify/fs/json": (0, suite("fs.json", 8), SUITE_PASSES),
+    "session/oracle-verify/ds/json": (0, suite("ds.json", 8), SUITE_PASSES),
+    "session/decompose/late/json": (0, "--system fs.json --element late.json --cmd decompose",
+                                    {"combo": LATE_COMBO}),
+    "session/equiv/late/json": (
+        0, "--system fs.json --element late.json --element late-bare.json --cmd equiv",
+        {"equivalent": True, "certificate.kind": "witness"}),
+    "session/oracle-verify/late/json": (
+        0, "--system fs.json --element late.json --cmd oracle-verify --horizon 8",
+        {"failures": []}),
+    # Height 3 is the minimal truncation, where the top level owns no coordinates.
+    "session/oracle-verify/h3-sys/json": (0, suite("sys.json", 3), SUITE_PASSES),
+    "session/oracle-verify/h3-fs/json": (0, suite("fs.json", 3), SUITE_PASSES),
+    "session/oracle-verify/h3-ds/json": (0, suite("ds.json", 3), SUITE_PASSES),
+}
+
+
+def lookup(report, path):
+    """The value at a dotted key path of a report, or ``ABSENT``."""
+    for key in path.split("."):
+        if key not in report:
+            return ABSENT
+        report = report[key]
+    return report
+
+
 def write_inputs(directory: Path) -> None:
     for family, (system, elements) in FAMILIES.items():
         (directory / f"{family}.system.json").write_text(json.dumps(system))
         for name, element in elements.items():
             (directory / f"{family}.{name}.json").write_text(json.dumps(element))
+    for name, content in SESSION_FILES.items():
+        (directory / name).write_text(json.dumps(content))
 
 
 def run(argv) -> dict:
@@ -113,6 +200,7 @@ def run(argv) -> dict:
 
 
 CASES = dict(invocations())
+CASES.update((case, argv.split()) for case, (_, argv, _) in SESSION.items())
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +216,25 @@ def test_golden_covers_every_case(expected):
 def test_cli_stdout_matches_golden(case, expected, tmp_path, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    assert run(CASES[case]) == expected[case]
+    result = run(CASES[case])
+    assert result == expected[case]
+    if case.endswith("/json"):
+        report = json.loads(result["stdout"])
+        assert result["stdout"] == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if case in SESSION:
+        code, _, facts = SESSION[case]
+        assert result["exit"] == code
+        assert {path: lookup(report, path) for path in facts} == facts
+
+
+# No input may make a command hang: each of these prints its golden bytes
+# within 10 s in a fresh interpreter.
+@pytest.mark.parametrize("case", ["session/decompose/tall/json", "session/card/card64/json",
+                                  "session/check/horizon-64/json"])
+def test_bounded_cases_finish_in_a_fresh_interpreter(case, expected, tmp_path, fresh_cli):
+    write_inputs(tmp_path)
+    child = fresh_cli(CASES[case], cwd=tmp_path, timeout=10)
+    assert {"exit": child.returncode, "stdout": child.stdout} == expected[case]
 
 
 def test_reports_never_reach_the_pure_python_encoder(expected, tmp_path, monkeypatch):
@@ -176,18 +282,16 @@ print(json.dumps({"symbolic": symbolic, "loaded": loaded, "verify": verify,
 """
 
 
-def test_symbolic_commands_never_load_the_oracle(expected, tmp_path):
+def test_symbolic_commands_never_load_the_oracle(expected, tmp_path, fresh_cli):
     symbolic = {case: argv for case, argv in CASES.items()
-                if case.split("/")[0] in ("disjoint", "finite_support")
+                if case.split("/")[0] in ("disjoint", "finite_support", "session")
                 and case.split("/")[1] != "oracle-verify" and case.endswith("/json")}
-    assert len(symbolic) == 10  # check, decompose, two equivs and card per family
+    # check, decompose, two equivs and card per family, and 9 session cases
+    assert len(symbolic) == 19
     write_inputs(tmp_path)
-    src = str(Path(invsys.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     verify_case = "disjoint/oracle-verify/json"
-    child = subprocess.run(
-        [sys.executable, "-c", FRESH_PROCESS, json.dumps(symbolic), json.dumps(CASES[verify_case])],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120, check=True)
+    child = fresh_cli([json.dumps(symbolic), json.dumps(CASES[verify_case])], code=FRESH_PROCESS,
+                      cwd=tmp_path, timeout=120, check=True)
     report = json.loads(child.stdout)
     assert report["symbolic"] == {case: expected[case] for case in symbolic}
     assert report["loaded"] == []
