@@ -97,8 +97,7 @@ class Coboundary:
     def __add__(self, other: Coboundary) -> Coboundary:
         if other.system != self.system:
             raise ValueError("operands live in different systems")
-        levels = {lvl for lvl, _ in self.entries} | {lvl for lvl, _ in other.entries}
-        return coboundary(self.system, {i: self.y(i) + other.y(i) for i in levels})
+        return coboundary(self.system, self.entries + other.entries)
 
     def __neg__(self) -> Coboundary:
         return coboundary(self.system, {lvl: -elem for lvl, elem in self.entries})
@@ -111,7 +110,7 @@ class Coboundary:
 
     @staticmethod
     def from_json(obj: list, system: System, path: str = "$") -> Coboundary:
-        table = {}
+        entries = []
         for entry_path, entry in json_list(obj, path):
             with at(entry_path):
                 lvl, elem = json_int(entry["level"], "level"), entry["elem"]
@@ -119,24 +118,25 @@ class Coboundary:
             if elem.level != lvl:
                 raise SchemaError(f"{entry_path}.level: level tag {lvl!r} does not match "
                                   f"element level {elem.level}")
-            table[lvl] = table.get(lvl, ModuleElement.zero(lvl, system.ring, system.tree)) + elem
+            entries.append((lvl, elem))
         with at(path):
-            return coboundary(system, table)
+            return coboundary(system, entries)
 
 
 def coboundary(system: System, table) -> Coboundary:
-    """Canonicalizing constructor from a ``level -> element`` mapping."""
+    """Canonicalizing constructor from a ``level -> element`` mapping or a
+    sequence of such pairs, by ``module_element``'s rule: every element is
+    checked, the elements at one level are summed, zeros are dropped and the
+    levels sorted."""
     items = table.items() if isinstance(table, dict) else table
-    entries = []
+    acc: dict[int, ModuleElement] = {}
     for level, elem in items:
         if elem.level != level:
             raise ValueError(f"element at level {elem.level} filed under level {level}")
         if elem.ring != system.ring or elem.tree != system.tree:
             raise ValueError("element lives in a different system")
-        if not elem.is_zero():
-            entries.append((level, elem))
-    entries.sort(key=lambda e: e[0])
-    return Coboundary(system, tuple(entries))
+        acc[level] = acc[level] + elem if level in acc else elem
+    return Coboundary(system, tuple(sorted((lvl, e) for lvl, e in acc.items() if not e.is_zero())))
 
 
 @dataclass(frozen=True)
@@ -251,39 +251,35 @@ class Planted:
             if not isinstance(obj, dict):
                 raise ValueError(f"element description must be an object, got {type(obj).__name__}")
             combo, fact_y = obj.get("combo", ()), obj.get("fact_y", ())
-        acc: dict[Branch, int] = {}
+        items = []
         for entry_path, entry in json_list(combo, f"{path}.combo"):
             with at(entry_path):
                 branch, coeff = entry["branch"], json_int(entry["coeff"], "coefficient")
             with at(f"{entry_path}.branch"):
                 branch = system.tree.branch_from_json(branch)
-            acc[branch] = acc.get(branch, 0) + coeff
+            items.append((branch, coeff))
         fact = Coboundary.from_json(fact_y, system, f"{path}.fact_y")
         with at(path):
-            return planted(system, acc, fact)
+            return planted(system, items, fact)
 
 
 def planted(system: System, combo, fact: Coboundary | None = None) -> Planted:
-    """Canonicalizing constructor: branches merged, sorted, zero coefficients dropped."""
+    """Canonicalizing constructor from a ``branch -> coefficient`` mapping or a
+    sequence of such pairs, by ``module_element``'s rule: every branch is
+    checked, a zero coefficient's too, duplicates are merged, coefficients
+    reduced mod m, zeros dropped and the pairs sorted in tuple order."""
     if fact is None:
         fact = coboundary(system, {})
     if fact.system != system:
         raise ValueError("coboundary part lives in a different system")
     items = combo.items() if isinstance(combo, dict) else combo
+    ring, tree = system.ring, system.tree
     acc: dict[Branch, int] = {}
     for branch, coeff in items:
-        value = coeff.value if isinstance(coeff, RingElem) else int(coeff)
-        acc[branch] = acc.get(branch, 0) + value
-    tree = system.tree
-    canonical = []
-    for branch, coeff in acc.items():
-        coeff %= system.ring.modulus
-        if coeff == 0:
-            continue
         tree.branch(branch.presentation)
-        canonical.append((branch, coeff))
-    canonical.sort(key=lambda e: tree.branch_sort_key(e[0]))
-    return Planted(system, tuple(canonical), fact)
+        acc[branch] = acc.get(branch, 0) + ring.value_of(coeff)
+    m = ring.modulus
+    return Planted(system, tuple(sorted((b, v) for b, c in acc.items() if (v := c % m))), fact)
 
 
 def branch_generator(system: System, branch: Branch, coeff=1) -> Planted:

@@ -135,8 +135,9 @@ def support_bound(b: Planted, p: int) -> int:
 def extract_branch(b: Planted, p: int) -> tuple[RingElem, Branch]:
     """A branch whose coefficient in ``b`` is a nonzero constant on ``[p, omega)^2``.
 
-    The support of the entry at the probe pair is read off; its least node
-    (by canonical address) determines the branch and the coefficient.  The
+    The entry at the probe pair is canonical and ``_probe`` has checked that
+    every term sits at index ``p + 1``, so its first term holds the least
+    node, which determines the branch, and that node's coefficient.  The
     coefficient is then spot-checked on sampled pairs ``p <= i < j`` before
     the result is handed back.
     """
@@ -144,8 +145,8 @@ def extract_branch(b: Planted, p: int) -> tuple[RingElem, Branch]:
     if entry.is_zero():
         raise NoBranchError("no persistent branch chain: the element is equivalent to zero")
     tree = b.system.tree
-    node = min((node for node, _ in entry.support()), key=tree.node_sort_key)
-    d = entry.coefficient(node, p + 1)
+    node, _, c = entry.terms[0]
+    d = entry.ring.elem(c)
     branch = tree.branch_from_node(node)
     for i in range(p, p + 3):
         for j in range(i + 1, i + 3):
@@ -169,8 +170,7 @@ def decompose(a: Planted) -> Decomposition:
         if len(extracted) >= n_star:
             raise AssertionError("peeling must finish strictly below the support bound")
 
-    tree = a.system.tree
-    combo = tuple(sorted(extracted, key=lambda e: tree.branch_sort_key(e[0])))
+    combo = tuple(sorted(extracted))
     result = Decomposition(combo, normal.witness, p, default_horizon(a))
     _verify_decomposition(a, result)
     return result

@@ -2,17 +2,20 @@
 
 The level-i module is freely generated by pairs ``(node at level i, l)`` with
 ``l > i``.  Elements are finite coefficient maps in canonical form: zero
-coefficients dropped, terms sorted by node address then generator index, so
-equality is syntactic.  The connecting homomorphism into a lower level i sends
-the generator ``(eta, l)`` of level j to ``(eta|i, l) - (eta|i, j)``.
+coefficients dropped, terms ``(node, l, coefficient)`` sorted in tuple order,
+which is node address then generator index, as no two terms share a
+``(node, l)``; so equality is syntactic.  The connecting homomorphism into a
+lower level i sends the generator ``(eta, l)`` of level j to
+``(eta|i, l) - (eta|i, j)``.
 
 Terms are validated once, where they enter: ``module_element`` checks each
-term's node, level and generator index, and ``ModuleElement.from_json`` reads
-files through it.  The internal paths (``+``, ``-``, ``restrict_to`` and
-``apply_hom``) only recombine the terms of elements that are already valid,
-and restriction keeps a valid node valid, so they skip those checks: they
-reduce, drop zeros and sort through the trusted ``_canonical``.  Two trusted accumulators sit below them: ``_add_terms``
-adds ``sign * e`` and ``_add_hom`` adds ``sign * hom(e)`` into an unreduced
+term's node, level and generator index, whatever its coefficient, and
+``ModuleElement.from_json`` reads files through it.  The internal paths
+(``+``, ``-``, ``restrict_to`` and ``apply_hom``) only recombine the terms of
+elements that are already valid, and restriction keeps a valid node valid, so
+they skip those checks: they reduce, drop zeros and sort through the trusted
+``_canonical``.  Two trusted accumulators sit below them: ``_add_terms`` adds
+``sign * e`` and ``_add_hom`` adds ``sign * hom(e)`` into an unreduced
 ``(node, l) -> int`` map and validate nothing, so a caller can sum several
 elements and images and reduce once, or test the sum for zero without
 building an element at all.
@@ -130,7 +133,7 @@ class ModuleElement(NamedTuple):
             if not isinstance(obj, dict):
                 raise ValueError(f"module element must be an object, got {type(obj).__name__}")
             level, terms = json_int(obj["level"], "level"), obj["terms"]
-        acc: dict[tuple[Node, int], int] = {}
+        items = []
         for term_path, term in json_list(terms, f"{path}.terms"):
             with at(term_path):
                 node = term["node"]
@@ -138,40 +141,37 @@ class ModuleElement(NamedTuple):
                 coeff = json_int(term["coeff"], "coefficient")
             with at(f"{term_path}.node"):
                 node = tree.node_from_json(node)
-            acc[(node, l)] = acc.get((node, l), 0) + coeff
+            items.append(((node, l), coeff))
         with at(path):
-            return module_element(level, acc, ring, tree)
+            return module_element(level, items, ring, tree)
 
 
 def module_element(level: int, terms, ring: Ring, tree: Tree) -> ModuleElement:
     """Validating, canonicalizing constructor from a ``(node, l) -> coefficient``
-    mapping: the entry point for terms that do not come from valid elements."""
+    mapping or a sequence of such pairs: the entry point for terms that do not
+    come from valid elements.  Its rule, which ``planted`` and ``coboundary``
+    share: every item is checked, a zero coefficient's too, duplicates are
+    merged, and ``_canonical`` reduces mod m, drops zeros and sorts."""
     if level < 0:
         raise ValueError("level must be non-negative")
     items = terms.items() if isinstance(terms, dict) else terms
     acc: dict[tuple[Node, int], int] = {}
     for (node, l), c in items:
-        value = (c.value if isinstance(c, RingElem) else int(c)) % ring.modulus
-        if value == 0:
-            continue
         tree.check_node(node)
         if node.level != level:
             raise ValueError(f"term node {node!r} is not at level {level}")
         if l <= level:
             raise ValueError(f"generator index {l} must exceed the level {level}")
-        acc[(node, l)] = acc.get((node, l), 0) + value
+        acc[(node, l)] = acc.get((node, l), 0) + ring.value_of(c)
     return _canonical(level, acc, ring, tree)
 
 
 def _canonical(level: int, acc: dict, ring: Ring, tree: Tree) -> ModuleElement:
     """The element of a ``(node, l) -> int`` map whose keys are trusted to be
     valid nodes at ``level`` with generator indices above it: coefficients
-    reduced, zeros dropped, terms sorted."""
+    reduced, zeros dropped, terms sorted in tuple order."""
     m = ring.modulus
-    terms = [(n, l, v) for (n, l), c in acc.items() if (v := c % m)]
-    if len(terms) > 1:
-        key = tree.node_sort_key
-        terms.sort(key=lambda t: (key(t[0]), t[1]))
+    terms = sorted((n, l, v) for (n, l), c in acc.items() if (v := c % m))
     return ModuleElement(level, tuple(terms), ring, tree)
 
 

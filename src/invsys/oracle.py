@@ -281,14 +281,14 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
     tree = system.tree
     levels: list[tuple[Node, ...]] = []
     for i in range(height):
-        nodes = tuple(sorted(set(universe.get(i, ())), key=tree.node_sort_key))
+        nodes = set(universe.get(i, ()))
         if len(nodes) > MAX_NODES_PER_LEVEL:
             raise ValueError(f"level {i} universe exceeds {MAX_NODES_PER_LEVEL} nodes")
         for node in nodes:
             tree.check_node(node)
             if node.level != i:
                 raise ValueError(f"node {node!r} filed under level {i}")
-        levels.append(nodes)
+        levels.append(tuple(sorted(nodes)))
     dims = [len(levels[i]) * (height - 1 - i) for i in range(height)]
     offsets = [0, *np.cumsum(dims).tolist()]
     row0 = [{node: offsets[i] + p * (height - 1 - i) - i - 1 for p, node in enumerate(levels[i])}

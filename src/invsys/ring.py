@@ -20,6 +20,15 @@ class Ring:
     def elem(self, value: int) -> RingElem:
         return RingElem(value % self.modulus, self)
 
+    def value_of(self, coeff) -> int:
+        """An integer representing ``coeff``: a ``RingElem`` of this ring or
+        anything ``int`` accepts; a residue of another ring is refused."""
+        if isinstance(coeff, RingElem):
+            if coeff.ring != self:
+                raise ValueError(f"mismatched rings: {self} vs {coeff.ring}")
+            return coeff.value
+        return int(coeff)
+
     @property
     def zero(self) -> RingElem:
         return self.elem(0)

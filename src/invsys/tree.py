@@ -17,11 +17,16 @@ full-level enumeration: all operations are restriction and membership based
 and consult only nodes occurring in finite supports.
 
 Nodes and branch handles are named tuples, so the ``(node, l)`` keys of every
-term map are compared and hashed in C.  A node therefore equals the plain
-tuple ``(level, address)`` and is orderable as one, but that order means
-nothing: nodes and branches are always ordered through the tree's
-``node_sort_key`` and ``branch_sort_key``, and always serialized through
-``to_json``.
+term map are compared and hashed in C, and their tuple order is the canonical
+order that every canonical form is sorted by.  A node is ``(level, address)``
+and every sort compares nodes of one level, so nodes are ordered by address:
+a branch index on ``disjoint_branches``, a tuple of ``(position, value)``
+pairs with increasing positions on ``finite_support``, a tuple of integers on
+``decreasing_seq``.  A branch is ``(presentation,)``.  A new family needs no
+sort key: its addresses must only compare, within one level, in the order its
+canonical forms take.  ``node_sort_key`` and ``branch_sort_key`` return the
+address and the presentation, which is that order; nothing in the package
+calls them.  Nodes and branches are always serialized through ``to_json``.
 """
 
 from __future__ import annotations
@@ -95,10 +100,10 @@ class Tree:
                 raise ValueError(f"candidate {eta!r} is not at level {j}")
             self.check_node(eta)
         out = [eta for eta in candidates if self._restrict(eta, nu.level) == nu]
-        return tuple(sorted(out, key=self.node_sort_key))
+        return tuple(sorted(out))
 
     def node_sort_key(self, node: Node):
-        raise NotImplementedError
+        return node.address
 
     # -- branches ---------------------------------------------------------
 
@@ -120,7 +125,7 @@ class Tree:
         raise NotImplementedError
 
     def branch_sort_key(self, branch: Branch):
-        raise NotImplementedError
+        return branch.presentation
 
     def branch_from_node(self, node: Node) -> Branch:
         """The canonical branch through ``node`` (minimal continuation)."""
@@ -230,9 +235,6 @@ class DisjointBranchesTree(Tree):
     def _restrict(self, node: Node, i: int) -> Node:
         return Node(i, node.address)
 
-    def node_sort_key(self, node: Node):
-        return (node.address,)
-
     def branch(self, presentation) -> Branch:
         if not isinstance(presentation, int) or not 0 <= presentation < self.count:
             raise ValueError(f"branch index must lie below {self.count}: {presentation!r}")
@@ -245,9 +247,6 @@ class DisjointBranchesTree(Tree):
 
     def branch_count(self):
         return self.count
-
-    def branch_sort_key(self, branch: Branch):
-        return (branch.presentation,)
 
     def presentation_level(self, branch: Branch) -> int:
         return 0
@@ -309,9 +308,6 @@ class FiniteSupportTree(Tree):
     def _restrict(self, node: Node, i: int) -> Node:
         return Node(i, tuple(p for p in node.address if p[0] < i))
 
-    def node_sort_key(self, node: Node):
-        return node.address
-
     def branch(self, presentation) -> Branch:
         if not isinstance(presentation, tuple):
             presentation = _as_support_map(presentation)
@@ -325,9 +321,6 @@ class FiniteSupportTree(Tree):
 
     def branch_count(self):
         return COUNTABLY_INFINITE
-
-    def branch_sort_key(self, branch: Branch):
-        return branch.presentation
 
     def presentation_level(self, branch: Branch) -> int:
         if not branch.presentation:
@@ -365,9 +358,6 @@ class DecreasingSeqTree(Tree):
     def _restrict(self, node: Node, i: int) -> Node:
         return Node(i, node.address[:i])
 
-    def node_sort_key(self, node: Node):
-        return node.address
-
     def branch(self, presentation) -> Branch:
         raise NoBranchError("a decreasing-sequence tree has no branches")
 
@@ -376,9 +366,6 @@ class DecreasingSeqTree(Tree):
 
     def branch_count(self):
         return 0
-
-    def branch_sort_key(self, branch: Branch):
-        raise NoBranchError("a decreasing-sequence tree has no branches")
 
     def branch_from_node(self, node: Node) -> Branch:
         raise NoBranchError("no branch passes through a decreasing-sequence node")

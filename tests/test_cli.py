@@ -393,6 +393,10 @@ MALFORMED_ELEMENTS = {
                                                  "$.fact_y[0].elem.terms[0].node", DECREASING_SEQ),
     "sequence node address a string": (with_node(1, ["3"]),
                                        "$.fact_y[0].elem.terms[0].node", DECREASING_SEQ),
+    # A term whose coefficient is 0 mod m is checked like any other.
+    "terms[].node at another level, coeff 0 mod m": (
+        with_term(node={"level": 2, "address": 0}, l=5, coeff=3), "$.fact_y[0].elem"),
+    "terms[].l at its level, coeff 0 mod m": (with_term(l=0, coeff=3), "$.fact_y[0].elem"),
 }
 
 
@@ -419,6 +423,20 @@ def test_malformed_element_exit_2_with_path(tmp_path, sys1_path, capsys, case):
         sys1_path = write_json(tmp_path / "sys.json", system[0])
     elem = write_json(tmp_path / "elem.json", obj)
     assert_schema_exit(["--system", sys1_path, "--element", elem, "--cmd", "check"], path, capsys)
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+@pytest.mark.parametrize("case", ("terms[].node at another level, coeff 0 mod m",
+                                  "terms[].l at its level, coeff 0 mod m"))
+def test_zero_coefficient_term_is_checked_in_both_formats(tmp_path, sys1_path, capsys, case, fmt):
+    obj, path = MALFORMED_ELEMENTS[case]
+    elem = write_json(tmp_path / "elem.json", obj)
+    code = main(["--system", sys1_path, "--element", elem, "--cmd", "decompose", "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == ""
+    error = json.loads(out.out)["error"] if fmt == "json" else out.out
+    assert f"{path}: " in error
 
 
 def test_oracle_verify_horizon_above_cap_exit_2(sys1_path, capsys):

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from invsys import (
+    Branch,
     DecreasingSeqTree,
     DisjointBranchesTree,
     FiniteSupportTree,
@@ -15,6 +16,7 @@ from invsys import (
     check_coherence,
     check_eq_recurrences,
     coboundary,
+    decompose,
     default_horizon,
     generator,
     module_element,
@@ -462,6 +464,29 @@ def test_combo_merges_and_drops_zero(sys1):
     a = planted(sys1, [(t0, 1), (t0, 2)])
     assert a.combo == ()
     assert a.is_zero()
+
+
+def test_planted_checks_a_branch_whose_coefficient_vanishes(sys1):
+    with pytest.raises(ValueError, match="branch index must lie below 2"):
+        planted(sys1, {Branch(99): 3})
+
+
+def test_planted_refuses_a_coefficient_of_another_ring(sys1):
+    with pytest.raises(ValueError, match=r"^mismatched rings: Ring\(modulus=3\) vs Ring\(modulus=5\)$"):
+        planted(sys1, {sys1.tree.branch(0): Ring(5).elem(4)})
+
+
+def test_coboundary_merges_a_repeated_level(sys1):
+    e1 = y_elem(sys1, 0, {(b0(0), 1): 1, (Node(0, 1), 2): 2})
+    e2 = y_elem(sys1, 0, {(b0(0), 1): 1, (b0(0), 3): 1})
+    repeated = coboundary(sys1, [(0, e1), (2, y_elem(sys1, 2, {(b0(2), 3): 1})), (0, e2)])
+    merged = coboundary(sys1, {0: e1 + e2, 2: y_elem(sys1, 2, {(b0(2), 3): 1})})
+    assert repeated == merged
+    assert coboundary(sys1, [(0, e1), (0, -e1)]).is_zero()
+    a = planted(sys1, {sys1.tree.branch(1): 2}, repeated)
+    dec = decompose(a)
+    assert dec.combo == ((sys1.tree.branch(1), 2),)
+    assert dec.residual == merged
 
 
 def test_planted_json_round_trip(sys1, sysf):

@@ -18,7 +18,8 @@ from invsys import (
     module_element,
     singleton,
 )
-from invsys.sampling import random_planted, sample_node
+from invsys.freemod import _canonical
+from invsys.sampling import random_planted, sample_branch, sample_node
 
 
 def b0(level):
@@ -173,6 +174,11 @@ def test_invalid_terms_rejected(sys1):
         module_element(1, {(b0(1), 1): 1}, sys1.ring, sys1.tree)  # index not above level
     with pytest.raises(ValueError):
         module_element(0, {(Node(0, 9), 1): 1}, sys1.ring, sys1.tree)  # invalid node
+
+
+def test_module_element_refuses_a_coefficient_of_another_ring(sys1):
+    with pytest.raises(ValueError, match=r"^mismatched rings: Ring\(modulus=3\) vs Ring\(modulus=7\)$"):
+        module_element(0, {(b0(0), 1): Ring(7).elem(5)}, sys1.ring, sys1.tree)
 
 
 def test_json_round_trip(sys1):
@@ -335,3 +341,48 @@ def test_scalar_times_element_is_refused(sys1):
     for product in (lambda: 2 * e, lambda: e * 2, lambda: e * e):
         with pytest.raises(TypeError, match="^unsupported operand type"):
             product()
+
+
+# The per-family sort keys that canonical forms were once sorted through;
+# decreasing_seq's branch key only raised, since that tree has no branches.
+OLD_NODE_KEY = {
+    DisjointBranchesTree: lambda node: (node.address,),
+    FiniteSupportTree: lambda node: node.address,
+    DecreasingSeqTree: lambda node: node.address,
+}
+OLD_BRANCH_KEY = {
+    DisjointBranchesTree: lambda branch: (branch.presentation,),
+    FiniteSupportTree: lambda branch: branch.presentation,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False),
+       level=st.integers(0, 7), count=st.integers(0, 12))
+def test_tuple_order_is_the_old_keyed_order(system, rng, level, count):
+    """Nodes of one level and branches sort by tuple order exactly as by the
+    old keys, duplicates included."""
+    tree = system.tree
+    nodes = [sample_node(tree, rng, level) for _ in range(count)]
+    assert sorted(nodes) == sorted(nodes, key=OLD_NODE_KEY[type(tree)])
+    if isinstance(tree, DecreasingSeqTree):
+        return
+    branches = [sample_branch(tree, rng) for _ in range(count)]
+    assert sorted(branches) == sorted(branches, key=OLD_BRANCH_KEY[type(tree)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(HOM_SYSTEMS), rng=st.randoms(use_true_random=False),
+       level=st.integers(0, 7), count=st.integers(0, 12))
+def test_canonical_matches_the_old_keyed_sort(system, rng, level, count):
+    """``_canonical`` reduces, drops zeros and sorts a term map exactly as the
+    old keyed sort by ``(node key, l)`` did."""
+    ring, tree = system.ring, system.tree
+    acc = {}
+    for _ in range(count):
+        key = (sample_node(tree, rng, level), rng.randrange(level + 1, level + 5))
+        acc[key] = acc.get(key, 0) + rng.randrange(-2 * ring.modulus, 2 * ring.modulus)
+    m, node_key = ring.modulus, OLD_NODE_KEY[type(tree)]
+    old = [(n, l, v) for (n, l), c in acc.items() if (v := c % m)]
+    old.sort(key=lambda t: (node_key(t[0]), t[1]))
+    assert _canonical(level, acc, ring, tree).terms == tuple(old)

@@ -53,6 +53,13 @@ def test_non_closed_universe_rejected(sys1):
         truncate(sys1, 3, universe)
 
 
+@pytest.mark.parametrize("bad", (Node(1, (1,)), Node(1, "x"), Node(0, 1)))
+def test_universe_nodes_are_checked_before_they_are_sorted(sys1, bad):
+    universe = {0: {Node(0, 0), Node(0, 1)}, 1: {Node(1, 0), bad}, 2: set()}
+    with pytest.raises(ValueError, match=r"^node address must be|filed under level 1$"):
+        truncate(sys1, 3, universe)
+
+
 def test_hom_matrices_compose(sys1, sysf):
     rng = Random(3)
     for system in (sys1, sysf):
