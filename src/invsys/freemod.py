@@ -133,6 +133,7 @@ class ModuleElement(NamedTuple):
             if not isinstance(obj, dict):
                 raise ValueError(f"module element must be an object, got {type(obj).__name__}")
             level, terms = json_int(obj["level"], "level"), obj["terms"]
+            _check_level(level)
         items = []
         for term_path, term in json_list(terms, f"{path}.terms"):
             with at(term_path):
@@ -141,6 +142,8 @@ class ModuleElement(NamedTuple):
                 coeff = json_int(term["coeff"], "coefficient")
             with at(f"{term_path}.node"):
                 node = tree.node_from_json(node)
+            with at(term_path):
+                _check_term(level, node, l)
             items.append(((node, l), coeff))
         with at(path):
             return module_element(level, items, ring, tree)
@@ -152,18 +155,28 @@ def module_element(level: int, terms, ring: Ring, tree: Tree) -> ModuleElement:
     come from valid elements.  Its rule, which ``planted`` and ``coboundary``
     share: every item is checked, a zero coefficient's too, duplicates are
     merged, and ``_canonical`` reduces mod m, drops zeros and sorts."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
+    _check_level(level)
     items = terms.items() if isinstance(terms, dict) else terms
     acc: dict[tuple[Node, int], int] = {}
     for (node, l), c in items:
         tree.check_node(node)
-        if node.level != level:
-            raise ValueError(f"term node {node!r} is not at level {level}")
-        if l <= level:
-            raise ValueError(f"generator index {l} must exceed the level {level}")
+        _check_term(level, node, l)
         acc[(node, l)] = acc.get((node, l), 0) + ring.value_of(c)
     return _canonical(level, acc, ring, tree)
+
+
+def _check_level(level: int) -> None:
+    if level < 0:
+        raise ValueError("level must be non-negative")
+
+
+def _check_term(level: int, node: Node, l: int) -> None:
+    """``(node, l)``, for a node the tree has checked, is a generator of the
+    module at ``level``."""
+    if node.level != level:
+        raise ValueError(f"term node {node!r} is not at level {level}")
+    if l <= level:
+        raise ValueError(f"generator index {l} must exceed the level {level}")
 
 
 def _canonical(level: int, acc: dict, ring: Ring, tree: Tree) -> ModuleElement:

@@ -3,34 +3,47 @@
 The truncated system materializes the level modules as explicit coordinate
 spaces over Z/m (one axis per generator ``(node, l)`` with ``l`` below the
 height) and the connecting maps as matrices built directly from the generator
-rule.  Coherence, agreement with the symbolic evaluation path, and coboundary
-solvability are then plain modular matrix arithmetic, sharing no evaluation
-code with the symbolic side.
+rule and tree restriction.  Coherence, agreement with the symbolic evaluation
+path, and coboundary solvability are then plain modular matrix arithmetic,
+sharing no evaluation code with the symbolic side.
 
-Block layout.  The generators of every level are laid end to end, level 0
-first, so level ``i`` owns the coordinates ``o[i]:o[i+1]`` with
+Layout.  The generators of every level are laid end to end, level 0 first, so
+level ``i`` owns the coordinates ``o[i]:o[i+1]`` (``_offsets``) with
 ``o[i] = dim(0) + ... + dim(i-1)``.  Within a level they run node by node in
-node sort order, ``l = i+1 .. height-1`` within a node, so the generator
-``(node, l)`` of level ``i`` is row ``_row0[i][node] + l`` of every block
-array, and only the nodes are indexed.  All hom maps live in one
-``(Σ dim) × (Σ dim)`` array ``H`` whose block ``(i, j)`` is ``hom(i, j)`` for
-``i < j`` and zero otherwise; ``hom_matrix`` hands out read-only views of its
-blocks.  A table is one ``(Σ dim) × height`` array ``t`` whose block
-``(i, j)`` (level ``i``'s rows, column ``j``) is the entry ``(i, j)``, zero
-outside ``i < j``, and a coboundary sequence ``y`` is one stacked vector of
-length ``Σ dim``; both stay in that layout from their build through every
-check.  Each triple law then reads off one product per middle
-level ``j``: the rows above ``o[j]`` are the levels ``i < j``, the columns
-from ``o[j+1]`` (from ``j + 1`` in a table) are the levels ``k > j``, and
-block ``(i, k)`` of ``H[:o[j], o[j]:o[j+1]] @ H[o[j]:o[j+1], o[j+1]:]`` is
+sorted order, ``l = i+1 .. height-1`` within a node, so the generator
+``(node, l)`` of level ``i`` is coordinate ``_row0[i][node] + l``, and only the
+nodes are indexed.  All hom maps live in one ``(Σ dim) × (Σ dim)`` array ``H``
+(``_hom``) whose block ``(i, j)`` (level ``i``'s rows, level ``j``'s columns)
+is ``hom(i, j)`` for ``i < j`` and zero otherwise; ``hom_matrix`` hands out
+read-only views of its blocks.  A table is one ``(Σ dim) × height`` array
+``t`` whose block ``(i, j)`` (level ``i``'s rows, column ``j``) is the entry
+``(i, j)``; ``_upper`` marks the blocks with ``i < j``, and ``t`` is zero
+outside them.  A coboundary sequence ``y`` is one stacked vector of length
+``Σ dim``.  Tables and sequences stay in this layout from their build through
+every check.
+
+Build.  ``truncate`` validates each universe node once, then places ``H`` in
+one pass over the levels ``j`` and their nodes ``eta``, both ascending.  Each
+``eta`` is restricted, without re-validation, to every lower level ``i``,
+ascending, and a restriction outside the universe is refused.  By the
+generator rule ``(eta, l) -> (eta|i, l) - (eta|i, j)``, column
+``_row0[j][eta] + l`` gets a 1 at row ``_row0[i][eta|i] + l`` and an ``m - 1``
+at row ``_row0[i][eta|i] + j``; the two rows differ, so two fancy assignments
+place every entry.  The composition law is then checked on the result.
+
+Checks.  Each triple law reads off one product per middle level ``j``: the
+rows above ``o[j]`` are the levels ``i < j``, the columns from ``o[j+1]``
+(from ``j + 1`` in a table) are the levels ``k > j``, and block ``(i, k)`` of
+``H[:o[j], o[j]:o[j+1]] @ H[o[j]:o[j+1], o[j+1]:]`` is
 ``hom(i, j) @ hom(j, k)``.  So the products for ``j = 1 .. height-2`` cover
 every triple ``i < j < k``, each exactly once, and the checks stay complete
 in ``height - 2`` numpy calls rather than ``C(height, 3)``.  Coherence reads
 the same way: ``t[:o[j], j+1:] - t[:o[j], j]`` must equal, mod m,
-``H[:o[j], o[j]:o[j+1]] @ t[o[j]:o[j+1], j+1:]``.  The coboundary parts
-``hom(i, j) @ y_j`` of every pair come from one ``H @ diag(y)``, summed over
-each level's columns.  The coboundary solve reads ``y`` off the top column
-``t[:, height-1]``.
+``H[:o[j], o[j]:o[j+1]] @ t[o[j]:o[j+1], j+1:]``.  The coboundary table
+``y_i - hom(i, j) @ y_j`` of every pair comes from one ``H @ diag(y)``, summed
+over each level's columns; ``independent_table`` and ``coboundary_fault``
+both read it from ``_coboundary_table``.  The coboundary solve reads ``y`` off
+the top column ``t[:, height-1]``.
 
 Vectors and matrices are kept reduced mod m, so a matrix-vector product is a
 sum of at most ``dim`` terms, each at most ``(m - 1) ** 2``, and at most one
@@ -52,9 +65,6 @@ validated ``y`` terms, so they are restricted without re-validation.  A tree
 whose branch nodes broke that rule would still be caught: by ``truncate``'s
 closure check, and by ``independent_table``, which refuses a branch node
 outside the universe.
-``truncate`` takes any universe, so it validates each node once, then checks
-closure for every node against every lower level through the unvalidated
-restriction, and checks the hom maps' composition law on the result.
 
 At any finite height every coherent table is a coboundary: assigning each
 level the entry against the top level (and zero at the top) solves all the
@@ -81,12 +91,10 @@ MAX_NODES_PER_LEVEL = 16
 class TruncatedSystem:
     system: System
     height: int
-    # level i owns rows and columns _offsets[i]:_offsets[i+1] of _hom
+    # the layout of the module docstring
     _offsets: list[int] = field(repr=False)
-    # _row0[i]: level i's node map of the block layout (module docstring)
     _row0: list[dict[Node, int]] = field(repr=False)
     _hom: np.ndarray = field(repr=False)
-    # _upper[r, j]: the level of coordinate r lies below j, so (r, j) is in a table block
     _upper: np.ndarray = field(repr=False)
     dtype: type
 
@@ -125,17 +133,18 @@ class TruncatedSystem:
             raise ValueError(f"generator ({node!r}, {l}) lies outside the node universe")
         return r + l - self._offsets[level]
 
-    def _applied(self, y: np.ndarray) -> np.ndarray:
-        """The block array whose entry ``(i, j)`` is ``hom(i, j) @ y_j``, for a
-        stacked sequence ``y``: ``H @ diag(y)`` summed over each level's columns."""
-        out = np.zeros((len(y), self.height), dtype=self.dtype)
+    def _coboundary_table(self, y: np.ndarray) -> np.ndarray:
+        """The unreduced table whose entry ``(i, j)`` is ``y_i - hom(i, j) @ y_j``,
+        for a stacked sequence ``y``: the images are ``H @ diag(y)`` summed
+        over each level's columns."""
+        images = np.zeros((len(y), self.height), dtype=self.dtype)
         # reduceat sums from each start to the next, so empty levels are left
         # out of the starts; they keep their zero column.
         nonempty = [j for j in range(self.height) if self.dim(j)]
         if nonempty:
             starts = [self._offsets[j] for j in nonempty]
-            out[:, nonempty] = np.add.reduceat(self._hom * y, starts, axis=1)
-        return out
+            images[:, nonempty] = np.add.reduceat(self._hom * y, starts, axis=1)
+        return np.where(self._upper, y[:, None], 0) - images
 
     def primary_table(self, a: Planted) -> np.ndarray:
         """The symbolic evaluation path, vectorized for matrix checks: every
@@ -176,7 +185,7 @@ class TruncatedSystem:
                 values.append(c)  # canonical, so already reduced mod m
         y = np.zeros(self._offsets[-1], dtype=self.dtype)
         y[rows] = values
-        t = np.where(self._upper, y[:, None], 0) - self._applied(y)
+        t = self._coboundary_table(y)
         # each branch adds its coefficient at the generators (node, j) of its
         # level-i node, j = i+1 .. h-1, one per column j; branches may share a
         # node, so the additions go through the unbuffered np.add.at
@@ -224,20 +233,15 @@ class TruncatedSystem:
                 return False
         return True
 
-    def agreement(self, a: Planted, primary=None) -> bool:
-        """Whether the symbolic path and the independent path produce the same table.
-
-        ``primary`` is ``a``'s primary table when the caller has built it already.
-        """
-        if primary is None:
-            primary = self.primary_table(a)
+    def agreement(self, a: Planted, primary: np.ndarray) -> bool:
+        """Whether ``primary``, ``a``'s table from the symbolic path, equals the
+        table the independent path builds."""
         return np.array_equal(primary, self.independent_table(a))
 
     def coboundary_fault(self, t: np.ndarray, y: np.ndarray) -> tuple[int, int] | None:
         """The first pair ``(i, j)`` in lexicographic order at which
         ``t[i,j] = y_i - hom(i, j) @ y_j`` fails, or None."""
-        want = np.where(self._upper, y[:, None], 0) - self._applied(y)
-        wrong = (t - want) % self.modulus != 0
+        wrong = (t - self._coboundary_table(y)) % self.modulus != 0
         if not wrong.any():
             return None
         for i, j in _pairs(self.height):
@@ -270,12 +274,9 @@ def _triples(height: int):
 
 
 def truncate(system: System, height: int, universe) -> TruncatedSystem:
-    """Build the explicit truncated modules and hom matrices.
-
-    ``universe`` maps each level below ``height`` to its node set, which must
-    be closed under restriction.  Each node is validated once; its
-    restrictions are then taken without re-validation.
-    """
+    """Build the explicit truncated modules and hom matrices in the pass the
+    module docstring describes.  ``universe`` maps each level below ``height``
+    to its node set, which must be closed under restriction."""
     if not 3 <= height <= MAX_HEIGHT:
         raise ValueError(f"height must lie in [3, {MAX_HEIGHT}], got {height}")
     tree = system.tree
@@ -293,43 +294,32 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
     offsets = [0, *np.cumsum(dims).tolist()]
     row0 = [{node: offsets[i] + p * (height - 1 - i) - i - 1 for p, node in enumerate(levels[i])}
             for i in range(height)]
-    # down[n][i]: _row0 at level i of the n-th node's restriction (0 from its own level up)
-    down = []
-    for i in range(height):
-        for node in levels[i]:
-            row = [0] * height
-            for lower in range(i):
-                # node was validated above, so its restrictions need no re-check
-                r = row0[lower].get(tree._restrict(node, lower))
+    # per (column, lower level): the row of the 1, the row of the m - 1, the column
+    plus, minus, cols = [], [], []
+    for j in range(height):
+        for eta in levels[j]:
+            down = []
+            for i in range(j):
+                r = row0[i].get(tree._restrict(eta, i))
                 if r is None:
                     raise ValueError(
-                        f"universe is not closed under restriction: {node!r} at level {lower}"
+                        f"universe is not closed under restriction: {eta!r} at level {i}"
                     )
-                row[lower] = r
-            down.append(row)
+                down.append(r)
+            c0, ls = row0[j][eta], range(j + 1, height)
+            plus += [r + l for l in ls for r in down]
+            minus += [r + j for r in down] * len(ls)
+            cols += [c0 + l for l in ls for _ in down]
 
     m = system.ring.modulus
     dtype = object if (m - 1) ** 2 * (max(dims) + 1) >= 2 ** 63 else np.int64
-
-    # hom(i, j) sends the generator (eta, l) of level j to (eta|i, l) - (eta|i, j).
-    # Every column gets one 1 and one m - 1 in each block above its level, at
-    # distinct rows, so two plain assignments place them all.
-    lv = np.arange(height)
-    width = height - 1 - lv  # generators per node at each level
-    node_level = np.repeat(lv, [len(nodes) for nodes in levels])
-    col_level = np.repeat(node_level, width[node_level])
-    col_l = np.array([l for i in range(height) for _ in levels[i] for l in range(i + 1, height)],
-                     dtype=np.int64)
-    # per (column, level i): the _row0 of eta|i
-    base = np.repeat(np.array(down, dtype=np.int64).reshape(-1, height), width[node_level], axis=0)
-    below = lv < col_level[:, None]  # (column, lower level) pairs with a block
     total = offsets[-1]
-    cols = np.broadcast_to(np.arange(total)[:, None], below.shape)[below]
     hom = np.zeros((total, total), dtype=dtype)
-    hom[(base + col_l[:, None])[below], cols] = 1
-    hom[(base + col_level[:, None])[below], cols] = m - 1
+    hom[plus, cols] = 1
+    hom[minus, cols] = m - 1
     hom.flags.writeable = False
-    trunc = TruncatedSystem(system, height, offsets, row0, hom, col_level[:, None] < lv, dtype)
+    upper = np.repeat(np.arange(height), dims)[:, None] < np.arange(height)
+    trunc = TruncatedSystem(system, height, offsets, row0, hom, upper, dtype)
 
     fault = trunc.composition_fault()
     if fault is not None:

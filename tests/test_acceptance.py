@@ -157,10 +157,10 @@ def test_criterion_6_oracle_cross_check(capsys):
         system = families[n % len(families)]
         a = random_planted(system, rng, max_fact_levels=3, level_cap=3, index_cap=5)
         trunc = truncate(system, 6, universe_for(system, [a], 6))
-        if not trunc.agreement(a):
+        table = trunc.primary_table(a)
+        if not trunc.agreement(a, table):
             disagreements += 1
             continue
-        table = trunc.primary_table(a)
         if not trunc.table_coherent(table):
             incoherent += 1
             continue

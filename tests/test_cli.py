@@ -395,8 +395,13 @@ MALFORMED_ELEMENTS = {
                                        "$.fact_y[0].elem.terms[0].node", DECREASING_SEQ),
     # A term whose coefficient is 0 mod m is checked like any other.
     "terms[].node at another level, coeff 0 mod m": (
-        with_term(node={"level": 2, "address": 0}, l=5, coeff=3), "$.fact_y[0].elem"),
-    "terms[].l at its level, coeff 0 mod m": (with_term(l=0, coeff=3), "$.fact_y[0].elem"),
+        with_term(node={"level": 2, "address": 0}, l=5, coeff=3), "$.fact_y[0].elem.terms[0]"),
+    "terms[].l at its level, coeff 0 mod m": (with_term(l=0, coeff=3), "$.fact_y[0].elem.terms[0]"),
+    # the term at fault is named, not the first one
+    "terms[1].l at its level": (
+        {"combo": [], "fact_y": [{"level": 0, "elem": {"level": 0, "terms": [
+            GOOD_TERM, {**GOOD_TERM, "l": 0}]}}]},
+        "$.fact_y[0].elem.terms[1]"),
 }
 
 
@@ -437,6 +442,18 @@ def test_zero_coefficient_term_is_checked_in_both_formats(tmp_path, sys1_path, c
     assert out.err == ""
     error = json.loads(out.out)["error"] if fmt == "json" else out.out
     assert f"{path}: " in error
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_term_error_names_the_term_in_both_formats(tmp_path, sys1_path, capsys, fmt):
+    obj, path = MALFORMED_ELEMENTS["terms[1].l at its level"]
+    elem = write_json(tmp_path / "elem.json", obj)
+    code = main(["--system", sys1_path, "--element", elem, "--cmd", "decompose", "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == ""
+    error = json.loads(out.out)["error"] if fmt == "json" else out.out
+    assert error.rstrip("\n").endswith(f"{elem}: {path}: generator index 0 must exceed the level 0")
 
 
 def test_oracle_verify_horizon_above_cap_exit_2(sys1_path, capsys):

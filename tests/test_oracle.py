@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from math import comb
 from random import Random
 
@@ -47,9 +48,26 @@ def test_height_bounds_enforced(sys1):
         truncate(sys1, 9, {i: set() for i in range(9)})
 
 
+def not_closed(node):
+    return f"^{re.escape(f'universe is not closed under restriction: {node} at level 0')}$"
+
+
 def test_non_closed_universe_rejected(sys1):
     universe = {0: set(), 1: {Node(1, 0)}, 2: set()}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=not_closed("Node(level=1, address=0)")):
+        truncate(sys1, 3, universe)
+
+
+@pytest.mark.parametrize("universe, node", [
+    # two nodes miss their restriction: the first in sorted order is named
+    ({0: set(), 1: {Node(1, 1), Node(1, 0)}, 2: set()}, "Node(level=1, address=0)"),
+    # a lower level's node is named before a higher level's
+    ({0: set(), 1: {Node(1, 1)}, 2: {Node(2, 0)}}, "Node(level=1, address=1)"),
+    # one node misses two restrictions: the lower level is named
+    ({0: set(), 1: set(), 2: {Node(2, 0)}}, "Node(level=2, address=0)"),
+])
+def test_non_closed_universe_names_the_first_missing_restriction(sys1, universe, node):
+    with pytest.raises(ValueError, match=not_closed(node)):
         truncate(sys1, 3, universe)
 
 
@@ -94,8 +112,9 @@ def test_verify_evaluation_random(sys1, sys3, sysf):
         for _ in range(10):
             a = random_planted(system, rng, level_cap=3, index_cap=5)
             trunc = truncate(system, 6, universe_for(system, [a], 6))
-            assert trunc.table_coherent(trunc.primary_table(a))
-            assert trunc.agreement(a)
+            table = trunc.primary_table(a)
+            assert trunc.table_coherent(table)
+            assert trunc.agreement(a, table)
 
 
 def test_fault_injected_table_fails(sys1):
@@ -167,7 +186,6 @@ def test_oracle_agreement_randomized(sys1, sys3, sysf):
         for _ in range(15):
             a = random_planted(system, rng, level_cap=3, index_cap=5)
             trunc = truncate(system, 6, universe_for(system, [a], 6))
-            assert trunc.agreement(a)
             table = trunc.primary_table(a)
             assert trunc.agreement(a, table)
             assert trunc.table_coherent(table)
@@ -179,7 +197,7 @@ def test_agreement_reads_the_given_primary_table(sys1):
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
     table = trunc.primary_table(a)
     table[trunc._rows(0), 3] = (table[trunc._rows(0), 3] + 1) % trunc.modulus
-    assert trunc.agreement(a) and not trunc.agreement(a, table)
+    assert trunc.agreement(a, trunc.primary_table(a)) and not trunc.agreement(a, table)
 
 
 @pytest.mark.parametrize("modulus", [2 ** 31 - 1, 2 ** 40 + 15])
@@ -207,8 +225,9 @@ def test_truncation_keeps_int64_while_exact(modulus, dtype):
     assert trunc.dtype is dtype
     assert trunc.hom_matrix(0, 1).dtype == np.dtype(dtype)
     for elem in elems:
-        assert trunc.agreement(elem)
-        assert trunc.table_coherent(trunc.primary_table(elem))
+        table = trunc.primary_table(elem)
+        assert trunc.agreement(elem, table)
+        assert trunc.table_coherent(table)
 
 
 @pytest.mark.parametrize("modulus", [3, 2 ** 40 + 15])
@@ -555,19 +574,19 @@ def test_primary_table_rejects_entries_outside_the_truncation(sys1):
 
 
 def reference_independent_table(trunc, a):
-    """The independent table level by level: ``y`` from ``vectorize`` per level
-    below the height, each branch's coefficient added column by column."""
-    h, o = trunc.height, trunc._offsets
+    """The independent table pair by pair: ``y_i - hom(i, j) @ y_j`` from
+    ``vectorize`` and ``hom_matrix``, each branch's coefficient added column
+    by column."""
+    h = trunc.height
     tree = trunc.system.tree
-    y = np.concatenate([trunc.vectorize(a.fact.y(i)) for i in range(h)])
-    t = np.where(trunc._upper, y[:, None], 0) - trunc._applied(y)
+    y = [trunc.vectorize(a.fact.y(i)) for i in range(h)]
+    table = {(i, j): y[i] - trunc.hom_matrix(i, j) @ y[j] for i, j in pairs(h)}
     for i in range(h - 1):
         for branch, coeff in a.combo:
             node = tree.branch_node(branch, i)
             for j in range(i + 1, h):
-                t[o[i] + trunc._position(i, node, j), j] += coeff
-    t %= trunc.modulus
-    return blocks(trunc, t)
+                table[(i, j)][trunc._position(i, node, j)] += coeff
+    return {pair: vec % trunc.modulus for pair, vec in table.items()}
 
 
 @pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
@@ -592,7 +611,7 @@ def test_independent_table_adds_branches_through_a_shared_node(sysf):
     table = blocks(trunc, trunc.independent_table(a))
     assert np.array_equal(table[(0, 4)], reference_independent_table(trunc, a)[(0, 4)])
     assert table[(0, 4)][trunc._position(0, Node(0, ()), 4)] == 2
-    assert trunc.agreement(a)
+    assert trunc.agreement(a, trunc.primary_table(a))
 
 
 def test_independent_table_ignores_y_at_and_above_the_height(sys1):
