@@ -11,7 +11,9 @@ with its undecodable bytes escaped as ``\\udcXX``.
 Exit codes: 0 success / true / equivalent, 1 false / inequivalent (with a
 certificate in the report), 2 input or schema error; a schema error names
 the JSON path of the offending value.  3 is an internal certification
-failure: a certificate the library built did not re-verify.
+failure: a certificate the library built did not re-verify.  141 means the
+reader of stdout went away before the report was written: it is the status a
+shell reports for a writer killed by SIGPIPE, and nothing is printed on stderr.
 
 Only ``oracle-verify`` imports the matrix oracle (and with it numpy) and the
 random sampler, inside its handler; ``check``, ``decompose``, ``equiv`` and
@@ -29,6 +31,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from random import Random
 
@@ -54,6 +57,9 @@ MAX_CHECK_HORIZON = 64
 # ``card`` prints the quotient cardinality m ** n in full, and Python refuses
 # by default to turn an integer of more decimal digits than this into a string.
 MAX_CARD_DIGITS = 4300
+
+# The exit status when stdout is a pipe whose reader has gone away: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_json(path: str):
@@ -305,6 +311,24 @@ def _emit(report, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _main(argv)
+        finally:
+            # A buffered report reaches a closed pipe only when flushed; flush
+            # here, inside the guard, not at interpreter exit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout's descriptor at the null device, so that the flush at
+        # exit has somewhere to write.  No SIGPIPE handler is installed, since
+        # ``main`` may run inside a larger process.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.horizon is not None and args.horizon < 3:

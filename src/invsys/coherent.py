@@ -49,26 +49,33 @@ the violations of an incoherent family canonicalizes each map once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .freemod import ModuleElement, _add_hom, _add_terms, _canonical, apply_hom
 from .ring import RingElem
-from .schema import SchemaError, at, json_int, json_list
+from .schema import SchemaError, Value, at, json_int, json_list
 from .system import System
 from .tree import Branch, Node
 
 
-@dataclass(frozen=True)
-class Coboundary:
+class Coboundary(Value):
     """A finitely supported sequence ``y`` of module elements, one per level.
 
     Levels not listed carry zero.  The induced family ``y_i - hom(y_j)`` is
     coherent for free, by the composition law of the connecting maps.
+    ``_by_level`` is filled on first use; it has no ``__slots__``, since the
+    cached property keeps its value in the instance ``__dict__``.
     """
 
-    system: System
-    entries: tuple[tuple[int, ModuleElement], ...]  # (level, nonzero element), sorted
+    _fields = ("system", "entries")
+
+    def __init__(self, system: System, entries: tuple[tuple[int, ModuleElement], ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "entries", entries)  # (level, nonzero element), sorted
+
+    def _key(self) -> tuple:
+        return (self.system, self.entries)
 
     @cached_property
     def _by_level(self) -> dict[int, ModuleElement]:
@@ -139,25 +146,28 @@ def coboundary(system: System, table) -> Coboundary:
     return Coboundary(system, tuple(sorted((lvl, e) for lvl, e in acc.items() if not e.is_zero())))
 
 
-@dataclass(frozen=True)
-class Planted:
+class Planted(Value):
     """A branch-generator combination plus a coboundary part.
 
     ``_entries`` is the element's table of evaluated entries, keyed by
     ``(i, j)``, and ``_branch_nodes`` maps a level ``i`` to the ``(node,
     coefficient)`` pairs of ``combo`` at that level, which every entry
-    ``(i, j)`` shares; neither takes part in equality, hashing or ``repr``.
+    ``(i, j)`` shares; neither is a field, so neither takes part in equality,
+    hashing or ``repr``.
     """
 
-    system: System
-    combo: tuple[tuple[Branch, int], ...]  # (branch, nonzero coefficient), canonical
-    fact: Coboundary
-    _entries: dict[tuple[int, int], ModuleElement] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
-    _branch_nodes: dict[int, tuple[tuple[Node, int], ...]] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    _fields = ("system", "combo", "fact")
+    __slots__ = (*_fields, "_entries", "_branch_nodes")
+
+    def __init__(self, system: System, combo: tuple[tuple[Branch, int], ...], fact: Coboundary):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "combo", combo)  # (branch, nonzero coefficient), canonical
+        object.__setattr__(self, "fact", fact)
+        object.__setattr__(self, "_entries", {})
+        object.__setattr__(self, "_branch_nodes", {})
+
+    def _key(self) -> tuple:
+        return (self.system, self.combo, self.fact)
 
     @property
     def stab_bound(self) -> int:
@@ -349,8 +359,7 @@ def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class EqViolation:
+class EqViolation(NamedTuple):
     equation: str
     i: int
     j: int
@@ -365,8 +374,7 @@ class EqViolation:
         }
 
 
-@dataclass(frozen=True)
-class EqReport:
+class EqReport(NamedTuple):
     horizon: int
     violations: tuple[EqViolation, ...]
 
@@ -449,8 +457,7 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
 # -- normalization ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelBounds:
+class LevelBounds(NamedTuple):
     """Per-level stabilization bounds, listed for the levels where ``y`` is
     nonzero; at every other level the bound is ``i + 1``."""
 
@@ -460,8 +467,7 @@ class LevelBounds:
         return self.table.get(i, i + 1)
 
 
-@dataclass(frozen=True)
-class Normalized:
+class Normalized(NamedTuple):
     element: Planted
     witness: Coboundary
     bounds: LevelBounds

@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coherent import (
     Coboundary,
@@ -72,8 +71,7 @@ IND_OMEGA_JSON = {"first": {"finite": [], "threshold": 0},
                   "pro": [{"i_from": 0, "i_to": None, "set": {"finite": [], "threshold": 0}}]}
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A certified peeling result: ``a`` is the combo plus the residual coboundary.
 
     ``provenance`` is the probe level ``p`` at which every peeling round read
@@ -93,8 +91,7 @@ class Decomposition:
         }
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     """A coboundary witnessing that two families differ by a boundary, with
     the JSON of the index set their agreement was checked on."""
 

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .schema import at
+from .schema import Value, at
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Value):
     """The ring of integers modulo ``modulus``, with ``modulus >= 2``."""
 
-    modulus: int
+    __slots__ = _fields = ("modulus",)
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {self.modulus!r}")
+    def __init__(self, modulus: int):
+        if not isinstance(modulus, int) or modulus < 2:
+            raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+        object.__setattr__(self, "modulus", modulus)
+
+    def _key(self) -> tuple:
+        return (self.modulus,)
 
     def elem(self, value: int) -> RingElem:
         return RingElem(value % self.modulus, self)
@@ -53,16 +54,19 @@ class Ring:
             return Ring(modulus)
 
 
-@dataclass(frozen=True)
-class RingElem:
+class RingElem(Value):
     """A residue in ``[0, modulus)``; operands must share a ring."""
 
-    value: int
-    ring: Ring
+    __slots__ = _fields = ("value", "ring")
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.ring.modulus:
-            raise ValueError(f"residue {self.value} out of range for {self.ring}")
+    def __init__(self, value: int, ring: Ring):
+        if not 0 <= value < ring.modulus:
+            raise ValueError(f"residue {value} out of range for {ring}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ring", ring)
+
+    def _key(self) -> tuple:
+        return (self.value, self.ring)
 
     def _check(self, other: RingElem) -> None:
         if not isinstance(other, RingElem):

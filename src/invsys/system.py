@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ring import Ring
-from .schema import SchemaError, at
+from .schema import SchemaError, Value, at
 from .tree import Tree
 
 __all__ = ["SchemaError", "System"]
 
 
-@dataclass(frozen=True)
-class System:
-    ring: Ring
-    tree: Tree
+class System(Value):
+    __slots__ = _fields = ("ring", "tree")
+
+    def __init__(self, ring: Ring, tree: Tree):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "tree", tree)
+
+    def _key(self) -> tuple:
+        return (self.ring, self.tree)
 
     def to_json(self) -> dict:
         return {"ring": self.ring.to_json(), "tree": self.tree.to_json()}

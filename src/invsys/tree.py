@@ -31,10 +31,9 @@ calls them.  Nodes and branches are always serialized through ``to_json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .schema import at, json_int, json_list
+from .schema import Value, at, json_int, json_list
 
 COUNTABLY_INFINITE = "countably-infinite"
 
@@ -68,9 +67,11 @@ def _address_to_json(address):
     return [list(p) if isinstance(p, tuple) else p for p in address]
 
 
-class Tree:
-    """Common operations on a presented level tree."""
+class Tree(Value):
+    """Common operations on a presented level tree; a tree is a ``Value`` over
+    the fields of its presentation."""
 
+    __slots__ = ()
     kind = ""
 
     # -- nodes ------------------------------------------------------------
@@ -215,16 +216,19 @@ def _as_support_map(obj) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
 class DisjointBranchesTree(Tree):
     """``count`` disjoint chains; node addresses are branch indices."""
 
-    count: int
+    __slots__ = _fields = ("count",)
     kind = "disjoint_branches"
 
-    def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
-            raise ValueError(f"branch count must be a positive integer, got {self.count!r}")
+    def __init__(self, count: int):
+        if not isinstance(count, int) or count < 1:
+            raise ValueError(f"branch count must be a positive integer, got {count!r}")
+        object.__setattr__(self, "count", count)
+
+    def _key(self) -> tuple:
+        return (self.count,)
 
     def check_node(self, node: Node) -> None:
         if node.level < 0:
@@ -260,7 +264,6 @@ class DisjointBranchesTree(Tree):
         return obj
 
 
-@dataclass(frozen=True)
 class FiniteSupportTree(Tree):
     """Nodes are finitely supported maps below their level, ordered by inclusion.
 
@@ -269,15 +272,19 @@ class FiniteSupportTree(Tree):
     presented branch family is genuinely infinite.
     """
 
-    widths_table: tuple[int, ...]
-    eventual_width: int
+    __slots__ = _fields = ("widths_table", "eventual_width")
     kind = "finite_support"
 
-    def __post_init__(self):
-        if any(not isinstance(w, int) or w < 1 for w in self.widths_table):
-            raise ValueError(f"width table entries must be positive integers: {self.widths_table!r}")
-        if not isinstance(self.eventual_width, int) or self.eventual_width < 2:
-            raise ValueError(f"eventual width must be an integer >= 2, got {self.eventual_width!r}")
+    def __init__(self, widths_table: tuple[int, ...], eventual_width: int):
+        if any(not isinstance(w, int) or w < 1 for w in widths_table):
+            raise ValueError(f"width table entries must be positive integers: {widths_table!r}")
+        if not isinstance(eventual_width, int) or eventual_width < 2:
+            raise ValueError(f"eventual width must be an integer >= 2, got {eventual_width!r}")
+        object.__setattr__(self, "widths_table", widths_table)
+        object.__setattr__(self, "eventual_width", eventual_width)
+
+    def _key(self) -> tuple:
+        return (self.widths_table, self.eventual_width)
 
     def width(self, position: int) -> int:
         if position < len(self.widths_table):
@@ -337,10 +344,10 @@ class FiniteSupportTree(Tree):
         return _as_support_map(obj)
 
 
-@dataclass(frozen=True)
 class DecreasingSeqTree(Tree):
     """Strictly decreasing integer sequences; populated at every level, branchless."""
 
+    __slots__ = ()
     kind = "decreasing_seq"
 
     def check_node(self, node: Node) -> None:

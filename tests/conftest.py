@@ -37,14 +37,16 @@ def sysf():
 def fresh_cli():
     """Runs ``python -m invsys.cli *argv`` in a new interpreter that imports
     this checkout's ``src``, or ``python -c code *argv`` when ``code`` is given.
-    ``env`` adds variables; other keywords go to ``subprocess.run``, with
-    output captured as text unless ``text=False``."""
+    ``env`` adds variables, and removes those it maps to ``None``; other
+    keywords go to ``subprocess.run``, with stdout and stderr captured as text
+    unless ``stdout``, ``stderr`` or ``text=False`` say otherwise."""
     src = str(Path(invsys.__file__).resolve().parents[1])
     base = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
     def run(argv, *, code=None, env=(), **kwargs):
         head = ["-m", "invsys.cli"] if code is None else ["-c", code]
-        return subprocess.run([sys.executable, *head, *argv], capture_output=True,
-                              env={**base, **dict(env)}, **{"text": True, **kwargs})
+        merged = {key: value for key, value in {**base, **dict(env)}.items() if value is not None}
+        options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
+        return subprocess.run([sys.executable, *head, *argv], env=merged, **options)
 
     return run

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import sys
@@ -410,7 +409,7 @@ def assert_schema_exit(args, path, capsys):
     out = capsys.readouterr()
     report = json.loads(out.out)
     assert code == 2
-    assert f"{path}: " in report["error"] or f"{path}." in report["error"]
+    assert f"{path}: " in report["error"]
     assert out.err == ""
 
 
@@ -547,7 +546,7 @@ def test_miscertified_decomposition_exit_3(tmp_path, sys1, sys1_path, capsys, mo
 
     def forged(a):
         normal = real(a)
-        return dataclasses.replace(normal, witness=normal.witness + extra)
+        return normal._replace(witness=normal.witness + extra)
 
     monkeypatch.setattr(decomp, "normalize_cobounded", forged)
     a = gen_file(tmp_path, sys1, "a.json", 0)
@@ -696,3 +695,32 @@ def test_path_that_is_not_utf8_prints_escaped_in_both_formats(tmp_path, sys1, fr
         assert call(name, fmt) == (0, out.replace("a.json", r"a\udcff.json"))
     assert call(bad, "json") == (2, f'{{\n  "error": "{error}"\n}}\n')
     assert call(bad, "text") == (2, f"error: {error}\n")
+
+
+# -- a reader of stdout that went away ---------------------------------------------------
+
+MAIN_AS_CONSOLE_SCRIPT = "import sys; from invsys.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("entry", ["module", "console script"])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, sys1_path, capsys, fresh_cli,
+                                                       entry, unbuffered):
+    """With stdout on a pipe whose read end is closed, each report (json, text
+    and an exit-2 error) ends in the documented status, not a traceback, both
+    when every print writes through and when the report waits in a buffer."""
+    code = None if entry == "module" else MAIN_AS_CONSOLE_SCRIPT
+    reports = {("--cmd", "card"): 0, ("--cmd", "card", "--format", "text"): 0,
+               ("--cmd", "check"): 2}
+    for args, status in reports.items():
+        argv = ["--system", sys1_path, *args]
+        assert main(argv) == status and capsys.readouterr().out
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = fresh_cli(argv, code=code, stdout=write, cwd=tmp_path, timeout=120,
+                              env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+    assert cli.EXIT_BROKEN_PIPE == 141

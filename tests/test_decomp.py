@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from random import Random
@@ -290,20 +289,20 @@ def _forge(tamper, dec, system, rng):
         level = rng.randrange(6)
         bump = generator(sample_node(tree, rng, level), level + 1 + rng.randrange(3),
                          system.ring, system.tree)
-        return dataclasses.replace(dec, residual=dec.residual + coboundary(system, {level: bump}))
+        return dec._replace(residual=dec.residual + coboundary(system, {level: bump}))
     if tamper == "add":
         if tree.branch_count() == 0:
             return None
         present = {b for b, _ in combo}
         extra = [b for b in sample_branches(tree, rng, 4) if b not in present]
-        return extra and dataclasses.replace(dec, combo=((extra[0], 1), *combo))
+        return extra and dec._replace(combo=((extra[0], 1), *combo))
     if not combo:
         return None
     if tamper == "drop":
-        return dataclasses.replace(dec, combo=combo[1:])
+        return dec._replace(combo=combo[1:])
     # The other nonzero residue mod 3, the modulus of every system with branches here.
     (branch, coeff), *rest = combo
-    return dataclasses.replace(dec, combo=((branch, coeff % 2 + 1), *rest))
+    return dec._replace(combo=((branch, coeff % 2 + 1), *rest))
 
 
 @pytest.mark.parametrize("tamper", ["coefficient", "drop", "add", "residual"])

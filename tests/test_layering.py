@@ -6,7 +6,9 @@ witnesses are read off the canonical form, so no other module needs
 under ``if TYPE_CHECKING:``.  Only ``oracle`` imports numpy, and no module
 imports ``oracle`` or ``sampling`` at its top level, so the symbolic commands
 never load them.  The package resolves the oracle's and the index sets' names
-on first access.
+on first access.  Only those two on-demand modules import ``dataclasses``, so
+that a fresh ``import invsys.cli`` loads neither it nor ``inspect``, which it
+pulls in.
 """
 
 import ast
@@ -74,6 +76,20 @@ def test_only_the_package_init_imports_indexset_at_run_time():
 
 def test_only_the_oracle_imports_numpy():
     assert importers("numpy") == ["oracle.py"]
+
+
+def test_only_the_on_demand_modules_import_dataclasses():
+    assert importers("dataclasses") == ["indexset.py", "oracle.py"]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy(tmp_path, fresh_cli):
+    def loaded(statement):
+        probe = f"import sys; {statement}; print(*sorted(sys.modules))"
+        return set(fresh_cli([], code=probe, cwd=tmp_path, timeout=120, check=True).stdout.split())
+
+    added = loaded("import invsys.cli") - loaded("pass")
+    assert "invsys.cli" in added
+    assert {"dataclasses", "inspect", "numpy"}.isdisjoint(added)
 
 
 @pytest.mark.parametrize("target", ["invsys.oracle", "invsys.sampling"])
