@@ -12,8 +12,9 @@ Exit codes: 0 success / true / equivalent, 1 false / inequivalent (with a
 certificate in the report), 2 input or schema error; a schema error names
 the JSON path of the offending value.  3 is an internal certification
 failure: a certificate the library built did not re-verify.  141 means the
-reader of stdout went away before the report was written: it is the status a
-shell reports for a writer killed by SIGPIPE, and nothing is printed on stderr.
+reader of stdout went away before the report (or the help text) was written:
+it is the status a shell reports for a writer killed by SIGPIPE, and nothing
+is printed on stderr.
 
 Only ``oracle-verify`` imports the matrix oracle (and with it numpy) and the
 random sampler, inside its handler; ``check``, ``decompose``, ``equiv`` and
@@ -56,6 +57,8 @@ MAX_CHECK_HORIZON = 64
 
 # ``card`` prints the quotient cardinality m ** n in full, and Python refuses
 # by default to turn an integer of more decimal digits than this into a string.
+# An interpreter set to a lower limit lowers the bound; one set to no limit
+# (0) keeps it, so that ``card`` never spends its time printing a huge power.
 MAX_CARD_DIGITS = 4300
 
 # The exit status when stdout is a pipe whose reader has gone away: 128 + SIGPIPE.
@@ -88,10 +91,17 @@ def load_element(path: str, system: System) -> Planted:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer swallows an OSError, so a help text written
+        # through to a closed pipe would exit 0; let it reach ``main``.
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invsys",
         description="exact computations in inverse systems of free Z/m-modules over a tree",
     )
@@ -177,9 +187,12 @@ def _more_digits_than(m: int, n: int, digits: int) -> bool:
 
 def _run_card(system: System, elements, paths, horizon):
     count, m = system.tree.branch_count(), system.ring.modulus
-    if isinstance(count, int) and _more_digits_than(m, count, MAX_CARD_DIGITS):
+    # Python before 3.10.7 has no limit and no way to ask for it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = min(MAX_CARD_DIGITS, limit or MAX_CARD_DIGITS)
+    if isinstance(count, int) and _more_digits_than(m, count, digits):
         raise SchemaError(f"$.tree.count: the cardinality {m}**{count} has more than "
-                          f"{MAX_CARD_DIGITS} decimal digits, the most card prints")
+                          f"{digits} decimal digits, the most card prints")
     report = {"command": "card"}
     report.update(quotient_card_report(system))
     return report, 0

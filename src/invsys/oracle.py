@@ -30,6 +30,9 @@ generator rule ``(eta, l) -> (eta|i, l) - (eta|i, j)``, column
 ``_row0[j][eta] + l`` gets a 1 at row ``_row0[i][eta|i] + l`` and an ``m - 1``
 at row ``_row0[i][eta|i] + j``; the two rows differ, so two fancy assignments
 place every entry.  The composition law is then checked on the result.
+Every derived table is the coboundary table ``y_i - hom(i, j) @ y_j`` of one
+stacked vector, built by ``_coboundary_table``: ``coboundary_fault``'s of
+``y``, ``independent_table``'s of the vector its docstring describes.
 
 Checks.  Each triple law reads off one product per middle level ``j``: the
 rows above ``o[j]`` are the levels ``i < j``, the columns from ``o[j+1]``
@@ -39,11 +42,9 @@ rows above ``o[j]`` are the levels ``i < j``, the columns from ``o[j+1]``
 every triple ``i < j < k``, each exactly once, and the checks stay complete
 in ``height - 2`` numpy calls rather than ``C(height, 3)``.  Coherence reads
 the same way: ``t[:o[j], j+1:] - t[:o[j], j]`` must equal, mod m,
-``H[:o[j], o[j]:o[j+1]] @ t[o[j]:o[j+1], j+1:]``.  The coboundary table
-``y_i - hom(i, j) @ y_j`` of every pair comes from one ``H @ diag(y)``, summed
-over each level's columns; ``independent_table`` and ``coboundary_fault``
-both read it from ``_coboundary_table``.  The coboundary solve reads ``y`` off
-the top column ``t[:, height-1]``.
+``H[:o[j], o[j]:o[j+1]] @ t[o[j]:o[j+1], j+1:]``.  A coboundary table comes
+from one ``H @ diag(y)``, summed over each level's columns.  The coboundary
+solve reads ``y`` off the top column ``t[:, height-1]``.
 
 Vectors and matrices are kept reduced mod m, so a matrix-vector product is a
 sum of at most ``dim`` terms, each at most ``(m - 1) ** 2``, and at most one
@@ -51,10 +52,8 @@ more reduced vector is added to it before the next reduction.  Stacking keeps
 that bound: a block product sums over one level's coordinates only, and the
 blocks of ``H`` outside the upper triangle contribute exact zeros, so stacking
 adds rows and columns to a product but never a nonzero term to any of its
-sums.  (The branch part of an independent entry sums one coefficient per
-branch, far below that bound for any combination that fits in memory.)  The
-arrays are ``int64`` whenever ``(m - 1) ** 2 * (max dim + 1)`` fits, which
-covers every small modulus; above it they hold Python integers
+sums.  The arrays are ``int64`` whenever ``(m - 1) ** 2 * (max dim + 1)``
+fits, which covers every small modulus; above it they hold Python integers
 (``dtype=object``), so the oracle stays exact for every ``m``.
 
 Node universe.  ``universe_for`` closes the nodes an element touches under
@@ -63,8 +62,8 @@ branch's lower nodes, so a branch costs one ``branch_node`` call and
 ``height - 1`` restrictions.  Those nodes come from trusted branch handles and
 validated ``y`` terms, so they are restricted without re-validation.  A tree
 whose branch nodes broke that rule would still be caught: by ``truncate``'s
-closure check, and by ``independent_table``, which refuses a branch node
-outside the universe.
+closure check, by ``independent_table``, which refuses a branch node outside
+the universe, and by ``agreement``, since each branch node enters through ``H``.
 
 At any finite height every coherent table is a coboundary: assigning each
 level the entry against the top level (and zero at the top) solves all the
@@ -166,12 +165,18 @@ class TruncatedSystem:
         return t
 
     def independent_table(self, a: Planted) -> np.ndarray:
-        """Entries recomputed from the raw presentation: branch nodes are
-        placed directly and the coboundary part uses the hom matrices."""
+        """Entries recomputed from the raw presentation, as the coboundary
+        table ``d(v)`` of one stacked vector ``v``: ``y`` plus, for each branch
+        ``t`` with coefficient ``c``, ``c`` at ``(t(i), h-1)`` for every
+        ``i < h-1``.  Let ``z`` be one branch's part of ``v``.  Level ``h-1``
+        has no generators, so ``z_{h-1} = 0`` and ``d(z)[i, h-1] = (t(i), h-1)``;
+        for ``j < h-1``, ``hom(i, j)`` sends ``(t(j), h-1)`` to
+        ``(t(i), h-1) - (t(i), j)``, since ``t(j)|i = t(i)``, so
+        ``d(z)[i, j] = (t(i), j)``.  So ``d(z)`` is the branch generator's table,
+        and ``z`` its entries against the top level (see ``solve_coboundary``)."""
         h = self.height
         tree = self.system.tree
-        # the stacked y, scattered from its nonzero levels; levels at or above
-        # the height touch no entry below it
+        # levels at or above the height touch no entry below it
         rows, values = [], []
         for level, elem in a.fact.entries:
             if level >= h:
@@ -183,13 +188,6 @@ class TruncatedSystem:
                     self._position(level, node, l)  # raises
                 rows.append(r + l)
                 values.append(c)  # canonical, so already reduced mod m
-        y = np.zeros(self._offsets[-1], dtype=self.dtype)
-        y[rows] = values
-        t = self._coboundary_table(y)
-        # each branch adds its coefficient at the generators (node, j) of its
-        # level-i node, j = i+1 .. h-1, one per column j; branches may share a
-        # node, so the additions go through the unbuffered np.add.at
-        rows, cols, values = [], [], []
         for i in range(h - 1):
             row0 = self._row0[i]
             for branch, coeff in a.combo:
@@ -197,13 +195,14 @@ class TruncatedSystem:
                 r = row0.get(node)
                 if r is None:
                     raise ValueError(f"branch node ({node!r}, {i + 1}) lies outside the node universe")
-                first = r + i + 1
-                rows.extend(range(first, first + h - 1 - i))
-                cols.extend(range(i + 1, h))
-                values.extend([coeff] * (h - 1 - i))
-        np.add.at(t, (rows, cols), np.array(values, dtype=self.dtype))
-        t %= self.modulus
-        return t
+                rows.append(r + h - 1)
+                values.append(coeff)
+        # branches can share a node, and a y term can sit at index h-1 on a
+        # branch node, so a row can repeat: the unbuffered np.add.at sums it
+        v = np.zeros(self._offsets[-1], dtype=self.dtype)
+        np.add.at(v, rows, np.array(values, dtype=self.dtype))
+        v %= self.modulus
+        return self._coboundary_table(v) % self.modulus
 
     # -- checks ---------------------------------------------------------------
 

@@ -85,6 +85,32 @@ def test_card_digit_limit_is_exact(tmp_path, capsys, modulus, count, refused):
     assert ("error" in report) == refused
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_card_digit_limit_follows_a_lower_interpreter_limit(tmp_path, fresh_cli, fmt):
+    """Under an interpreter limit below ``MAX_CARD_DIGITS`` the bound is that
+    limit: a power of more digits exits 2 with the ``$.tree.count`` error, not
+    a traceback from printing it."""
+    env = {"PYTHONINTMAXSTRDIGITS": "640"}
+    for count in (640, 639):
+        path = write_json(tmp_path / "edge.json", {
+            "ring": {"kind": "zmod", "m": 10},
+            "tree": {"kind": "disjoint_branches", "count": count}})
+        run = fresh_cli(["--system", path, "--cmd", "card", "--format", fmt], env=env,
+                        timeout=120)
+        assert run.stderr == ""
+        if count == 640:
+            message = ("$.tree.count: the cardinality 10**640 has more than 640 decimal "
+                       "digits, the most card prints")
+            assert run.returncode == 2
+            assert run.stdout == (json.dumps({"error": message}, indent=2) + "\n"
+                                  if fmt == "json" else f"error: {message}\n")
+        else:
+            assert run.returncode == 0
+            assert str(10 ** 639) in run.stdout
+
+
 def test_equiv_inequivalent_generators(tmp_path, sys1, sys1_path, capsys):
     a = gen_file(tmp_path, sys1, "a.json", 0)
     b = gen_file(tmp_path, sys1, "b.json", 1)
@@ -706,15 +732,20 @@ MAIN_AS_CONSOLE_SCRIPT = "import sys; from invsys.cli import main; sys.exit(main
 @pytest.mark.parametrize("entry", ["module", "console script"])
 def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, sys1_path, capsys, fresh_cli,
                                                        entry, unbuffered):
-    """With stdout on a pipe whose read end is closed, each report (json, text
-    and an exit-2 error) ends in the documented status, not a traceback, both
-    when every print writes through and when the report waits in a buffer."""
+    """With stdout on a pipe whose read end is closed, each report (json, text,
+    an exit-2 error and the help text) ends in the documented status, not a
+    traceback, both when every print writes through and when the report waits
+    in a buffer."""
     code = None if entry == "module" else MAIN_AS_CONSOLE_SCRIPT
     reports = {("--cmd", "card"): 0, ("--cmd", "card", "--format", "text"): 0,
-               ("--cmd", "check"): 2}
+               ("--cmd", "check"): 2, ("--help",): 0}
     for args, status in reports.items():
         argv = ["--system", sys1_path, *args]
-        assert main(argv) == status and capsys.readouterr().out
+        try:
+            returned = main(argv)
+        except SystemExit as exc:  # argparse exits after printing the help
+            returned = exc.code
+        assert returned == status and capsys.readouterr().out
         read, write = os.pipe()
         os.close(read)
         try:

@@ -592,7 +592,7 @@ def reference_independent_table(trunc, a):
 @pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
 def test_independent_table_matches_levelwise_reference(system):
     rng = Random(f"independent/{system.tree.kind}/{system.ring.modulus}")
-    for height in (3, 6, 8):
+    for height in range(3, 9):
         for _ in range(8):
             elems = [random_planted(system, rng, level_cap=min(3, height - 2),
                                     index_cap=height - 1) for _ in range(2)]
@@ -612,6 +612,25 @@ def test_independent_table_adds_branches_through_a_shared_node(sysf):
     assert np.array_equal(table[(0, 4)], reference_independent_table(trunc, a)[(0, 4)])
     assert table[(0, 4)][trunc._position(0, Node(0, ()), 4)] == 2
     assert trunc.agreement(a, trunc.primary_table(a))
+
+
+class SwappedAtTwoTree(DisjointBranchesTree):
+    """Two disjoint chains whose branch nodes trade places at level 2, so that
+    a branch's nodes do not restrict to each other."""
+
+    def branch_node(self, branch, i):
+        node = super().branch_node(branch, i)
+        return Node(i, 1 - node.address) if i == 2 else node
+
+
+def test_agreement_fails_when_branch_nodes_do_not_restrict_to_each_other():
+    system = System(Ring(3), SwappedAtTwoTree(2))
+    a = branch_generator(system, system.tree.branch(0))
+    other = branch_generator(system, system.tree.branch(1))
+    trunc = truncate(system, 5, universe_for(system, [a, other], 5))
+    primary = trunc.primary_table(a)
+    assert not trunc.agreement(a, primary)
+    assert not trunc.table_coherent(primary)
 
 
 def test_independent_table_ignores_y_at_and_above_the_height(sys1):
