@@ -222,8 +222,14 @@ def _run_oracle_verify(system: System, elements, paths, horizon, seed):
             failures.append({"element": label, "kind": "truncation", "detail": str(exc)})
             continue
         primary = trunc.primary_table(elem)
-        if not trunc.agreement(elem, primary):
-            failures.append({"element": label, "kind": "agreement", "detail": "tables differ"})
+        # The independent table is a coboundary table, and truncate has checked
+        # the composition law, so agreement alone proves the primary table
+        # coherent and solvable.  The sweep and the solve run only to explain a
+        # failure.
+        pair = trunc.agreement_fault(elem, primary)
+        if pair is None:
+            continue
+        failures.append({"element": label, "kind": "agreement", "detail": f"tables differ at {pair}"})
         # The solve sweeps the coherence equations first and refuses an
         # incoherent table with a ValueError.
         try:

@@ -251,7 +251,21 @@ def equiv_decide(a: Planted, b: Planted):
 
 
 def quotient_card_report(system: System) -> dict:
-    """Size of the quotient of coherent families modulo coboundaries.
+    """Size of the quotient of presented coherent families modulo coboundaries.
+
+    A presented family is a finite combination of presented branches plus a
+    finitely supported coboundary; those are the classes counted here.  On
+    ``finite_support`` that count is countably infinite, but the full
+    quotient is larger.  With eventual width at least 2 there are 2^aleph_0
+    paths, and each path ``t`` gives the coherent family
+    ``(i, j) -> (t(i), j)``.  A coboundary's entries vanish above its top
+    level, and there entry ``(q, q+1)`` of the difference between two such
+    families, or between one and a presented family, is a sum of
+    ``(node, q+1)`` terms over the level-``q`` nodes of finitely many paths.
+    It is nonzero for all large ``q`` when the paths differ and, against a
+    presented family, when ``t`` is not finitely supported: then ``t(q)`` is
+    none of the finitely many ``s(q)``.  So the full quotient has at least
+    2^aleph_0 classes.
 
     Branchless trees collapse to a single class.  A finite branch family of
     size n yields exactly ``|R| ** n`` classes, certified up to 64 classes by

@@ -32,7 +32,7 @@ at row ``_row0[i][eta|i] + j``; the two rows differ, so two fancy assignments
 place every entry.  The composition law is then checked on the result.
 Every derived table is the coboundary table ``y_i - hom(i, j) @ y_j`` of one
 stacked vector, built by ``_coboundary_table``: ``coboundary_fault``'s of
-``y``, ``independent_table``'s of the vector its docstring describes.
+``y``, ``independent_table``'s of ``presentation_vector``.
 
 Checks.  Each triple law reads off one product per middle level ``j``: the
 rows above ``o[j]`` are the levels ``i < j``, the columns from ``o[j+1]``
@@ -44,7 +44,14 @@ in ``height - 2`` numpy calls rather than ``C(height, 3)``.  Coherence reads
 the same way: ``t[:o[j], j+1:] - t[:o[j], j]`` must equal, mod m,
 ``H[:o[j], o[j]:o[j+1]] @ t[o[j]:o[j+1], j+1:]``.  A coboundary table comes
 from one ``H @ diag(y)``, summed over each level's columns.  The coboundary
-solve reads ``y`` off the top column ``t[:, height-1]``.
+solve reads ``y`` off the top column ``t[:, height-1]``.  Once ``truncate``
+has checked the composition law, every coboundary table is coherent:
+``d(v)[i,j] + hom(i, j) @ d(v)[j,k] = v_i - hom(i, j) @ hom(j, k) @ v_k``,
+which is ``d(v)[i,k]``.  Its top column is ``v``, because level
+``height - 1`` has no generators.  So a primary table that passes
+``agreement``, exact equality with ``d(v)`` for the presentation vector
+``v``, is coherent and solved by ``v``; ``oracle-verify`` runs the coherence
+sweep and the solve only to explain a table that fails it.
 
 Vectors and matrices are kept reduced mod m, so a matrix-vector product is a
 sum of at most ``dim`` terms, each at most ``(m - 1) ** 2``, and at most one
@@ -68,7 +75,8 @@ the universe, and by ``agreement``, since each branch node enters through ``H``.
 At any finite height every coherent table is a coboundary: assigning each
 level the entry against the top level (and zero at the top) solves all the
 equations outright.  The oracle therefore checks evaluations and witnesses,
-not quotient structure, and re-confirms that solvability on every run.
+not quotient structure.  Agreement proves that solvability once per element;
+the solve is re-run only to explain a failure.
 """
 
 from __future__ import annotations
@@ -164,16 +172,16 @@ class TruncatedSystem:
         t[rows, cols] = values
         return t
 
-    def independent_table(self, a: Planted) -> np.ndarray:
-        """Entries recomputed from the raw presentation, as the coboundary
-        table ``d(v)`` of one stacked vector ``v``: ``y`` plus, for each branch
-        ``t`` with coefficient ``c``, ``c`` at ``(t(i), h-1)`` for every
-        ``i < h-1``.  Let ``z`` be one branch's part of ``v``.  Level ``h-1``
-        has no generators, so ``z_{h-1} = 0`` and ``d(z)[i, h-1] = (t(i), h-1)``;
-        for ``j < h-1``, ``hom(i, j)`` sends ``(t(j), h-1)`` to
-        ``(t(i), h-1) - (t(i), j)``, since ``t(j)|i = t(i)``, so
-        ``d(z)[i, j] = (t(i), j)``.  So ``d(z)`` is the branch generator's table,
-        and ``z`` its entries against the top level (see ``solve_coboundary``)."""
+    def presentation_vector(self, a: Planted) -> np.ndarray:
+        """The stacked vector ``v`` whose coboundary table ``d(v)`` is ``a``'s
+        table: ``y`` plus, for each branch ``t`` with coefficient ``c``, ``c``
+        at ``(t(i), h-1)`` for every ``i < h-1``.  Let ``z`` be one branch's
+        part of ``v``.  Level ``h-1`` has no generators, so ``z_{h-1} = 0`` and
+        ``d(z)[i, h-1] = (t(i), h-1)``; for ``j < h-1``, ``hom(i, j)`` sends
+        ``(t(j), h-1)`` to ``(t(i), h-1) - (t(i), j)``, since ``t(j)|i = t(i)``,
+        so ``d(z)[i, j] = (t(i), j)``.  So ``d(z)`` is the branch generator's
+        table, and ``z`` its entries against the top level (see
+        ``solve_coboundary``).  Reduced mod m."""
         h = self.height
         tree = self.system.tree
         # levels at or above the height touch no entry below it
@@ -202,7 +210,12 @@ class TruncatedSystem:
         v = np.zeros(self._offsets[-1], dtype=self.dtype)
         np.add.at(v, rows, np.array(values, dtype=self.dtype))
         v %= self.modulus
-        return self._coboundary_table(v) % self.modulus
+        return v
+
+    def independent_table(self, a: Planted) -> np.ndarray:
+        """Entries recomputed from the raw presentation: the coboundary table
+        ``d(v)`` of ``a``'s ``presentation_vector``, reduced mod m."""
+        return self._coboundary_table(self.presentation_vector(a)) % self.modulus
 
     # -- checks ---------------------------------------------------------------
 
@@ -235,7 +248,16 @@ class TruncatedSystem:
     def agreement(self, a: Planted, primary: np.ndarray) -> bool:
         """Whether ``primary``, ``a``'s table from the symbolic path, equals the
         table the independent path builds."""
-        return np.array_equal(primary, self.independent_table(a))
+        return self.agreement_fault(a, primary) is None
+
+    def agreement_fault(self, a: Planted, primary: np.ndarray) -> tuple[int, int] | None:
+        """The first pair ``(i, j)`` in lexicographic order at which ``primary``
+        differs from ``independent_table(a)``, or None.  The comparison is exact,
+        not mod m, so an unreduced primary coefficient is a difference."""
+        independent = self.independent_table(a)
+        if np.array_equal(primary, independent):
+            return None
+        return self._first_pair(primary != independent)
 
     def coboundary_fault(self, t: np.ndarray, y: np.ndarray) -> tuple[int, int] | None:
         """The first pair ``(i, j)`` in lexicographic order at which
@@ -243,6 +265,10 @@ class TruncatedSystem:
         wrong = (t - self._coboundary_table(y)) % self.modulus != 0
         if not wrong.any():
             return None
+        return self._first_pair(wrong)
+
+    def _first_pair(self, wrong: np.ndarray) -> tuple[int, int]:
+        """The first pair in lexicographic order whose block of the mask is set."""
         for i, j in _pairs(self.height):
             if wrong[self._rows(i), j].any():
                 return i, j
@@ -253,7 +279,9 @@ class TruncatedSystem:
         ``y`` is the top column of ``t``: each ``y_i`` is the entry against the
         top level, and the top level's rows there are zero by the block layout.
         Verifies the full equation system before returning.  Incoherent tables
-        are rejected as a usage error.
+        are rejected as a usage error.  A table that passes ``agreement`` needs
+        no solve: it is coherent, and its ``y`` is the presentation vector (see
+        the module docstring); ``oracle-verify`` solves only a table that fails.
         """
         if not self.table_coherent(t):
             raise ValueError("table is not coherent; no coboundary solve is attempted")

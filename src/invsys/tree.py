@@ -6,8 +6,12 @@ Three presented families are supported:
   has exactly ``count`` nodes and node k extends only node k below it.
 * ``finite_support(widths)`` -- nodes at level i are maps defined on ``[0, i)``
   with finitely many nonzero values, value at position p drawn from
-  ``[0, widths(p))``, ordered by inclusion.  Branches are the finitely
-  supported total selectors, a countably infinite family.
+  ``[0, widths(p))``, ordered by inclusion.  The presented branches are the
+  finitely supported total selectors, a countably infinite family.  They are
+  not all the paths: with eventual width at least 2 every map on the
+  naturals with values below the widths is a path, 2^aleph_0 of them, and
+  ``card`` counts classes of families presented by the finitely supported
+  ones only (see ``quotient_card_report``).
 * ``decreasing_seq`` -- nodes at level i are strictly decreasing length-i
   sequences of non-negative integers ordered by end-extension.  Every level is
   populated but there is no infinite branch.

@@ -510,13 +510,33 @@ def test_check_default_horizon_above_cap_exit_2(tmp_path, sys1, sys1_path, capsy
     assert swept == []
 
 
-def test_oracle_verify_sweeps_coherence_once_per_element(sys1_path, capsys, monkeypatch):
-    sweeps = []
-    real = TruncatedSystem.table_coherent
+def test_oracle_verify_sweeps_coherence_only_for_a_failing_element(sys1_path, capsys, monkeypatch):
+    """Agreement alone decides a passing element; the coherence sweep and the
+    solve run once, for the one element whose table has a flipped entry."""
+    sweeps, flipped = [], []
+    real_coherent, real_table = TruncatedSystem.table_coherent, TruncatedSystem.primary_table
     monkeypatch.setattr(TruncatedSystem, "table_coherent",
-                        lambda self, table: sweeps.append(1) or real(self, table))
-    assert main(["--system", sys1_path, "--cmd", "oracle-verify", "--seed", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["checked"] == len(sweeps) == 20
+                        lambda self, table: sweeps.append(1) or real_coherent(self, table))
+    argv = ["--system", sys1_path, "--cmd", "oracle-verify", "--seed", "5"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == 20 and sweeps == []
+
+    def one_flipped(self, a):
+        table = real_table(self, a)
+        if self.dim(0) and not flipped:
+            flipped.append(a)
+            table[0, 1] = (table[0, 1] + 1) % self.modulus
+        return table
+
+    monkeypatch.setattr(TruncatedSystem, "primary_table", one_flipped)
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checked"] == 20 and len(flipped) == len(sweeps) == 1
+    label = report["failures"][0]["element"]
+    assert report["failures"] == [
+        {"element": label, "kind": "agreement", "detail": "tables differ at (0, 1)"},
+        {"element": label, "kind": "coherence", "detail": "table incoherent"},
+    ]
 
 
 def test_oracle_verify_builds_one_primary_table_per_element(sys1_path, capsys, monkeypatch):

@@ -25,7 +25,7 @@ from invsys import (
     universe_for,
     zero_element,
 )
-from invsys.sampling import random_planted
+from invsys.sampling import BRANCH_POSITION_CAP, random_planted
 
 
 def test_truncated_dimensions_two_branches(sys1):
@@ -198,6 +198,7 @@ def test_agreement_reads_the_given_primary_table(sys1):
     table = trunc.primary_table(a)
     table[trunc._rows(0), 3] = (table[trunc._rows(0), 3] + 1) % trunc.modulus
     assert trunc.agreement(a, trunc.primary_table(a)) and not trunc.agreement(a, table)
+    assert trunc.agreement_fault(a, table) == (0, 3)
 
 
 @pytest.mark.parametrize("modulus", [2 ** 31 - 1, 2 ** 40 + 15])
@@ -349,16 +350,18 @@ def assert_checks_match_reference(trunc, table, y):
 
 
 def reference_case(system, height, rng):
+    """A sampled element of the shape ``oracle-verify`` samples, its truncation
+    and its primary table."""
     a = random_planted(system, rng, level_cap=min(3, height - 2), index_cap=height - 1)
     trunc = truncate(system, height, universe_for(system, [a], height))
-    return trunc, trunc.primary_table(a)
+    return a, trunc, trunc.primary_table(a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(system=st.sampled_from(REFERENCE_SYSTEMS), rng=st.randoms(use_true_random=False),
        height=st.integers(3, 8), data=st.data())
 def test_block_checks_match_reference_on_faults(system, rng, height, data):
-    trunc, table = reference_case(system, height, rng)
+    _, trunc, table = reference_case(system, height, rng)
     m = trunc.modulus
     y = top_solution(trunc, table)
     assert trunc.composition_fault() is None
@@ -394,7 +397,7 @@ def test_block_checks_match_reference_at_every_pair(system, height):
     """One fault at every pair: in the table, in ``y`` and in the hom block,
     the first and last row blocks and the last middle level included."""
     rng = Random(f"every-pair/{system.tree.kind}/{height}")
-    trunc, table = reference_case(system, height, rng)
+    _, trunc, table = reference_case(system, height, rng)
     m = trunc.modulus
     y = top_solution(trunc, table)
     assert trunc.table_coherent(table) and trunc.coboundary_fault(table, y) is None
@@ -411,6 +414,86 @@ def test_block_checks_match_reference_at_every_pair(system, height):
             assert wrong.composition_fault() == reference_composition_fault(wrong)
             # hom(i, j) is the left side of every triple (i, j', j)
             assert wrong.composition_fault() is not None or j == i + 1
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+@pytest.mark.parametrize("height", range(3, 9))
+def test_agreement_proves_coherence_and_the_solve(system, height):
+    """What lets ``oracle-verify`` stop at agreement: the independent table is
+    the coboundary table of the presentation vector, so a primary table that
+    equals it is coherent, and the solve returns that vector exactly."""
+    rng = Random(f"one-equation/{system.tree.kind}/{system.ring.modulus}/{height}")
+    for _ in range(10):
+        a, trunc, primary = reference_case(system, height, rng)
+        v = trunc.presentation_vector(a)
+        independent = trunc.independent_table(a)
+        assert independent.dtype == v.dtype == trunc.dtype
+        assert np.array_equal(independent, trunc._coboundary_table(v) % trunc.modulus)
+        assert trunc.agreement(a, primary)
+        assert trunc.table_coherent(primary)
+        y = trunc.solve_coboundary(primary)
+        assert y.dtype == v.dtype and np.array_equal(y, v)
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+def test_agreement_fault_names_the_one_changed_pair(system):
+    """One coordinate of one entry flipped, or raised by m, at every pair:
+    agreement fails at exactly that pair.  The raised entry is equal mod m, so
+    only an exact comparison catches it."""
+    rng = Random(f"agreement-fault/{system.tree.kind}/{system.ring.modulus}")
+    for height in range(3, 9):
+        a, trunc, primary = reference_case(system, height, rng)
+        m = trunc.modulus
+        for i, j in pairs(height):
+            if not trunc.dim(i):
+                continue
+            row = trunc._offsets[i] + rng.randrange(trunc.dim(i))
+            flipped, unreduced = primary.copy(), primary.copy()
+            flipped[row, j] = (flipped[row, j] + 1) % m
+            unreduced[row, j] += m
+            for table in (flipped, unreduced):
+                assert not trunc.agreement(a, table)
+                assert trunc.agreement_fault(a, table) == (i, j)
+            assert trunc.coboundary_fault(unreduced, trunc.presentation_vector(a)) is None
+
+
+def path_of_ones(level):
+    """The node at ``level`` of the ``finite_support`` path ``t(p) = 1`` at
+    every position ``p``, which no finitely supported branch presents."""
+    return Node(level, tuple((p, 1) for p in range(level)))
+
+
+FINITE_SUPPORT_SYSTEMS = [s for s in REFERENCE_SYSTEMS if s.tree.kind == "finite_support"]
+
+
+@pytest.mark.parametrize("system", FINITE_SUPPORT_SYSTEMS,
+                         ids=[f"m{s.ring.modulus}" for s in FINITE_SUPPORT_SYSTEMS])
+def test_path_of_ones_is_no_presented_family(system):
+    """``card`` counts classes of presented families.  Every width here is at
+    least 2, so ``(i, j) -> (t(i), j)`` for the path of ones is a coherent
+    family.  Sampled branches present below level ``P`` and sampled ``y`` lies
+    below it, so every ``s(P+1)`` is 0 at position ``P`` where ``t(P+1)`` is 1,
+    and the tables differ at ``(P+1, P+2)``.  At this finite height the path's
+    table is still a coboundary, as every coherent table is."""
+    P = BRANCH_POSITION_CAP
+    height = P + 3
+    rng = Random(f"path-of-ones/{system.ring.modulus}")
+    for _ in range(20):
+        a = random_planted(system, rng, level_cap=P, index_cap=height - 1)
+        assert all(system.tree.presentation_level(b) <= P for b, _ in a.combo)
+        assert all(level < P for level, _ in a.fact.entries)
+        universe = universe_for(system, [a], height)
+        for i in range(height):
+            universe[i].add(path_of_ones(i))
+        trunc = truncate(system, height, universe)
+        path = np.zeros((trunc._offsets[-1], height), dtype=trunc.dtype)
+        for i, j in pairs(height):
+            path[trunc._row0[i][path_of_ones(i)] + j, j] = 1
+        assert trunc.table_coherent(path)
+        assert trunc.coboundary_fault(path, path[:, height - 1]) is None
+        primary = trunc.primary_table(a)
+        r = trunc._row0[P + 1][path_of_ones(P + 1)] + P + 2
+        assert path[r, P + 2] == 1 and primary[r, P + 2] == 0
 
 
 @pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
