@@ -98,7 +98,8 @@ __all__ = [
 ]
 
 # Names resolved on first access (PEP 562), so that importing the package or
-# its symbolic commands loads neither numpy (the oracle) nor the index sets.
+# its symbolic commands does not import the oracle or the index sets, which
+# they never use.
 _ORACLE_NAMES = frozenset({"TruncatedSystem", "truncate", "universe_for"})
 _INDEXSET_NAMES = frozenset({"FULL", "IndexSet", "TailSet", "below", "ind_omega",
                              "index_set", "singleton", "tail", "tailset"})

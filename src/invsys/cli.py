@@ -16,9 +16,9 @@ reader of stdout went away before the report (or the help text) was written:
 it is the status a shell reports for a writer killed by SIGPIPE, and nothing
 is printed on stderr.
 
-Only ``oracle-verify`` imports the matrix oracle (and with it numpy) and the
-random sampler, inside its handler; ``check``, ``decompose``, ``equiv`` and
-``card`` run on the symbolic modules alone.
+Only ``oracle-verify`` imports the matrix oracle and the random sampler,
+inside its handler; ``check``, ``decompose``, ``equiv`` and ``card`` run on
+the symbolic modules alone.
 
 ``main(argv)`` may be called any number of times in one process.  The calls
 share one argument parser, built on the first call (never at import), and
@@ -199,7 +199,8 @@ def _run_card(system: System, elements, paths, horizon):
 
 
 def _run_oracle_verify(system: System, elements, paths, horizon, seed):
-    # The only command that needs numpy, so the only one that loads it.
+    # The only command that needs the oracle and the sampler, so the only one
+    # that loads them.
     from .oracle import MAX_HEIGHT, truncate, universe_for
     from .sampling import random_planted
 

@@ -267,9 +267,12 @@ def quotient_card_report(system: System) -> dict:
     none of the finitely many ``s(q)``.  So the full quotient has at least
     2^aleph_0 classes.
 
-    Branchless trees collapse to a single class.  A finite branch family of
-    size n yields exactly ``|R| ** n`` classes, certified up to 64 classes by
-    the separation lemma.  The probe bound ``p`` of the sum of all n
+    Branchless trees collapse to a single class.  On ``decreasing_seq`` that
+    ``1`` likewise counts presented families only: the tree has no branch, so
+    every presented family is its own coboundary part.  It does not decide
+    the full quotient on that tree.  A finite branch family of size n yields
+    exactly ``|R| ** n`` classes, certified up to 64 classes by the
+    separation lemma.  The probe bound ``p`` of the sum of all n
     generators is their largest presentation level, where each branch node
     names its branch.  Entry ``(p, p+1)`` must be n terms at index ``p + 1``
     with coefficient 1, which checks that: the branch nodes at ``p`` are

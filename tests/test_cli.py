@@ -525,7 +525,7 @@ def test_oracle_verify_sweeps_coherence_only_for_a_failing_element(sys1_path, ca
         table = real_table(self, a)
         if self.dim(0) and not flipped:
             flipped.append(a)
-            table[0, 1] = (table[0, 1] + 1) % self.modulus
+            table[0, 1] = (table.get((0, 1), 0) + 1) % self.modulus
         return table
 
     monkeypatch.setattr(TruncatedSystem, "primary_table", one_flipped)
@@ -557,7 +557,8 @@ def test_oracle_verify_incoherent_table_is_one_coherence_failure(tmp_path, sys1,
     def incoherent(self, a):
         table = real(self, a)
         top = self.height - 1
-        table[self._rows(0), top] = (table[self._rows(0), top] + 1) % self.modulus
+        for r in self._rows(0):
+            table[r, top] = (table.get((r, top), 0) + 1) % self.modulus
         return table
 
     monkeypatch.setattr(TruncatedSystem, "primary_table", incoherent)

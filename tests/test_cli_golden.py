@@ -258,11 +258,13 @@ def test_reports_never_reach_the_pure_python_encoder(expected, tmp_path, monkeyp
         "exit": 2, "stdout": '{\n  "error": "bad.json: $.combo: expected a list, got int"\n}\n'}
 
 
-# Runs the golden cases in argv[1] through ``main`` in a fresh interpreter,
-# reports which of numpy, the oracle, the index sets and the sampler they
-# loaded, then runs the oracle-verify case in argv[2] in the same process.
+# Runs the golden cases in argv[1] through ``main`` in a fresh interpreter
+# where numpy cannot be imported, reports which of the oracle, the index sets
+# and the sampler they loaded, then runs the oracle-verify case in argv[2] in
+# the same process and reports whether it loaded numpy or dataclasses.
 FRESH_PROCESS = """
 import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from contextlib import redirect_stdout
 from io import StringIO
 from invsys.cli import main
@@ -274,11 +276,12 @@ def run(argv):
     return {"exit": code, "stdout": out.getvalue()}
 
 symbolic = {case: run(argv) for case, argv in json.loads(sys.argv[1]).items()}
-loaded = [name for name in ("numpy", "invsys.oracle", "invsys.indexset", "invsys.sampling")
+loaded = [name for name in ("invsys.oracle", "invsys.indexset", "invsys.sampling")
           if name in sys.modules]
 verify = run(json.loads(sys.argv[2]))
 print(json.dumps({"symbolic": symbolic, "loaded": loaded, "verify": verify,
-                  "numpy_after_verify": "numpy" in sys.modules}))
+                  "numpy_after_verify": sys.modules["numpy"] is not None,
+                  "dataclasses_after_verify": "dataclasses" in sys.modules}))
 """
 
 
@@ -295,9 +298,10 @@ def test_symbolic_commands_never_load_the_oracle(expected, tmp_path, fresh_cli):
     report = json.loads(child.stdout)
     assert report["symbolic"] == {case: expected[case] for case in symbolic}
     assert report["loaded"] == []
-    assert report["verify"]["exit"] == 0
+    assert report["verify"] == expected[verify_case]
     assert json.loads(report["verify"]["stdout"])["failures"] == []
-    assert report["numpy_after_verify"] is True
+    assert report["numpy_after_verify"] is False
+    assert report["dataclasses_after_verify"] is False
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Only the package ``__init__`` imports the index-set layer when it runs:
 witnesses are read off the canonical form, so no other module needs
 ``indexset`` at run time; a module may still name its types for annotations
-under ``if TYPE_CHECKING:``.  Only ``oracle`` imports numpy, and no module
+under ``if TYPE_CHECKING:``.  No module imports numpy, and no module
 imports ``oracle`` or ``sampling`` at its top level, so the symbolic commands
 never load them.  The package resolves the oracle's and the index sets' names
-on first access.  Only those two on-demand modules import ``dataclasses``, so
+on first access.  Only the on-demand ``indexset`` imports ``dataclasses``, so
 that a fresh ``import invsys.cli`` loads neither it nor ``inspect``, which it
 pulls in.
 """
@@ -74,12 +74,12 @@ def test_only_the_package_init_imports_indexset_at_run_time():
     assert importers("invsys.indexset") == ["__init__.py"]
 
 
-def test_only_the_oracle_imports_numpy():
-    assert importers("numpy") == ["oracle.py"]
+def test_no_module_imports_numpy():
+    assert importers("numpy") == []
 
 
 def test_only_the_on_demand_modules_import_dataclasses():
-    assert importers("dataclasses") == ["indexset.py", "oracle.py"]
+    assert importers("dataclasses") == ["indexset.py"]
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy(tmp_path, fresh_cli):
