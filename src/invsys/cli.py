@@ -225,20 +225,15 @@ def _run_oracle_verify(system: System, elements, paths, horizon, seed):
         primary = trunc.primary_table(elem)
         # The independent table is a coboundary table, and truncate has checked
         # the composition law, so agreement alone proves the primary table
-        # coherent and solvable.  The sweep and the solve run only to explain a
-        # failure.
+        # coherent and solvable.  A table that fails agreement is tested for
+        # coherence, by one comparison with the coboundary table of its top
+        # column, to explain the failure.
         pair = trunc.agreement_fault(elem, primary)
         if pair is None:
             continue
         failures.append({"element": label, "kind": "agreement", "detail": f"tables differ at {pair}"})
-        # The solve sweeps the coherence equations first and refuses an
-        # incoherent table with a ValueError.
-        try:
-            trunc.solve_coboundary(primary)
-        except ValueError:
+        if not trunc.table_coherent(primary):
             failures.append({"element": label, "kind": "coherence", "detail": "table incoherent"})
-        except AssertionError as exc:
-            failures.append({"element": label, "kind": "solve", "detail": str(exc)})
     report = {
         "command": "oracle-verify",
         "height": height,

@@ -39,15 +39,19 @@ middle level ``j < k``.  With ``(p, q)`` its level-``j`` rows, at every level
 restrictions compose these six rows cancel pairwise, which three tuple
 comparisons settle for every ``i`` at once; only a column that fails them is
 summed as a signed multiset mod m, level by level.  A table ``t`` is coherent
-when, for every ``k``, its columns below ``k`` are those of ``d(t[., k])``:
-that is the law ``t[i,j] = t[i,k] - hom(i, j) t[j,k]`` at every triple.  The
-coboundary solve reads ``y`` off the top column.  Under the composition law
-every coboundary table is coherent, since ``d(v)[i,j] + hom(i, j) d(v)[j,k]``
-is ``v_i - hom(i, j) hom(j, k) v_k = d(v)[i,k]``, and its top column is ``v``,
-because level ``height - 1`` has no generators.  So a primary table that
+when ``t[i,j] = t[i,k] - hom(i, j) t[j,k]`` at every triple ``i < j < k``, and
+that is one comparison: ``t`` is coherent exactly when it equals ``d(y)`` for
+its top column ``y = t[., height-1]``.  If ``t`` is coherent, the triples
+``(i, j, height-1)`` say ``t[i,j] = d(y)[i,j]``, and ``d(y)[i, height-1] =
+y_i`` because level ``height - 1`` has no generators.  Conversely, under the
+composition law every coboundary table is coherent, since ``d(v)[i,j] +
+hom(i, j) d(v)[j,k]`` is ``v_i - hom(i, j) hom(j, k) v_k = d(v)[i,k]``, and
+``truncate`` has checked that law.  So at any finite height every coherent
+table is a coboundary, solved by its top column, and the oracle checks
+evaluations and witnesses, not quotient structure.  A primary table that
 passes ``agreement``, exact equality with ``d(v)`` for the presentation
-vector ``v``, is coherent and solved by ``v``; ``oracle-verify`` runs the
-coherence sweep and the solve only to explain a table that fails it.
+vector ``v``, is therefore coherent and solved by ``v``; ``oracle-verify``
+tests coherence only to explain a table that fails it.
 
 Node universe.  ``universe_for`` closes the nodes an element touches under
 restriction: a branch adds only its top node, whose restrictions are the
@@ -58,12 +62,6 @@ whose branch nodes broke that rule would still be caught: by ``truncate``'s
 closure check, by ``independent_table``, which refuses a branch node outside
 the universe, and by ``agreement``, since each branch node enters through the
 hom rows.
-
-At any finite height every coherent table is a coboundary: assigning each
-level the entry against the top level (and zero at the top) solves all the
-equations outright.  The oracle therefore checks evaluations and witnesses,
-not quotient structure.  Agreement proves that solvability once per element;
-the solve is re-run only to explain a failure.
 """
 
 from __future__ import annotations
@@ -206,7 +204,7 @@ class TruncatedSystem(Value):
                 node = tree.branch_node(branch, i)
                 r = row0.get(node)
                 if r is None:
-                    raise ValueError(f"branch node ({node!r}, {i + 1}) lies outside the node universe")
+                    raise ValueError(f"generator ({node!r}, {h - 1}) lies outside the node universe")
                 v[r + h - 1] = v.get(r + h - 1, 0) + coeff
         return self._reduced(v)
 
@@ -238,15 +236,13 @@ class TruncatedSystem(Value):
 
     def table_coherent(self, t: Table) -> bool:
         """Whether ``t[i,k] = t[i,j] + hom(i, j) t[j,k]`` at every triple
-        ``i < j < k``: for each ``k``, the columns below ``k`` must be those of
-        the coboundary table of column ``k``."""
-        t = self._reduced(t)
-        for k in range(2, self.height):
-            column = {r: v for (r, j), v in t.items() if j == k}
-            below = {key: v for key, v in self._coboundary_table(column).items() if key[1] < k}
-            if below != {key: v for key, v in t.items() if key[1] < k}:
-                return False
-        return True
+        ``i < j < k``: whether ``t`` is the coboundary table of its top column
+        (see the module docstring)."""
+        return self.coboundary_fault(t, self._top_column(t)) is None
+
+    def _top_column(self, t: Table) -> Vector:
+        top = self.height - 1
+        return {r: v for (r, j), v in t.items() if j == top}
 
     def agreement(self, a: Planted, primary: Table) -> bool:
         """Whether ``primary``, ``a``'s table from the symbolic path, equals the
@@ -275,20 +271,14 @@ class TruncatedSystem(Value):
         """A stacked sequence ``y`` with ``t[i,j] = y_i - hom(y_j)`` at every pair.
 
         ``y`` is the top column of ``t``: each ``y_i`` is the entry against the
-        top level, and the top level has no coordinates.  Verifies the full
-        equation system before returning.  Incoherent tables are rejected as a
-        usage error.  A table that passes ``agreement`` needs no solve: it is
-        coherent, and its ``y`` is the presentation vector (see the module
-        docstring); ``oracle-verify`` solves only a table that fails.
+        top level, and the top level has no coordinates.  Incoherent tables are
+        rejected as a usage error.  A table that passes ``agreement`` needs no
+        solve: it is coherent, and its ``y`` is the presentation vector (see the
+        module docstring).
         """
         if not self.table_coherent(t):
             raise ValueError("table is not coherent; no coboundary solve is attempted")
-        top = self.height - 1
-        y = {r: v for (r, j), v in t.items() if j == top}
-        fault = self.coboundary_fault(t, y)
-        if fault is not None:
-            raise AssertionError(f"coboundary solve failed at {fault}")
-        return y
+        return self._top_column(t)
 
 
 def _pairs(height: int):

@@ -511,8 +511,8 @@ def test_check_default_horizon_above_cap_exit_2(tmp_path, sys1, sys1_path, capsy
 
 
 def test_oracle_verify_sweeps_coherence_only_for_a_failing_element(sys1_path, capsys, monkeypatch):
-    """Agreement alone decides a passing element; the coherence sweep and the
-    solve run once, for the one element whose table has a flipped entry."""
+    """Agreement alone decides a passing element; the coherence test runs
+    once, for the one element whose table has a flipped entry."""
     sweeps, flipped = [], []
     real_coherent, real_table = TruncatedSystem.table_coherent, TruncatedSystem.primary_table
     monkeypatch.setattr(TruncatedSystem, "table_coherent",
@@ -569,6 +569,25 @@ def test_oracle_verify_incoherent_table_is_one_coherence_failure(tmp_path, sys1,
     kinds = [f["kind"] for f in failures]
     assert kinds.count("coherence") == 1 and "solve" not in kinds
     assert {"element": a, "kind": "coherence", "detail": "table incoherent"} in failures
+
+
+def test_oracle_verify_coherent_wrong_table_is_one_agreement_failure(tmp_path, sys1, sys1_path,
+                                                                      capsys, monkeypatch):
+    """A primary table that is the coboundary table of the wrong vector,
+    ``v + e_r`` for the presentation vector ``v``, is coherent: it fails
+    agreement alone, at its first pair."""
+    def shifted(self, a):
+        v = self.presentation_vector(a)
+        # coordinate 0 lies in level 0, so the tables differ from (0, 1) on
+        v[0] = v.get(0, 0) + 1
+        return self._coboundary_table(v)
+
+    monkeypatch.setattr(TruncatedSystem, "primary_table", shifted)
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    code = main(["--system", sys1_path, "--element", a, "--cmd", "oracle-verify"])
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert code == 1
+    assert failures == [{"element": a, "kind": "agreement", "detail": "tables differ at (0, 1)"}]
 
 
 def test_internal_certification_failure_exit_3(tmp_path, sys1, sys1_path, capsys, monkeypatch):

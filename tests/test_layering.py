@@ -12,6 +12,7 @@ pulls in.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -127,3 +128,21 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         invsys.no_such_name  # noqa: B018
     assert not hasattr(invsys, "no_such_name")
+
+
+# -- the benchmark's traced names ---------------------------------------------------
+
+
+def test_every_traced_name_resolves():
+    """Every function and method the benchmark's span tracer wraps exists, so
+    that deleting or renaming one fails here and not only in a traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.remove()

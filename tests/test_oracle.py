@@ -365,10 +365,18 @@ def top_solution(trunc, table):
     return {r: v for (r, j), v in table.items() if j == top}
 
 
-def assert_checks_match_reference(trunc, table, y):
-    assert trunc.table_coherent(table) == reference_table_coherent(trunc, blocks(trunc, table))
+def assert_fault_matches_reference(trunc, table, y):
     assert trunc.coboundary_fault(table, y) == reference_coboundary_fault(
         trunc, blocks(trunc, table), levels(trunc, y))
+
+
+def assert_checks_match_reference(trunc, table, y):
+    """Both checks against their references.  ``table_coherent`` is compared
+    only on systems that satisfy the composition law, the systems ``truncate``
+    returns: it decides coherence as equality with the coboundary table of the
+    top column, which is coherence only under that law."""
+    assert trunc.table_coherent(table) == reference_table_coherent(trunc, blocks(trunc, table))
+    assert_fault_matches_reference(trunc, table, y)
 
 
 def reference_case(system, height, rng):
@@ -388,6 +396,11 @@ def test_block_checks_match_reference_on_faults(system, rng, height, data):
     y = top_solution(trunc, table)
     assert trunc.composition_fault() is None
     assert_checks_match_reference(trunc, table, y)
+    # an arbitrary coboundary table, nonzero at every coordinate of its vector
+    v = {c: rng.randrange(1, m) for c in range(len(trunc._level))}
+    cob = trunc._coboundary_table(v)
+    assert trunc.table_coherent(cob) and trunc.coboundary_fault(cob, v) is None
+    assert_checks_match_reference(trunc, cob, v)
 
     filled = [(i, j) for i, j in pairs(height) if trunc.dim(i)]
     if not filled:
@@ -395,9 +408,12 @@ def test_block_checks_match_reference_on_faults(system, rng, height, data):
     faults = data.draw(st.lists(st.sampled_from(filled), max_size=3, unique=True),
                        label="faulted pairs")
     faulted = table
+    faulted_cob = cob
     for i, j in faults:
         faulted = with_bump(trunc, faulted, i, m, rng, j)
+        faulted_cob = with_bump(trunc, faulted_cob, i, m, rng, j)
     assert_checks_match_reference(trunc, faulted, y)
+    assert_checks_match_reference(trunc, faulted_cob, v)
     moved = y
     for i, _ in faults:
         moved = with_bump(trunc, moved, i, m, rng)
@@ -410,7 +426,7 @@ def test_block_checks_match_reference_on_faults(system, rng, height, data):
                                        unique=True), label="faulted hom blocks"):
             wrong = with_hom_fault(wrong, i, j, rng)
         assert wrong.composition_fault() == reference_composition_fault(wrong)
-        assert_checks_match_reference(wrong, table, y)
+        assert_fault_matches_reference(wrong, table, y)
 
 
 @pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
@@ -738,8 +754,10 @@ def test_independent_table_rejects_data_outside_the_truncation(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
     other = branch_generator(sys1, sys1.tree.branch(1))
-    with pytest.raises(ValueError, match="outside the node universe"):
+    # the first generator placed for a branch is (t(0), height - 1)
+    with pytest.raises(ValueError) as exc:
         trunc.independent_table(other)
+    assert str(exc.value) == "generator (Node(level=0, address=1), 3) lies outside the node universe"
     for node, l, message in ((Node(1, 1), 2, "outside the node universe"),
                              (Node(1, 0), 6, "generator index 6 lies outside the truncation")):
         y = module_element(1, {(node, l): 1}, sys1.ring, sys1.tree)
