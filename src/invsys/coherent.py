@@ -38,10 +38,14 @@ value, so each element keeps its own entry table: ``eval_entry`` computes an
 entry once, from trusted branch handles, and the identity checks below, which
 read every entry O(h) times, look the rest up.
 
-Entries and defects are each built in one accumulator.  ``eval_entry`` sums
-the branch part, ``y_i`` and ``-hom(y_j)`` into one unreduced term map with
-``freemod``'s ``_add_terms`` and ``_add_hom`` and canonicalizes it once;
-``_defect`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same way.
+Entries and defects are each built in one accumulator.  The branch part of
+every entry ``(i, j)`` is the level's *branch row* at index ``j``: the branch
+nodes of level ``i`` with their coefficients, merged, reduced, without zeros
+and sorted, built once per level.  An entry with no ``y`` at level ``i`` or
+``j`` is that row placed at index ``j``, already canonical.  Otherwise
+``eval_entry`` sums the row, ``y_i`` and ``-hom(y_j)`` into one unreduced term
+map with ``freemod``'s ``_add_terms`` and ``_add_hom`` and canonicalizes it
+once; ``_defect`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same way.
 ``check_coherence`` only asks whether every coefficient of that map vanishes
 mod m, so it sorts nothing and builds no element; the full sweep that lists
 the violations of an incoherent family canonicalizes each map once.
@@ -150,9 +154,10 @@ class Planted(Value):
     """A branch-generator combination plus a coboundary part.
 
     ``_entries`` is the element's table of evaluated entries, keyed by
-    ``(i, j)``, and ``_branch_nodes`` maps a level ``i`` to the ``(node,
-    coefficient)`` pairs of ``combo`` at that level, which every entry
-    ``(i, j)`` shares; neither is a field, so neither takes part in equality,
+    ``(i, j)``, and ``_branch_nodes`` maps a level ``i`` to its branch row,
+    which every entry ``(i, j)`` shares: the ``(node, coefficient)`` pairs of
+    ``combo`` at that level, nodes merged, coefficients reduced mod m, zeros
+    dropped, sorted.  Neither is a field, so neither takes part in equality,
     hashing or ``repr``.
     """
 
@@ -202,21 +207,27 @@ class Planted(Value):
             return out
         if not 0 <= i < j:
             raise ValueError(f"need 0 <= i < j, got ({i}, {j})")
-        tree = self.system.tree
-        nodes = self._branch_nodes.get(i)
-        if nodes is None:
-            nodes = tuple((tree.branch_node(branch, i), coeff) for branch, coeff in self.combo)
-            self._branch_nodes[i] = nodes
-        acc: dict[tuple[Node, int], int] = {}
-        for node, coeff in nodes:
-            acc[(node, j)] = acc.get((node, j), 0) + coeff
-        # the coboundary part y_i - hom(y_j), summed into the same map
+        ring, tree = self.system.ring, self.system.tree
+        row = self._branch_nodes.get(i)
+        if row is None:
+            merged: dict[Node, int] = {}
+            for branch, coeff in self.combo:
+                node = tree.branch_node(branch, i)
+                merged[node] = merged.get(node, 0) + coeff
+            m = ring.modulus
+            row = tuple(sorted((node, v) for node, c in merged.items() if (v := c % m)))
+            self._branch_nodes[i] = row
         y = self.fact._by_level
-        if i in y:
-            _add_terms(acc, y[i], 1)
-        if j in y:
-            _add_hom(acc, y[j], i, -1)
-        out = _canonical(i, acc, self.system.ring, tree)
+        if i in y or j in y:
+            # the coboundary part y_i - hom(y_j), summed into the row's map
+            acc = {(node, j): c for node, c in row}
+            if i in y:
+                _add_terms(acc, y[i], 1)
+            if j in y:
+                _add_hom(acc, y[j], i, -1)
+            out = _canonical(i, acc, ring, tree)
+        else:
+            out = ModuleElement(i, tuple([(node, j, c) for node, c in row]), ring, tree)
         self._entries[(i, j)] = out
         return out
 

@@ -12,33 +12,45 @@ Layout.  The generators of every level are laid end to end, level 0 first, so
 level ``i`` owns the coordinates ``o[i]:o[i+1]`` (``_offsets``), and
 ``_level[c]`` is the level of coordinate ``c``.  Within a level they run node
 by node in sorted order, ``l = i+1 .. height-1`` within a node, so the
-generator ``(node, l)`` of level ``i`` is coordinate ``_row0[i][node] + l``.
-The generator rule sends a coordinate ``c = (eta, l)`` of level ``j``, in each
-lower level ``i``, to ``(eta|i, l) - (eta|i, j)``: a 1 at one row and an
-``m - 1`` at another.  ``_hom[c]`` is the pair ``(plus, minus)`` of tuples
-holding those rows, level ``i``'s at index ``i``; ``hom_matrix`` densifies one
-block from them on request.  A vector, such as a coboundary sequence ``y``
+generator ``(node, l)`` of level ``i`` is coordinate ``_row0[i][node] + l``:
+``_row0[i][node]`` is the node's *base*, and a node of level ``i`` owns the
+``height - 1 - i`` coordinates above it.  The generator rule sends a
+coordinate ``(eta, l)`` of level ``j``, in each lower level ``i``, to
+``(eta|i, l) - (eta|i, j)``: a 1 at ``base_i + l`` and an ``m - 1`` at
+``base_i + j``, where ``base_i`` is the base of ``eta|i``.  Every column of
+one node uses the same restrictions, so only the node's *row* is stored:
+``_down[j][p]``, for the ``p``-th node ``eta`` of level ``j``, is the tuple
+of the bases of ``eta|i`` for ``i < j``, ``sum_j j * |nodes at level j|``
+integers in all.  No column is stored; ``hom_matrix`` densifies one block
+from the rows on request.  A vector, such as a coboundary sequence ``y``
 stacked over all levels, is a dict from coordinate to nonzero residue.  A
 table is a dict from ``(coordinate, column j)`` to nonzero residue; its
 level-``i`` coordinates in column ``j`` are the entry ``(i, j)``.
 
-Build.  ``truncate`` validates each universe node once, then lists ``_hom`` in
-one pass over the levels ``j`` and their nodes ``eta``, both ascending.  Each
-``eta`` is restricted, without re-validation, to every lower level, and a
-restriction outside the universe is refused.  The composition law is then
+Build.  ``truncate`` validates each universe node once, then lists ``_down``
+in one pass over the levels ``j`` and their nodes ``eta``, both ascending.
+Each ``eta`` is restricted, without re-validation, to every lower level, and
+a restriction outside the universe is refused.  The composition law is then
 checked on the result.  Every derived table is the coboundary table
 ``d(y)[i,j] = y_i - hom(i, j) y_j`` of one stacked vector, built by
-``_coboundary_table``: a coordinate ``c`` of level ``j`` adds ``y_c`` at
-``(c, k)`` for every ``k > j`` and, in column ``j``, ``-y_c`` at its plus rows
-and ``+y_c`` at its minus rows.
+``_coboundary_table``: a coordinate ``c = (eta, l)`` of level ``j`` adds
+``y_c`` at ``(c, k)`` for every ``k > j`` and, in column ``j``, ``-y_c`` at
+``base_i + l`` and ``+y_c`` at ``base_i + j`` for each base in its node's row.
 
-Checks.  The composition law reads each column ``c`` of level ``k`` once per
-middle level ``j < k``.  With ``(p, q)`` its level-``j`` rows, at every level
-``i < j`` the signed rows ``+plus(p) - minus(p) - plus(q) + minus(q)`` of
-``hom(i, j) hom(j, k) c`` must equal ``+plus(c) - minus(c)`` mod m.  When the
-restrictions compose these six rows cancel pairwise, which three tuple
-comparisons settle for every ``i`` at once; only a column that fails them is
-summed as a signed multiset mod m, level by level.  A table ``t`` is coherent
+Checks.  The composition law reads each node's row once per middle level.
+For a column ``(eta, l)`` of level ``k`` and levels ``i < j < k``,
+
+    hom(i, j) hom(j, k) (eta, l) - hom(i, k) (eta, l)
+        = ((eta|j)|i, l) - ((eta|j)|i, k) - (eta|i, l) + (eta|i, k),
+
+since the two images of ``(eta|j, j)`` cancel.  As ``l > k``, and two bases
+of one level differ by at least ``height - 1 - i``, the four coordinates are
+distinct unless ``(eta|j)|i = eta|i``, so the difference is zero mod m
+exactly when those bases agree, for every ``l`` at once.  The row of
+``eta|j`` is stored, so the law holds at every ``(i, j, k)`` for the columns
+of ``eta`` exactly when that row equals the first ``j`` entries of ``eta``'s
+row; the first entry where they differ is the least failing ``i``.  Nodes of
+the top level own no column and are skipped.  A table ``t`` is coherent
 when ``t[i,j] = t[i,k] - hom(i, j) t[j,k]`` at every triple ``i < j < k``, and
 that is one comparison: ``t`` is coherent exactly when it equals ``d(y)`` for
 its top column ``y = t[., height-1]``.  If ``t`` is coherent, the triples
@@ -61,7 +73,7 @@ validated ``y`` terms, so they are restricted without re-validation.  A tree
 whose branch nodes broke that rule would still be caught: by ``truncate``'s
 closure check, by ``independent_table``, which refuses a branch node outside
 the universe, and by ``agreement``, since each branch node enters through the
-hom rows.
+node rows.
 """
 
 from __future__ import annotations
@@ -84,13 +96,13 @@ Table = dict[tuple[int, int], int]
 class TruncatedSystem(Value):
     """The layout of the module docstring, built by ``truncate``."""
 
-    __slots__ = _fields = ("system", "height", "_offsets", "_row0", "_level", "_hom")
+    __slots__ = _fields = ("system", "height", "_offsets", "_row0", "_level", "_down")
     system: System
     height: int
     _offsets: tuple[int, ...]
     _row0: tuple[dict[Node, int], ...]
     _level: tuple[int, ...]
-    _hom: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    _down: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __init__(self, *fields):
         for name, value in zip(self._fields, fields, strict=True):
@@ -113,12 +125,15 @@ class TruncatedSystem(Value):
         """``hom(i, j)`` for ``i < j`` below the height, as a fresh list of rows."""
         if not 0 <= i < j < self.height:
             raise KeyError((i, j))
-        o = self._offsets[i]
+        o, h = self._offsets[i], self.height
         block = [[0] * self.dim(j) for _ in self._rows(i)]
-        for col, c in enumerate(self._rows(j)):
-            plus, minus = self._hom[c]
-            block[plus[i] - o][col] += 1
-            block[minus[i] - o][col] -= 1
+        col = 0
+        for row in self._down[j]:
+            b = row[i] - o
+            for l in range(j + 1, h):
+                block[b + l][col] += 1
+                block[b + j][col] -= 1
+                col += 1
         return [[x % self.modulus for x in row] for row in block]
 
     # -- vectors ------------------------------------------------------------
@@ -141,18 +156,24 @@ class TruncatedSystem(Value):
     def _coboundary_table(self, y: Vector) -> Table:
         """The table whose entry ``(i, j)`` is ``y_i - hom(i, j) y_j``, for a
         stacked sequence ``y``, reduced mod m."""
-        h, level, hom = self.height, self._level, self._hom
-        t: Table = {}
+        h, o, level, down, m = self.height, self._offsets, self._level, self._down, self.modulus
+        # column j's entries summed in a row -> int map, keyed by plain ints
+        cols: list[Vector] = [{} for _ in range(h)]
         for c, v in y.items():
             j = level[c]
             for k in range(j + 1, h):
-                t[c, k] = t.get((c, k), 0) + v
-            plus, minus = hom[c]
-            for r in plus:
-                t[r, j] = t.get((r, j), 0) - v
-            for r in minus:
-                t[r, j] = t.get((r, j), 0) + v
-        return self._reduced(t)
+                col = cols[k]
+                col[c] = col.get(c, 0) + v
+            # c is the generator (eta, l) of the p-th node eta of level j
+            p, l = divmod(c - o[j], h - 1 - j)
+            l += j + 1
+            col = cols[j]
+            for b in down[j][p]:
+                r = b + l
+                col[r] = col.get(r, 0) - v
+                r = b + j
+                col[r] = col.get(r, 0) + v
+        return {(r, j): x for j, col in enumerate(cols) for r, s in col.items() if (x := s % m)}
 
     def _reduced(self, d: dict) -> dict:
         """A vector or table ``d`` reduced mod m, without its zero values."""
@@ -217,21 +238,21 @@ class TruncatedSystem(Value):
 
     def composition_fault(self) -> tuple[int, int, int] | None:
         """The first triple ``(i, j, k)`` in lexicographic order at which
-        ``hom(i, j) hom(j, k)`` differs from ``hom(i, k)``, or None."""
-        m, level, hom = self.modulus, self._level, self._hom
+        ``hom(i, j) hom(j, k)`` differs from ``hom(i, k)``, or None: the law
+        fails at ``(i, j, k)`` for the columns of a node ``eta`` of level ``k``
+        exactly when the row of ``eta|j`` and ``eta``'s row differ at ``i``
+        (see the module docstring)."""
+        h, o, down = self.height, self._offsets, self._down
         faults = []
-        for c, (plus, minus) in enumerate(hom):
-            for j, (p, q) in enumerate(zip(plus, minus)):
-                (pp, pm), (qp, qm) = hom[p], hom[q]
-                if pp == plus[:j] and pm == qm and qp == minus[:j]:
-                    continue
-                for i in range(j):
-                    signed: dict[int, int] = {}
-                    for r, s in ((pp[i], 1), (pm[i], -1), (qp[i], -1), (qm[i], 1),
-                                 (plus[i], -1), (minus[i], 1)):
-                        signed[r] = signed.get(r, 0) + s
-                    if any(s % m for s in signed.values()):
-                        faults.append((i, j, level[c]))
+        # the top level owns no column
+        for k in range(h - 1):
+            for row in down[k]:
+                for j, b in enumerate(row):
+                    # the row of eta|j, found from its base b by its position
+                    mid = down[j][(b - o[j] + j + 1) // (h - 1 - j)]
+                    if mid != row[:j]:
+                        i = next(i for i, (x, z) in enumerate(zip(mid, row)) if x != z)
+                        faults.append((i, j, k))
         return min(faults, default=None)
 
     def table_coherent(self, t: Table) -> bool:
@@ -286,7 +307,7 @@ def _pairs(height: int):
 
 
 def truncate(system: System, height: int, universe) -> TruncatedSystem:
-    """Build the explicit truncated modules and hom rows in the pass the
+    """Build the explicit truncated modules and node rows in the pass the
     module docstring describes.  ``universe`` maps each level below ``height``
     to its node set, which must be closed under restriction."""
     if not 3 <= height <= MAX_HEIGHT:
@@ -306,23 +327,23 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
     offsets = tuple(accumulate(dims, initial=0))
     row0 = tuple({node: offsets[i] + p * (height - 1 - i) - i - 1 for p, node in enumerate(levels[i])}
                  for i in range(height))
-    # per column, in coordinate order: its level, and its plus and minus row at
-    # each lower level
-    level, hom = [], []
+    # per node, in sort order within each level: the bases of its restrictions
+    down = []
     for j in range(height):
+        rows = []
         for eta in levels[j]:
-            down = []
+            row = []
             for i in range(j):
                 r = row0[i].get(tree._restrict(eta, i))
                 if r is None:
                     raise ValueError(
                         f"universe is not closed under restriction: {eta!r} at level {i}"
                     )
-                down.append(r)
-            minus = tuple([r + j for r in down])
-            hom += [(tuple([r + l for r in down]), minus) for l in range(j + 1, height)]
-            level += [j] * (height - 1 - j)
-    trunc = TruncatedSystem(system, height, offsets, row0, tuple(level), tuple(hom))
+                row.append(r)
+            rows.append(tuple(row))
+        down.append(tuple(rows))
+    level = tuple(j for j in range(height) for _ in range(dims[j]))
+    trunc = TruncatedSystem(system, height, offsets, row0, level, tuple(down))
 
     fault = trunc.composition_fault()
     if fault is not None:

@@ -17,7 +17,6 @@ from invsys import (
     System,
     branch_generator,
     coboundary,
-    coherent,
     decomp,
     decompose,
     indexset,
@@ -48,16 +47,18 @@ def with_y0(system, terms):
 
 
 def counting_entries(monkeypatch):
-    """Record the level of every entry computed: ``eval_entry`` canonicalizes
-    each new entry exactly once, through ``coherent._canonical``."""
+    """Record the level of every entry computed: a computed entry is one that
+    ``eval_entry`` adds to its element's entry table ``_entries``."""
     computed = []
-    canonical = coherent._canonical
+    real = Planted.eval_entry
 
-    def counted(level, acc, ring, tree):
-        computed.append(level)
-        return canonical(level, acc, ring, tree)
+    def counted(self, i, j):
+        before = len(self._entries)
+        out = real(self, i, j)
+        computed.extend([i] * (len(self._entries) - before))
+        return out
 
-    monkeypatch.setattr(coherent, "_canonical", counted)
+    monkeypatch.setattr(Planted, "eval_entry", counted)
     return computed
 
 

@@ -24,7 +24,7 @@ from invsys import (
     universe_for,
     zero_element,
 )
-from invsys.sampling import BRANCH_POSITION_CAP, random_planted
+from invsys.sampling import BRANCH_POSITION_CAP, random_planted, sample_node
 
 
 def test_truncated_dimensions_two_branches(sys1):
@@ -221,18 +221,17 @@ def test_hom_matrix_views_are_read_only(modulus):
     trunc = truncate(system, 5, universe_for(system, [a], 5))
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     before = {pair: trunc.hom_matrix(*pair) for pair in pairs}
-    hom = trunc._hom
+    rows = trunc._down
     block = trunc.hom_matrix(0, 2)
     block[0][0] += 1
     block.append(block[0])
-    assert trunc._hom == hom
+    assert trunc._down is rows
     assert all(trunc.hom_matrix(*pair) == before[pair] for pair in pairs)
 
 
 # -- the per-triple reference -------------------------------------------------
 #
-# The oracle's checks read every triple law off the stored rows of the hom
-# maps.  These are the dense loops they replaced, one comparison per triple or
+# The oracle's checks read every triple law off the stored node rows.  These are the dense loops they replaced, one comparison per triple or
 # pair over ``hom_matrix`` blocks as plain lists, in the same lexicographic
 # order; the checks must give the same verdict and name the same first
 # failure on faulted tables, hom maps and solutions.
@@ -346,18 +345,24 @@ def raised(trunc, table, i, j):
     return out
 
 
-def with_hom_fault(trunc, i, j, rng):
-    """``trunc`` with one stored row of the block ``hom(i, j)`` moved: the plus
-    or the minus row of a level-``j`` column, at level ``i``, goes to another
-    row of level ``i``."""
-    c = rng.choice(trunc._rows(j))
-    rows = [list(side) for side in trunc._hom[c]]
-    side = rows[rng.randrange(2)]
-    side[i] = rng.choice([r for r in trunc._rows(i) if r != side[i]])
-    hom = list(trunc._hom)
-    hom[c] = tuple(tuple(side) for side in rows)
+def row_faultable(trunc, i, j):
+    """Whether a node row fault fits the block ``hom(i, j)``: level ``j`` owns
+    a column and level ``i`` has a second node to point at."""
+    return trunc.dim(j) > 0 and len(trunc._row0[i]) > 1
+
+
+def with_row_fault(trunc, i, j, rng):
+    """``trunc`` with one stored node row faulted in the block ``hom(i, j)``:
+    a level-``j`` node's base at level ``i`` points at another node's base at
+    that level, which moves the ``+1`` and the ``m - 1`` of all its columns
+    together."""
+    level = [list(row) for row in trunc._down[j]]
+    row = rng.choice(level)
+    row[i] = rng.choice([b for b in trunc._row0[i].values() if b != row[i]])
+    down = list(trunc._down)
+    down[j] = tuple(tuple(row) for row in level)
     return TruncatedSystem(trunc.system, trunc.height, trunc._offsets, trunc._row0,
-                           trunc._level, tuple(hom))
+                           trunc._level, tuple(down))
 
 
 def top_solution(trunc, table):
@@ -419,12 +424,12 @@ def test_block_checks_match_reference_on_faults(system, rng, height, data):
         moved = with_bump(trunc, moved, i, m, rng)
     assert_checks_match_reference(trunc, table, moved)
 
-    blocks = [(i, j) for i, j in filled if trunc.dim(j)]
+    blocks = [(i, j) for i, j in filled if row_faultable(trunc, i, j)]
     if blocks:
         wrong = trunc
         for i, j in data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3,
                                        unique=True), label="faulted hom blocks"):
-            wrong = with_hom_fault(wrong, i, j, rng)
+            wrong = with_row_fault(wrong, i, j, rng)
         assert wrong.composition_fault() == reference_composition_fault(wrong)
         assert_fault_matches_reference(wrong, table, y)
 
@@ -432,8 +437,9 @@ def test_block_checks_match_reference_on_faults(system, rng, height, data):
 @pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
 @pytest.mark.parametrize("height", range(3, 9))
 def test_block_checks_match_reference_at_every_pair(system, height):
-    """One fault at every pair: in the table, in ``y`` and in the hom block,
-    the first and last row blocks and the last middle level included."""
+    """One fault at every pair: in the table, in ``y`` and, where level ``i``
+    has two nodes, in a node row of the hom block, the first and last row
+    blocks and the last middle level included."""
     rng = Random(f"every-pair/{system.tree.kind}/{height}")
     _, trunc, table = reference_case(system, height, rng)
     m = trunc.modulus
@@ -447,11 +453,62 @@ def test_block_checks_match_reference_at_every_pair(system, height):
         assert trunc.coboundary_fault(faulted, y) is not None
         moved = with_bump(trunc, y, i, m, rng)
         assert_checks_match_reference(trunc, table, moved)
-        if trunc.dim(j):
-            wrong = with_hom_fault(trunc, i, j, rng)
+        if row_faultable(trunc, i, j):
+            wrong = with_row_fault(trunc, i, j, rng)
             assert wrong.composition_fault() == reference_composition_fault(wrong)
             # hom(i, j) is the left side of every triple (i, j', j)
             assert wrong.composition_fault() is not None or j == i + 1
+
+
+def fault_universe(system, height):
+    """A fixed universe with two sampled nodes per level and their
+    restrictions, so that most levels have a second node for a row fault to
+    point at."""
+    rng = Random(f"row-faults/{system.tree.kind}/{system.ring.modulus}/{height}")
+    tree = system.tree
+    universe = {i: set() for i in range(height)}
+    for level in range(height):
+        for _ in range(2):
+            node = sample_node(tree, rng, level)
+            universe[level].add(node)
+            for i in range(level):
+                universe[i].add(tree.restrict(node, i))
+    return universe
+
+
+@pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+@pytest.mark.parametrize("height", range(3, 9))
+def test_row_faults_match_reference_at_every_pair(system, height):
+    """A node row fault at every pair it fits is named exactly as the dense
+    reference names it, and a fault below a middle level is always caught."""
+    rng = Random(f"row-fault-pairs/{system.tree.kind}/{height}")
+    trunc = truncate(system, height, fault_universe(system, height))
+    assert trunc.composition_fault() is None
+    faulted = 0
+    for i, j in pairs(height):
+        if row_faultable(trunc, i, j):
+            wrong = with_row_fault(trunc, i, j, rng)
+            fault = wrong.composition_fault()
+            assert fault == reference_composition_fault(wrong)
+            # the faulted row disagrees with the row of its restriction to
+            # every level strictly between i and j
+            assert fault is not None or j == i + 1
+            faulted += 1
+    assert faulted >= min(height - 3, 1)
+
+
+@pytest.mark.parametrize("system, stored", zip(REFERENCE_SYSTEMS, (66, 131, 152, 112)),
+                         ids=REFERENCE_IDS)
+def test_truncation_stores_one_row_per_node(system, stored):
+    """A node of level ``j`` stores ``j`` bases, one per lower level, and no
+    column is stored: ``sum_j j * |nodes at level j|`` integers, where one
+    row pair per column took ``2 * sum_j j * dim(j)``."""
+    height = 8
+    universe = fault_universe(system, height)
+    trunc = truncate(system, height, universe)
+    assert sum(len(row) for rows in trunc._down for row in rows) == stored
+    assert stored == sum(j * len(universe[j]) for j in range(height))
+    assert stored < 2 * sum(j * trunc.dim(j) for j in range(height))
 
 
 @pytest.mark.parametrize("system", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
@@ -572,7 +629,8 @@ def test_generators_run_node_by_node_then_by_index(system, height):
         assert [trunc._level[c] for c in trunc._rows(i)] == [i] * trunc.dim(i)
         for c, (node, l) in zip(trunc._rows(i), gens):
             assert trunc.vectorize(generator(node, l, system.ring, system.tree)) == {c: 1}
-    assert len(trunc._level) == len(trunc._hom) == trunc._offsets[-1]
+    assert len(trunc._level) == trunc._offsets[-1]
+    assert [len(rows) for rows in trunc._down] == [len(level) for level in nodes]
 
 
 @pytest.mark.parametrize("height", range(3, 9))
@@ -580,19 +638,22 @@ def test_generators_run_node_by_node_then_by_index(system, height):
 def test_hom_columns_follow_the_generator_rule(system, height):
     """Every block ``hom_matrix(i, j)`` equals the dense build from the
     generator rule: column ``(eta, l)`` of level ``j`` holds exactly ``1`` at
-    ``(eta|i, l)`` and ``m - 1`` at ``(eta|i, j)``.  Each column stores one
-    row pair per lower level."""
-    trunc, _ = layout_case(system, height)
+    ``(eta|i, l)`` and ``m - 1`` at ``(eta|i, j)``.  Each node stores one row,
+    the bases of its restrictions to the lower levels, and no column is
+    stored."""
+    trunc, nodes = layout_case(system, height)
     want = reference_hom(trunc)
     assert {pair: trunc.hom_matrix(*pair) for pair in pairs(height)} == want
-    for c, (plus, minus) in enumerate(trunc._hom):
-        assert len(plus) == len(minus) == trunc._level[c]
+    tree = system.tree
+    for j in range(height):
+        assert trunc._down[j] == tuple(
+            tuple(trunc._row0[i][tree.restrict(eta, i)] for i in range(j)) for eta in nodes[j])
 
 
 def test_truncated_system_fields_are_set_once(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     trunc = truncate(sys1, 4, universe_for(sys1, [a], 4))
-    assert trunc._fields == ("system", "height", "_offsets", "_row0", "_level", "_hom")
+    assert trunc._fields == ("system", "height", "_offsets", "_row0", "_level", "_down")
     for name in trunc._fields:
         with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
             setattr(trunc, name, getattr(trunc, name))

@@ -28,7 +28,9 @@ from invsys import (
     apply_hom,
     below,
     check_coherence,
+    coboundary,
     module_element,
+    planted,
 )
 from invsys import cli, coherent, freemod
 from invsys.cli import _run_check
@@ -147,6 +149,46 @@ def test_entry_rejects_bad_pair_even_when_warm():
             a.eval_entry(i, j)
 
 
+# Two branches with coefficients 1 and m - 1.  On finite_support they share
+# their nodes below level 3, where the coefficients cancel; disjoint_branches
+# shares none, and decreasing_seq has no branch.
+CANCELLING_PAIRS = ((0, 2), (((2, 1),), ((3, 1),)), ())
+ENTRY_HORIZON = 8
+
+
+def reference_entry(a, i, j):
+    """Entry ``(i, j)`` from the validating boundary: the branch part through
+    ``module_element``, which merges repeated nodes, plus ``y_i`` minus
+    ``apply_hom(y_j, i)``."""
+    ring, tree = a.system.ring, a.system.tree
+    branch_part = module_element(
+        i, [((tree.branch_node(branch, i), j), c) for branch, c in a.combo], ring, tree)
+    return branch_part + a.fact.y(i) - apply_hom(a.fact.y(j), i)
+
+
+@pytest.mark.parametrize("system, presentations", zip(SYSTEMS, CANCELLING_PAIRS), ids=FAMILY_IDS)
+@pytest.mark.parametrize("with_y", [False, True], ids=["no-y", "y"])
+def test_entries_match_the_boundary_reference(system, presentations, with_y):
+    """Every entry below the horizon, read off the branch row where no ``y``
+    sits at either level and accumulated otherwise, equals the reference."""
+    ring, tree, m = system.ring, system.tree, system.ring.modulus
+    combo = [(tree.branch(p), c) for p, c in zip(presentations, (1, m - 1))]
+    rng = Random(f"entries/{tree.kind}")
+    fact = coboundary(system, {
+        level: module_element(level, {(sample_node(tree, rng, level), level + d): d
+                                      for d in (1, 3)}, ring, tree)
+        for level in (1, 4)} if with_y else {})
+    a = planted(system, combo, fact)
+    for i in range(ENTRY_HORIZON):
+        for j in range(i + 1, ENTRY_HORIZON):
+            assert a.eval_entry(i, j) == reference_entry(a, i, j)
+    # one branch row per level, the shared nodes cancelled out of it
+    assert len(a._branch_nodes) == ENTRY_HORIZON - 1
+    if tree.kind == "finite_support":
+        assert [a._branch_nodes[i] for i in range(4)] == [(), (), (), (
+            (tree.branch_node(combo[1][0], 3), m - 1), (tree.branch_node(combo[0][0], 3), 1))]
+
+
 # -- op counts --------------------------------------------------------------------
 
 HORIZON = 14
@@ -165,15 +207,16 @@ def deep_element(system):
 def test_check_computes_each_entry_once(system, monkeypatch):
     elem = deep_element(system)
     computed = []
-    canonical = coherent._canonical
+    real = Planted.eval_entry
 
-    def counted(level, acc, ring, tree):
-        computed.append(level)
-        return canonical(level, acc, ring, tree)
+    def counted(self, i, j):
+        before = len(self._entries)
+        out = real(self, i, j)
+        computed.extend([(i, j)] * (len(self._entries) - before))
+        return out
 
-    # eval_entry sums the branch part, y_i and -hom(y_j) of each entry it
-    # computes into one map and canonicalizes it once.
-    monkeypatch.setattr(coherent, "_canonical", counted)
+    # an entry is computed when eval_entry adds it to the element's table
+    monkeypatch.setattr(Planted, "eval_entry", counted)
     report, code = _run_check(system, [elem], ["elem.json"], HORIZON)
     assert (report["ok"], code) == (True, 0)
     assert len(computed) == len(elem._entries) == comb(HORIZON, 2)
