@@ -656,6 +656,28 @@ def test_card_unseparated_probe_entry_exit_3(tmp_path, sys1, capsys, monkeypatch
     assert out.err == ""
 
 
+# -- dispatch ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cmd", ["check", "decompose", "equiv", "card", "oracle-verify"])
+def test_main_finds_each_handler_when_it_is_called(tmp_path, sys1, sys1_path, capsys,
+                                                   monkeypatch, cmd):
+    """``main`` looks ``_run_<cmd>`` up in the module on every call, so a
+    handler replaced after import (by a test or by the benchmark's tracer)
+    sees each call."""
+    calls = []
+
+    def handler(*args):
+        calls.append(args)
+        return {"command": cmd}, 0
+
+    monkeypatch.setattr(cli, f"_run_{cmd.replace('-', '_')}", handler)
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    elements = ["--element", a] * (2 if cmd == "equiv" else 1)
+    assert main(["--system", sys1_path, *elements, "--cmd", cmd]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out) == {"command": cmd}
+
+
 # -- one parser per process ------------------------------------------------------------
 
 def test_parser_is_built_once():

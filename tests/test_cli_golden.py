@@ -5,12 +5,14 @@ invocation, the exit code and the exact stdout bytes.  Criterion 8 of the
 acceptance suite compares two runs of one checkout; this test pins the output
 itself, so a change that alters any byte of a report fails here.
 
-The ``session/`` cases, json only, are the README's example session and the
-edge cases of the CLI: 64 and 81 classes, a term at level 10**9, the largest
-``check`` horizon, a modulus above 2**32, the minimal truncation height and
-branches that separate late.  Next to each, ``SESSION`` keeps the facts its
-report must hold, checked on the parsed report, so a regenerated golden file
-cannot absorb a wrong answer.
+The ``session/`` cases are the README's example session and the edge cases
+of the CLI, in json: 64 and 81 classes, a term at level 10**9, the largest
+``check`` horizon, a modulus above 2**32, the minimal truncation height,
+branches that separate late and a coboundary level above the truncation.  The
+request errors are ``session/`` cases too, in json and text: a wrong number of
+elements, a horizon below 3, and the order in which the errors are checked.
+Next to each, ``SESSION`` keeps the facts its report must hold, checked on the
+parsed report, so a regenerated golden file cannot absorb a wrong answer.
 
 Element paths are passed relative to the working directory, so the reports
 name them the same way on every machine.  To regenerate the expected file
@@ -124,6 +126,9 @@ SESSION_FILES = {
     "ds.json": {"ring": {"kind": "zmod", "m": 3}, "tree": {"kind": "decreasing_seq"}},
     "late.json": {"combo": LATE_COMBO, "fact_y": fact((2, [term(2, [[1, 2]], 3, 1)]))},
     "late-bare.json": {"combo": LATE_COMBO, "fact_y": []},
+    "sys3.json": disjoint(3, 3),
+    "y10.json": {"combo": [{"branch": 0, "coeff": 1}],
+                 "fact_y": fact((10, [term(10, 2, 11, 1)]))},
 }
 
 ABSENT = "<absent>"
@@ -171,7 +176,34 @@ SESSION = {
     "session/oracle-verify/h3-sys/json": (0, suite("sys.json", 3), SUITE_PASSES),
     "session/oracle-verify/h3-fs/json": (0, suite("fs.json", 3), SUITE_PASSES),
     "session/oracle-verify/h3-ds/json": (0, suite("ds.json", 3), SUITE_PASSES),
+    # A coboundary level above the height does not fit the truncation.
+    "session/oracle-verify/y10/json": (
+        1, "--system sys3.json --element y10.json --cmd oracle-verify --horizon 8",
+        {"checked": 1, "failures": [{"element": "y10.json", "kind": "truncation",
+                                     "detail": "coboundary level 10 lies outside the truncation"}]}),
 }
+
+# Request errors exit 2 with one message.  They are checked in this order: the
+# horizon, the system file, the element files in order, the command's own
+# checks; the last two cases pin that order.
+NEEDS_ONE = "decompose needs exactly one --element"
+LOW_HORIZON = "horizon must be at least 3"
+REQUEST_ERRORS = {
+    "decompose/no-element": ("--system sys.json --cmd decompose", NEEDS_ONE),
+    "decompose/two-elements": (
+        "--system sys.json --element a.json --element b.json --cmd decompose", NEEDS_ONE),
+    "equiv/one-element": ("--system sys.json --element a.json --cmd equiv",
+                          "equiv needs exactly two --element files"),
+    "check/no-element": ("--system sys.json --cmd check", "check needs at least one --element"),
+    "card/horizon-2": ("--system sys.json --cmd card --horizon 2", LOW_HORIZON),
+    "card/horizon-2-missing-system": ("--system missing.json --cmd card --horizon 2", LOW_HORIZON),
+    "decompose/missing-second-element": (
+        "--system sys.json --element a.json --element missing.json --cmd decompose",
+        "[Errno 2] No such file or directory: 'missing.json'"),
+}
+for name, (argv, message) in REQUEST_ERRORS.items():
+    for fmt in ("json", "text"):
+        SESSION[f"session/{name}/{fmt}"] = (2, f"{argv} --format {fmt}", {"error": message})
 
 
 def lookup(report, path):
@@ -223,6 +255,9 @@ def test_cli_stdout_matches_golden(case, expected, tmp_path, monkeypatch):
         assert result["stdout"] == json.dumps(report, sort_keys=True, indent=2) + "\n"
     if case in SESSION:
         code, _, facts = SESSION[case]
+        if case.endswith("/text"):
+            # the text session cases are one-line error reports
+            report = dict(line.split(": ", 1) for line in result["stdout"].splitlines())
         assert result["exit"] == code
         assert {path: lookup(report, path) for path in facts} == facts
 
@@ -289,8 +324,9 @@ def test_symbolic_commands_never_load_the_oracle(expected, tmp_path, fresh_cli):
     symbolic = {case: argv for case, argv in CASES.items()
                 if case.split("/")[0] in ("disjoint", "finite_support", "session")
                 and case.split("/")[1] != "oracle-verify" and case.endswith("/json")}
-    # check, decompose, two equivs and card per family, and 9 session cases
-    assert len(symbolic) == 19
+    # check, decompose, two equivs and card per family, 9 session cases and
+    # 7 request errors
+    assert len(symbolic) == 26
     write_inputs(tmp_path)
     verify_case = "disjoint/oracle-verify/json"
     child = fresh_cli([json.dumps(symbolic), json.dumps(CASES[verify_case])], code=FRESH_PROCESS,

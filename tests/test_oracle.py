@@ -47,6 +47,17 @@ def test_height_bounds_enforced(sys1):
         truncate(sys1, 9, {i: set() for i in range(9)})
 
 
+@pytest.mark.parametrize("nodes", [16, 17])
+def test_truncation_holds_at_most_16_nodes_per_level(nodes):
+    system = System(Ring(3), DisjointBranchesTree(nodes))
+    universe = {0: {Node(0, k) for k in range(nodes)}, 1: set(), 2: set()}
+    if nodes == 16:
+        assert truncate(system, 3, universe).dim(0) == 32
+    else:
+        with pytest.raises(ValueError, match="^level 0 universe exceeds 16 nodes$"):
+            truncate(system, 3, universe)
+
+
 def not_closed(node):
     return f"^{re.escape(f'universe is not closed under restriction: {node} at level 0')}$"
 
