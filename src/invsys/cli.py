@@ -16,6 +16,11 @@ reader of stdout went away before the report (or the help text) was written:
 it is the status a shell reports for a writer killed by SIGPIPE, and nothing
 is printed on stderr.
 
+Every request takes one path: ``_main`` checks the horizon, loads the files
+and calls ``_run_<cmd>(system, elements, args)`` (a dash read as an
+underscore), looked up in this module at call time, which makes its own
+checks; ``_main`` adds ``"command"`` to the report the handler returns.
+
 Only ``oracle-verify`` imports the matrix oracle and the random sampler,
 inside its handler; ``check``, ``decompose``, ``equiv`` and ``card`` run on
 the symbolic modules alone.
@@ -64,6 +69,9 @@ MAX_CARD_DIGITS = 4300
 # The exit status when stdout is a pipe whose reader has gone away: 128 + SIGPIPE.
 EXIT_BROKEN_PIPE = 141
 
+# The values of ``--cmd``; each names its handler ``_run_<cmd>``.
+COMMANDS = ("check", "decompose", "equiv", "card", "oracle-verify")
+
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
@@ -109,10 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--element", action="append", default=[], help="path to an element file (repeatable)"
     )
-    parser.add_argument(
-        "--cmd", required=True,
-        choices=["check", "decompose", "equiv", "card", "oracle-verify"],
-    )
+    parser.add_argument("--cmd", required=True, choices=COMMANDS)
     parser.add_argument(
         "--horizon", type=int, default=None,
         help="check horizon (3 to 64); oracle-verify height (3 to 8)",
@@ -122,17 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_check(system: System, elements, paths, horizon):
+def _run_check(system: System, elements, args):
+    if not elements:
+        raise SchemaError("check needs at least one --element")
+    horizon = args.horizon
     if horizon is not None and horizon > MAX_CHECK_HORIZON:
         raise SchemaError(f"check horizon must be at most {MAX_CHECK_HORIZON}, got {horizon}")
     horizons = [horizon if horizon is not None else default_horizon(e) for e in elements]
-    for path, h in zip(paths, horizons):
+    for path, h in zip(args.element, horizons):
         if h > MAX_CHECK_HORIZON:
             raise SchemaError(f"{path}: default check horizon {h} is above {MAX_CHECK_HORIZON}; "
                               f"pass --horizon {MAX_CHECK_HORIZON} or less")
     reports = []
     ok = True
-    for path, elem, h in zip(paths, elements, horizons):
+    for path, elem, h in zip(args.element, elements, horizons):
         # The recurrences are the coefficients of the coherence defects, so
         # the family is coherent exactly when they all hold.
         eq = check_eq_recurrences(elem, h)
@@ -150,26 +158,22 @@ def _run_check(system: System, elements, paths, horizon):
             "restriction_stable": stable,
             "ok": entry_ok,
         })
-    return {"command": "check", "elements": reports, "ok": ok}, 0 if ok else 1
+    return {"elements": reports, "ok": ok}, 0 if ok else 1
 
 
-def _run_decompose(system: System, elements, paths, horizon):
+def _run_decompose(system: System, elements, args):
     if len(elements) != 1:
         raise SchemaError("decompose needs exactly one --element")
-    dec = decompose(elements[0])
-    report = {"command": "decompose", "element": paths[0]}
-    report.update(dec.to_json())
-    return report, 0
+    return {"element": args.element[0], **decompose(elements[0]).to_json()}, 0
 
 
-def _run_equiv(system: System, elements, paths, horizon):
+def _run_equiv(system: System, elements, args):
     if len(elements) != 2:
         raise SchemaError("equiv needs exactly two --element files")
     equivalent, certificate = equiv_decide(elements[0], elements[1])
     kind = "witness" if equivalent else "decomposition"
     report = {
-        "command": "equiv",
-        "elements": list(paths),
+        "elements": list(args.element),
         "equivalent": equivalent,
         "certificate": {"kind": kind, **certificate.to_json()},
     }
@@ -185,7 +189,7 @@ def _more_digits_than(m: int, n: int, digits: int) -> bool:
     return m ** n >= 10 ** digits
 
 
-def _run_card(system: System, elements, paths, horizon):
+def _run_card(system: System, elements, args):
     count, m = system.tree.branch_count(), system.ring.modulus
     # Python before 3.10.7 has no limit and no way to ask for it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -193,23 +197,21 @@ def _run_card(system: System, elements, paths, horizon):
     if isinstance(count, int) and _more_digits_than(m, count, digits):
         raise SchemaError(f"$.tree.count: the cardinality {m}**{count} has more than "
                           f"{digits} decimal digits, the most card prints")
-    report = {"command": "card"}
-    report.update(quotient_card_report(system))
-    return report, 0
+    return quotient_card_report(system), 0
 
 
-def _run_oracle_verify(system: System, elements, paths, horizon, seed):
+def _run_oracle_verify(system: System, elements, args):
     # The only command that needs the oracle and the sampler, so the only one
     # that loads them.
     from .oracle import MAX_HEIGHT, truncate, universe_for
     from .sampling import random_planted
 
-    height = horizon if horizon is not None else 6
+    height = args.horizon if args.horizon is not None else 6
     if height > MAX_HEIGHT:
         raise SchemaError(f"oracle-verify horizon must be at most {MAX_HEIGHT}, got {height}")
-    labels = list(paths)
+    labels = list(args.element)
     if not elements:
-        rng = Random(seed)
+        rng = Random(args.seed)
         elements = [
             random_planted(system, rng, level_cap=min(3, height - 2), index_cap=height - 1)
             for _ in range(20)
@@ -235,9 +237,8 @@ def _run_oracle_verify(system: System, elements, paths, horizon, seed):
         if not trunc.table_coherent(primary):
             failures.append({"element": label, "kind": "coherence", "detail": "table incoherent"})
     report = {
-        "command": "oracle-verify",
         "height": height,
-        "seed": seed,
+        "seed": args.seed,
         "checked": len(elements),
         "failures": failures,
     }
@@ -344,34 +345,21 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.horizon is not None and args.horizon < 3:
-        _emit({"error": "horizon must be at least 3"}, args.format)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
+        if args.horizon is not None and args.horizon < 3:
+            raise SchemaError("horizon must be at least 3")
         system = load_system(args.system)
         elements = [load_element(path, system) for path in args.element]
-        if args.cmd == "check":
-            if not elements:
-                raise SchemaError("check needs at least one --element")
-            report, code = _run_check(system, elements, args.element, args.horizon)
-        elif args.cmd == "decompose":
-            report, code = _run_decompose(system, elements, args.element, args.horizon)
-        elif args.cmd == "equiv":
-            report, code = _run_equiv(system, elements, args.element, args.horizon)
-        elif args.cmd == "card":
-            report, code = _run_card(system, elements, args.element, args.horizon)
-        else:
-            report, code = _run_oracle_verify(
-                system, elements, args.element, args.horizon, args.seed
-            )
+        run = globals()["_run_" + args.cmd.replace("-", "_")]
+        report, code = run(system, elements, args)
     except (ValueError, OSError) as exc:
         _emit({"error": str(exc)}, args.format)
         return 2
     except AssertionError as exc:
         _emit({"error": f"internal certification failure: {exc}"}, args.format)
         return 3
+    report["command"] = args.cmd
     _emit(report, args.format)
     return code
 

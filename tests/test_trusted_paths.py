@@ -11,6 +11,7 @@ repeated ``check`` builds no element at all, while still testing stability on
 every triple.
 """
 
+from argparse import Namespace
 from math import comb
 from random import Random
 
@@ -192,6 +193,8 @@ def test_entries_match_the_boundary_reference(system, presentations, with_y):
 # -- op counts --------------------------------------------------------------------
 
 HORIZON = 14
+# the parsed request of ``--element elem.json --cmd check --horizon 14``
+CHECK_ARGS = Namespace(element=["elem.json"], horizon=HORIZON)
 
 
 def deep_element(system):
@@ -217,7 +220,7 @@ def test_check_computes_each_entry_once(system, monkeypatch):
 
     # an entry is computed when eval_entry adds it to the element's table
     monkeypatch.setattr(Planted, "eval_entry", counted)
-    report, code = _run_check(system, [elem], ["elem.json"], HORIZON)
+    report, code = _run_check(system, [elem], CHECK_ARGS)
     assert (report["ok"], code) == (True, 0)
     assert len(computed) == len(elem._entries) == comb(HORIZON, 2)
 
@@ -255,7 +258,7 @@ def test_repeated_check_evaluates_no_entry(system, monkeypatch):
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
 def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, monkeypatch):
     elem = deep_element(system)
-    first = _run_check(system, [elem], ["elem.json"], HORIZON)
+    first = _run_check(system, [elem], CHECK_ARGS)
     homs, ring_elems = counting_add_hom(monkeypatch), []
     make_elem = Ring.elem
 
@@ -278,7 +281,7 @@ def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, 
     # coefficients stay plain integers.  Every entry is in the table and the
     # coherence sweep only tests its defect maps for zero, so no element is
     # canonicalized.
-    assert _run_check(system, [elem], ["elem.json"], HORIZON) == first
+    assert _run_check(system, [elem], CHECK_ARGS) == first
     assert len(homs) == comb(HORIZON - 1, 2)
     assert ring_elems == []
     assert built == []
@@ -295,6 +298,6 @@ def test_check_tests_stability_on_every_triple(system, monkeypatch):
         return stability(a, i, j, k)
 
     monkeypatch.setattr(cli, "restriction_stability", counted)
-    report, code = _run_check(system, [elem], ["elem.json"], HORIZON)
+    report, code = _run_check(system, [elem], CHECK_ARGS)
     assert (report["ok"], code) == (True, 0)
     assert len(triples) == len(set(triples)) == comb(HORIZON, 3) == 364
