@@ -74,13 +74,16 @@ COMMANDS = ("check", "decompose", "equiv", "card", "oracle-verify")
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (ValueError, RecursionError) as exc:
-            # a JSONDecodeError, an integer literal too long to read, or
-            # nesting deeper than the decoder's recursion limit
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                return json.load(handle)
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError, an integer literal too long to read, or
+                # nesting deeper than the decoder's recursion limit
+                raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror}") from exc
 
 
 def load_system(path: str) -> System:
@@ -353,7 +356,7 @@ def _main(argv) -> int:
         elements = [load_element(path, system) for path in args.element]
         run = globals()["_run_" + args.cmd.replace("-", "_")]
         report, code = run(system, elements, args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         _emit({"error": str(exc)}, args.format)
         return 2
     except AssertionError as exc:

@@ -196,11 +196,9 @@ def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceW
     ``planted({}, y) == a - b``, and equal presentations agree at every index
     pair, not only below ``verified_to``.
     """
-    if b.system != a.system:
-        raise ValueError("operands live in different systems")
+    diff = a - b
     if not pairs.classify().eventually_coherent:
         raise ValueError("index set must be eventually coherent")
-    diff = a - b
     _check_vanishes_on(diff, pairs)
     y = diff.fact
     if planted(a.system, {}, y) != diff:
@@ -241,8 +239,6 @@ def equiv_decide(a: Planted, b: Planted):
     Equivalent pairs come with an ``EquivalenceWitness``; inequivalent pairs
     with the nonempty ``Decomposition`` of the difference.
     """
-    if b.system != a.system:
-        raise ValueError("operands live in different systems")
     dec = decompose(a - b)
     if dec.combo:
         return False, dec

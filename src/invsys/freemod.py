@@ -10,7 +10,8 @@ lower level i sends the generator ``(eta, l)`` of level j to
 
 Terms are validated once, where they enter: ``module_element`` checks each
 term's node, level and generator index, whatever its coefficient, and
-``ModuleElement.from_json`` reads files through it.  The internal paths
+``ModuleElement.from_json`` makes the same checks at each term's JSON path,
+then sums the terms through ``_canonical``.  The internal paths
 (``+``, ``-``, ``restrict_to`` and ``apply_hom``) only recombine the terms of
 elements that are already valid, and restriction keeps a valid node valid, so
 they skip those checks: they reduce, drop zeros and sort through the trusted
@@ -134,7 +135,7 @@ class ModuleElement(NamedTuple):
                 raise ValueError(f"module element must be an object, got {type(obj).__name__}")
             level, terms = json_int(obj["level"], "level"), obj["terms"]
             _check_level(level)
-        items = []
+        acc: dict[tuple[Node, int], int] = {}
         for term_path, term in json_list(terms, f"{path}.terms"):
             with at(term_path):
                 node = term["node"]
@@ -144,9 +145,8 @@ class ModuleElement(NamedTuple):
                 node = tree.node_from_json(node)
             with at(term_path):
                 _check_term(level, node, l)
-            items.append(((node, l), coeff))
-        with at(path):
-            return module_element(level, items, ring, tree)
+            acc[(node, l)] = acc.get((node, l), 0) + coeff
+        return _canonical(level, acc, ring, tree)
 
 
 def module_element(level: int, terms, ring: Ring, tree: Tree) -> ModuleElement:
@@ -205,7 +205,7 @@ def _add_hom(acc: dict, e: ModuleElement, i: int, sign: int) -> None:
     j = e.level
     restrict = e.tree._restrict
     for eta, l, c in e.terms:
-        down = restrict(eta, i)
+        down = restrict(eta.address, i)
         c *= sign
         acc[(down, l)] = acc.get((down, l), 0) + c
         acc[(down, j)] = acc.get((down, j), 0) - c

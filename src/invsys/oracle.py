@@ -69,11 +69,12 @@ Node universe.  ``universe_for`` closes the nodes an element touches under
 restriction: a branch adds only its top node, whose restrictions are the
 branch's lower nodes, so a branch costs one ``branch_node`` call and
 ``height - 1`` restrictions.  Those nodes come from trusted branch handles and
-validated ``y`` terms, so they are restricted without re-validation.  A tree
-whose branch nodes broke that rule would still be caught: by ``truncate``'s
-closure check, by ``independent_table``, which refuses a branch node outside
-the universe, and by ``agreement``, since each branch node enters through the
-node rows.
+validated ``y`` terms, so they are restricted without re-validation.  Every
+shipped family obeys that rule by construction (``Tree.branch_node``); a
+subclass whose ``branch_node`` broke it would still be caught: by
+``truncate``'s closure check, by ``independent_table``, which refuses a branch
+node outside the universe, and by ``agreement``, since each branch node enters
+through the node rows.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
         for eta in levels[j]:
             row = []
             for i in range(j):
-                r = row0[i].get(tree._restrict(eta, i))
+                r = row0[i].get(tree._restrict(eta.address, i))
                 if r is None:
                     raise ValueError(
                         f"universe is not closed under restriction: {eta!r} at level {i}"
@@ -366,7 +367,7 @@ def universe_for(system: System, elements, height: int) -> dict[int, set[Node]]:
             return
         levels[node.level].add(node)
         for lower in range(node.level):
-            levels[lower].add(tree._restrict(node, lower))
+            levels[lower].add(tree._restrict(node.address, lower))
 
     for elem in elements:
         for branch, _ in elem.combo:

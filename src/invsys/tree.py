@@ -20,6 +20,11 @@ Levels of the last two families are infinite, so there is deliberately no
 full-level enumeration: all operations are restriction and membership based
 and consult only nodes occurring in finite supports.
 
+A family states only its address rules: ``_check_address``, ``_restrict``,
+``branch``, ``branch_count``, ``presentation_level``, ``to_json`` and
+``_address_from_json``.  ``Tree`` derives the rest, among it ``check_node``'s
+negative-level check and ``branch_node``, the restriction of the presentation.
+
 Nodes and branch handles are named tuples, so the ``(node, l)`` keys of every
 term map are compared and hashed in C, and their tuple order is the canonical
 order that every canonical form is sorted by.  A node is ``(level, address)``
@@ -81,6 +86,12 @@ class Tree(Value):
     # -- nodes ------------------------------------------------------------
 
     def check_node(self, node: Node) -> None:
+        if node.level < 0:
+            raise ValueError(f"negative level: {node!r}")
+        self._check_address(node)
+
+    def _check_address(self, node: Node) -> None:
+        """``check_node`` for a node of non-negative level."""
         raise NotImplementedError
 
     def restrict(self, node: Node, i: int) -> Node:
@@ -90,9 +101,10 @@ class Tree(Value):
             raise ValueError(f"restriction level {i} must be below node level {node.level}")
         if i < 0:
             raise ValueError("restriction level must be non-negative")
-        return self._restrict(node, i)
+        return self._restrict(node.address, i)
 
-    def _restrict(self, node: Node, i: int) -> Node:
+    def _restrict(self, address, i: int) -> Node:
+        """The level-``i`` node below a node or branch with this address."""
         raise NotImplementedError
 
     def pro_level_within(self, j: int, nu: Node, candidates) -> tuple[Node, ...]:
@@ -104,7 +116,7 @@ class Tree(Value):
             if eta.level != j:
                 raise ValueError(f"candidate {eta!r} is not at level {j}")
             self.check_node(eta)
-        out = [eta for eta in candidates if self._restrict(eta, nu.level) == nu]
+        out = [eta for eta in candidates if self._restrict(eta.address, nu.level) == nu]
         return tuple(sorted(out))
 
     def node_sort_key(self, node: Node):
@@ -117,13 +129,14 @@ class Tree(Value):
         raise NotImplementedError
 
     def branch_node(self, branch: Branch, i: int) -> Node:
-        """The node the branch passes through at level ``i``.
-
-        The handle is trusted: ``branch`` validated its presentation.  Every
-        branch node is the restriction of the branch's higher nodes, so the
-        node at the top level of a truncation supplies all the lower ones.
+        """The node the branch passes through at level ``i``: the restriction
+        of its presentation, which ``branch`` validated.  So every branch node
+        is the restriction of the branch's higher nodes, and the node at the
+        top level of a truncation supplies all the lower ones.
         """
-        raise NotImplementedError
+        if i < 0:
+            raise ValueError("level must be non-negative")
+        return self._restrict(branch.presentation, i)
 
     def branch_count(self):
         """Number of branches: an integer, 0, or ``COUNTABLY_INFINITE``."""
@@ -211,15 +224,6 @@ class Tree(Value):
         raise NotImplementedError
 
 
-def _as_support_map(obj) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for entry in obj:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"support map entry must be a [position, value] pair: {entry!r}")
-        pairs.append((json_int(entry[0], "support position"), json_int(entry[1], "support value")))
-    return tuple(sorted(pairs))
-
-
 class DisjointBranchesTree(Tree):
     """``count`` disjoint chains; node addresses are branch indices."""
 
@@ -234,24 +238,17 @@ class DisjointBranchesTree(Tree):
     def _key(self) -> tuple:
         return (self.count,)
 
-    def check_node(self, node: Node) -> None:
-        if node.level < 0:
-            raise ValueError(f"negative level: {node!r}")
+    def _check_address(self, node: Node) -> None:
         if not isinstance(node.address, int) or not 0 <= node.address < self.count:
             raise ValueError(f"node address must be a branch index below {self.count}: {node!r}")
 
-    def _restrict(self, node: Node, i: int) -> Node:
-        return Node(i, node.address)
+    def _restrict(self, address, i: int) -> Node:
+        return Node(i, address)
 
     def branch(self, presentation) -> Branch:
         if not isinstance(presentation, int) or not 0 <= presentation < self.count:
             raise ValueError(f"branch index must lie below {self.count}: {presentation!r}")
         return Branch(presentation)
-
-    def branch_node(self, branch: Branch, i: int) -> Node:
-        if i < 0:
-            raise ValueError("level must be non-negative")
-        return Node(i, branch.presentation)
 
     def branch_count(self):
         return self.count
@@ -311,24 +308,15 @@ class FiniteSupportTree(Tree):
             if not 1 <= v < self.width(p):
                 raise ValueError(f"{what} value {v} at position {p} must lie in [1, {self.width(p)})")
 
-    def check_node(self, node: Node) -> None:
-        if node.level < 0:
-            raise ValueError(f"negative level: {node!r}")
+    def _check_address(self, node: Node) -> None:
         self._check_support(node.address, node.level, "node")
 
-    def _restrict(self, node: Node, i: int) -> Node:
-        return Node(i, tuple(p for p in node.address if p[0] < i))
+    def _restrict(self, address, i: int) -> Node:
+        return Node(i, tuple(p for p in address if p[0] < i))
 
     def branch(self, presentation) -> Branch:
-        if not isinstance(presentation, tuple):
-            presentation = _as_support_map(presentation)
         self._check_support(presentation, None, "branch")
         return Branch(presentation)
-
-    def branch_node(self, branch: Branch, i: int) -> Node:
-        if i < 0:
-            raise ValueError("level must be non-negative")
-        return Node(i, tuple(p for p in branch.presentation if p[0] < i))
 
     def branch_count(self):
         return COUNTABLY_INFINITE
@@ -345,7 +333,13 @@ class FiniteSupportTree(Tree):
         }
 
     def _address_from_json(self, obj):
-        return _as_support_map(obj)
+        pairs = []
+        for entry in obj:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError(f"support map entry must be a [position, value] pair: {entry!r}")
+            pairs.append((json_int(entry[0], "support position"),
+                          json_int(entry[1], "support value")))
+        return tuple(sorted(pairs))
 
 
 class DecreasingSeqTree(Tree):
@@ -354,9 +348,7 @@ class DecreasingSeqTree(Tree):
     __slots__ = ()
     kind = "decreasing_seq"
 
-    def check_node(self, node: Node) -> None:
-        if node.level < 0:
-            raise ValueError(f"negative level: {node!r}")
+    def _check_address(self, node: Node) -> None:
         seq = node.address
         if not isinstance(seq, tuple) or len(seq) != node.level:
             raise ValueError(f"node address must be a length-{node.level} sequence: {node!r}")
@@ -366,8 +358,8 @@ class DecreasingSeqTree(Tree):
             if k > 0 and v >= seq[k - 1]:
                 raise ValueError(f"sequence must be strictly decreasing: {node!r}")
 
-    def _restrict(self, node: Node, i: int) -> Node:
-        return Node(i, node.address[:i])
+    def _restrict(self, address, i: int) -> Node:
+        return Node(i, address[:i])
 
     def branch(self, presentation) -> Branch:
         raise NoBranchError("a decreasing-sequence tree has no branches")

@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invsys import (
+    DecreasingSeqTree,
+    DisjointBranchesTree,
+    FiniteSupportTree,
     Node,
     Planted,
+    Ring,
+    System,
     TruncatedSystem,
     branch_generator,
     cli,
@@ -291,6 +296,46 @@ def test_missing_file_exit_code(sys1_path, capsys):
     code = main(["--system", sys1_path, "--element", "/nonexistent.json", "--cmd", "check"])
     assert code == 2
     capsys.readouterr()
+
+
+# family -> (system, address at level 1, address at level 2, branch or None)
+LOAD_CASES = {
+    "disjoint_branches": (System(Ring(3), DisjointBranchesTree(2)), 0, 1, 1),
+    "finite_support": (System(Ring(3), FiniteSupportTree((), 2)), [[0, 1]], [], [[4, 1]]),
+    "decreasing_seq": (System(Ring(3), DecreasingSeqTree()), [4], [3, 1], None),
+}
+
+
+@pytest.mark.parametrize("family", LOAD_CASES)
+def test_loading_an_element_checks_each_node_once(family, tmp_path, monkeypatch):
+    """Four ``y`` terms, one ``(node, l)`` given twice and one coefficient 0:
+    ``check_node`` runs once per term, and the element is the one
+    ``module_element`` builds from the same terms."""
+    system, low, high, branch = LOAD_CASES[family]
+    tree = system.tree
+
+    def term(level, address, l, coeff):
+        return {"node": {"level": level, "address": address}, "l": l, "coeff": coeff}
+
+    low_terms = [term(1, low, 2, 1), term(1, low, 2, 1), term(1, low, 3, 0)]
+    obj = {"combo": [] if branch is None else [{"branch": branch, "coeff": 2}],
+           "fact_y": [{"level": 1, "elem": {"level": 1, "terms": low_terms}},
+                      {"level": 2, "elem": {"level": 2, "terms": [term(2, high, 5, 1)]}}]}
+    path = write_json(tmp_path / "elem.json", obj)
+    n1, n2 = Node(1, tree._address_from_json(low)), Node(2, tree._address_from_json(high))
+    calls = []
+    check_node = type(tree).check_node
+    monkeypatch.setattr(type(tree), "check_node",
+                        lambda self, node: calls.append(node) or check_node(self, node))
+    loaded = cli.load_element(path, system)
+    monkeypatch.undo()
+    assert calls == [n1, n1, n1, n2]
+    fact = coboundary(system, {
+        1: module_element(1, [((n1, 2), 1), ((n1, 2), 1), ((n1, 3), 0)], system.ring, tree),
+        2: module_element(2, {(n2, 5): 1}, system.ring, tree)})
+    combo = {} if branch is None else {tree.branch_from_json(branch): 2}
+    assert loaded == planted(system, combo, fact)
+    assert loaded.fact.entries[0][1].terms == ((n1, 2, 2),)
 
 
 def test_determinism_byte_identical(tmp_path, sys1, sys1_path, capsys):

@@ -10,7 +10,8 @@ of the CLI, in json: 64 and 81 classes, a term at level 10**9, the largest
 ``check`` horizon, a modulus above 2**32, the minimal truncation height,
 branches that separate late and a coboundary level above the truncation.  The
 request errors are ``session/`` cases too, in json and text: a wrong number of
-elements, a horizon below 3, and the order in which the errors are checked.
+elements, a horizon below 3, a missing file, a directory passed as a file,
+and the order in which the errors are checked.
 Next to each, ``SESSION`` keeps the facts its report must hold, checked on the
 parsed report, so a regenerated golden file cannot absorb a wrong answer.
 
@@ -199,7 +200,9 @@ REQUEST_ERRORS = {
     "card/horizon-2-missing-system": ("--system missing.json --cmd card --horizon 2", LOW_HORIZON),
     "decompose/missing-second-element": (
         "--system sys.json --element a.json --element missing.json --cmd decompose",
-        "[Errno 2] No such file or directory: 'missing.json'"),
+        "missing.json: No such file or directory"),
+    # the working directory is always a directory
+    "card/system-is-a-directory": ("--system . --cmd card", ".: Is a directory"),
 }
 for name, (argv, message) in REQUEST_ERRORS.items():
     for fmt in ("json", "text"):
@@ -325,8 +328,8 @@ def test_symbolic_commands_never_load_the_oracle(expected, tmp_path, fresh_cli):
                 if case.split("/")[0] in ("disjoint", "finite_support", "session")
                 and case.split("/")[1] != "oracle-verify" and case.endswith("/json")}
     # check, decompose, two equivs and card per family, 9 session cases and
-    # 7 request errors
-    assert len(symbolic) == 26
+    # 8 request errors
+    assert len(symbolic) == 27
     write_inputs(tmp_path)
     verify_case = "disjoint/oracle-verify/json"
     child = fresh_cli([json.dumps(symbolic), json.dumps(CASES[verify_case])], code=FRESH_PROCESS,

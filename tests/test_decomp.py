@@ -522,6 +522,15 @@ def test_witness_precondition_violation_raises(sys1):
         witness_equivalence(a, c, ind_omega())
 
 
+def test_operands_of_two_systems_are_refused(sys1, sys3):
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    b = branch_generator(sys3, sys3.tree.branch(0))
+    with pytest.raises(ValueError, match="^operands live in different systems$"):
+        equiv_decide(a, b)
+    with pytest.raises(ValueError, match="^operands live in different systems$"):
+        witness_equivalence(a, b, ind_omega())
+
+
 def test_witness_off_first_correction(sys1):
     # difference supported at level 0 only; agreement holds on pairs with i >= 1
     fact = with_y0(sys1, {(Node(0, 0), 1): 2})

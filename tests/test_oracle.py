@@ -716,7 +716,7 @@ def levelwise_universe(system, elements, height):
             return
         levels[node.level].add(node)
         for lower in range(node.level):
-            levels[lower].add(tree._restrict(node, lower))
+            levels[lower].add(tree._restrict(node.address, lower))
 
     for elem in elements:
         for branch, _ in elem.combo:
@@ -866,10 +866,10 @@ def test_oracle_setup_restricts_trusted_nodes_once(system, presentation, monkeyp
     h = SETUP_HEIGHT
     a = branch_generator(system, system.tree.branch(presentation))
     calls = counting_tree_work(monkeypatch, system.tree)
-    # the branch adds only its top node, restricted to every lower level,
-    # and nothing is re-validated
+    # the branch adds only its top node, itself a restriction of the
+    # presentation, restricted to every lower level, and nothing is re-validated
     universe = universe_for(system, [a], h)
-    assert calls == {"_restrict": h - 1, "check_node": 0}
+    assert calls == {"_restrict": h, "check_node": 0}
     assert [len(universe[i]) for i in range(h)] == [1] * h
     calls.update(dict.fromkeys(calls, 0))
     # truncate validates each universe node once and still checks closure for

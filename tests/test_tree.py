@@ -87,8 +87,32 @@ def test_branch_count_per_kind():
 
 def test_decreasing_tree_rejects_branches():
     tree = DecreasingSeqTree()
-    with pytest.raises(NoBranchError):
+    no_branches = "^a decreasing-sequence tree has no branches$"
+    with pytest.raises(NoBranchError, match=no_branches):
         tree.branch(())
+    # a hand-built handle, since the tree hands out none
+    with pytest.raises(NoBranchError, match=no_branches):
+        tree.branch_node(Branch(()), 2)
+    with pytest.raises(NoBranchError, match=no_branches):
+        tree.presentation_level(Branch(()))
+    with pytest.raises(NoBranchError, match="^no branch passes through a decreasing-sequence node$"):
+        tree.branch_from_node(Node(2, (3, 1)))
+
+
+def test_families_state_only_their_address_rules():
+    """``Tree`` owns the level check and the branch-node rule; only the
+    branchless family overrides ``branch_node``, to raise."""
+    for family in (DisjointBranchesTree, FiniteSupportTree, DecreasingSeqTree):
+        assert "check_node" not in vars(family) and "_check_address" in vars(family)
+    assert [f for f in (DisjointBranchesTree, FiniteSupportTree, DecreasingSeqTree)
+            if "branch_node" in vars(f)] == [DecreasingSeqTree]
+
+
+def test_finite_support_branch_takes_only_the_tuple_form():
+    tree = FiniteSupportTree((), 2)
+    assert tree.branch_from_json([[1, 1]]) == tree.branch(((1, 1),))
+    with pytest.raises(ValueError, match=r"^branch address must be a tuple of pairs: \[\[1, 1\]\]$"):
+        tree.branch([[1, 1]])
 
 
 def test_decreasing_well_founded_descent_is_finite():
