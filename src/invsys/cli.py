@@ -21,6 +21,12 @@ and calls ``_run_<cmd>(system, elements, args)`` (a dash read as an
 underscore), looked up in this module at call time, which makes its own
 checks; ``_main`` adds ``"command"`` to the report the handler returns.
 
+A file is read as bytes and decoded as UTF-8 in one call, and its CRLF and
+lone CR line ends become LF as in text mode, so ``json.loads`` sees the text
+``json.load`` would see and reports a fault at the same line and column.  The
+``from_json`` constructors then build the JSON path of a list item only
+when the item fails (see ``schema``).
+
 Only ``oracle-verify`` imports the matrix oracle and the random sampler,
 inside its handler; ``check``, ``decompose``, ``equiv`` and ``card`` run on
 the symbolic modules alone.
@@ -74,16 +80,25 @@ COMMANDS = ("check", "decompose", "equiv", "card", "oracle-verify")
 
 
 def _read_json(path: str):
+    """The JSON value in the file at ``path``, as ``json.load`` reads it from the
+    file opened in text mode as UTF-8: the bytes are decoded in one call, and
+    ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as universal newlines do, so
+    a fault's line and column are the same.  The text, never the bytes, goes
+    to ``json.loads``, which would guess UTF-16 or UTF-32 from bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                return json.load(handle)
-            except (ValueError, RecursionError) as exc:
-                # a JSONDecodeError, an integer literal too long to read, or
-                # nesting deeper than the decoder's recursion limit
-                raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from exc
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # invalid UTF-8, a JSONDecodeError, an integer literal too long to
+        # read, or nesting deeper than the decoder's recursion limit
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_system(path: str) -> System:

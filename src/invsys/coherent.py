@@ -31,12 +31,18 @@ implies stability on all triples.  For ``i < j < k`` coherence gives
 the difference has index >= j and the parts below ``j`` agree.  The stability
 sweep is kept as an independent reading of the entries.
 
-Input is validated where it enters: ``planted`` checks every branch
-presentation, ``coboundary`` every level, and the ``from_json`` constructors
-parse files through them and ``module_element``.  A ``Planted`` is a frozen
-value, so each element keeps its own entry table: ``eval_entry`` computes an
-entry once, from trusted branch handles, and the identity checks below, which
-read every entry O(h) times, look the rest up.
+Input is validated where it enters, once: ``planted`` checks every branch
+presentation and ``coboundary`` every level, and the ``from_json``
+constructors check each combo entry, level and term of a file as they read
+it.  Behind the two validating constructors sit the trusted ``_planted`` and
+``_coboundary``, which only merge, reduce, drop zeros and sort.
+``from_json`` builds through them once its items are checked, and so do the
+internal rebuilds of valid elements: the arithmetic of ``Planted`` and
+``Coboundary``, the remainder and witness of ``normalize_cobounded``, and
+the rebuilds that check the certificates in ``decomp``.  A ``Planted`` is a
+frozen value, so each element keeps its own entry table: ``eval_entry``
+computes an entry once, from trusted branch handles, and the identity checks
+below, which read every entry O(h) times, look the rest up.
 
 Entries and defects are each built in one accumulator.  The branch part of
 every entry ``(i, j)`` is the level's *branch row* at index ``j``: the branch
@@ -58,7 +64,7 @@ from typing import NamedTuple
 
 from .freemod import ModuleElement, _add_hom, _add_terms, _canonical, apply_hom
 from .ring import RingElem
-from .schema import SchemaError, Value, at, json_int, json_list
+from .schema import SchemaError, Value, at, fail_at, json_int, json_list
 from .system import System
 from .tree import Branch, Node
 
@@ -108,10 +114,10 @@ class Coboundary(Value):
     def __add__(self, other: Coboundary) -> Coboundary:
         if other.system != self.system:
             raise ValueError("operands live in different systems")
-        return coboundary(self.system, self.entries + other.entries)
+        return _coboundary(self.system, self.entries + other.entries)
 
     def __neg__(self) -> Coboundary:
-        return coboundary(self.system, {lvl: -elem for lvl, elem in self.entries})
+        return _coboundary(self.system, [(lvl, -elem) for lvl, elem in self.entries])
 
     def __sub__(self, other: Coboundary) -> Coboundary:
         return self + (-other)
@@ -121,17 +127,20 @@ class Coboundary(Value):
 
     @staticmethod
     def from_json(obj: list, system: System, path: str = "$") -> Coboundary:
+        ring, tree = system.ring, system.tree
         entries = []
-        for entry_path, entry in json_list(obj, path):
-            with at(entry_path):
+        n = 0  # the entry being read
+        try:
+            for n, entry in enumerate(json_list(obj, path)):
                 lvl, elem = json_int(entry["level"], "level"), entry["elem"]
-            elem = ModuleElement.from_json(elem, system.ring, system.tree, f"{entry_path}.elem")
-            if elem.level != lvl:
-                raise SchemaError(f"{entry_path}.level: level tag {lvl!r} does not match "
-                                  f"element level {elem.level}")
-            entries.append((lvl, elem))
-        with at(path):
-            return coboundary(system, entries)
+                elem = ModuleElement.from_json(elem, ring, tree, f"{path}[{n}].elem")
+                if elem.level != lvl:
+                    raise SchemaError(f"{path}[{n}].level: level tag {lvl!r} does not match "
+                                      f"element level {elem.level}")
+                entries.append((lvl, elem))
+        except (KeyError, TypeError, ValueError) as exc:
+            fail_at(f"{path}[{n}]", exc)
+        return _coboundary(system, entries)
 
 
 def coboundary(system: System, table) -> Coboundary:
@@ -139,13 +148,21 @@ def coboundary(system: System, table) -> Coboundary:
     sequence of such pairs, by ``module_element``'s rule: every element is
     checked, the elements at one level are summed, zeros are dropped and the
     levels sorted."""
-    items = table.items() if isinstance(table, dict) else table
-    acc: dict[int, ModuleElement] = {}
+    items = list(table.items() if isinstance(table, dict) else table)
     for level, elem in items:
         if elem.level != level:
             raise ValueError(f"element at level {elem.level} filed under level {level}")
         if elem.ring != system.ring or elem.tree != system.tree:
             raise ValueError("element lives in a different system")
+    return _coboundary(system, items)
+
+
+def _coboundary(system: System, items) -> Coboundary:
+    """The trusted constructor behind ``coboundary``, for ``(level, element)``
+    pairs of valid elements of ``system``, each filed at its own level: the
+    elements at one level are summed, zeros dropped and the levels sorted."""
+    acc: dict[int, ModuleElement] = {}
+    for level, elem in items:
         acc[level] = acc[level] + elem if level in acc else elem
     return Coboundary(system, tuple(sorted((lvl, e) for lvl, e in acc.items() if not e.is_zero())))
 
@@ -245,7 +262,7 @@ class Planted(Value):
         for b, c in other.combo:
             acc[b] = acc.get(b, 0) + sign * c
         fact = self.fact + other.fact if sign > 0 else self.fact - other.fact
-        return planted(self.system, acc, fact)
+        return _planted(self.system, acc, fact)
 
     def __add__(self, other: Planted) -> Planted:
         return self._merge(other, 1)
@@ -254,9 +271,7 @@ class Planted(Value):
         return self._merge(other, -1)
 
     def __neg__(self) -> Planted:
-        return planted(
-            self.system, {b: -c for b, c in self.combo}, -self.fact
-        )
+        return _planted(self.system, {b: -c for b, c in self.combo}, -self.fact)
 
     # -- serialization ------------------------------------------------------------
 
@@ -272,16 +287,20 @@ class Planted(Value):
             if not isinstance(obj, dict):
                 raise ValueError(f"element description must be an object, got {type(obj).__name__}")
             combo, fact_y = obj.get("combo", ()), obj.get("fact_y", ())
-        items = []
-        for entry_path, entry in json_list(combo, f"{path}.combo"):
-            with at(entry_path):
+        branch_from_json = system.tree.branch_from_json
+        acc: dict[Branch, int] = {}
+        n, where = 0, ""  # the combo entry being read, and "" or ".branch": its field
+        try:
+            for n, entry in enumerate(json_list(combo, f"{path}.combo")):
                 branch, coeff = entry["branch"], json_int(entry["coeff"], "coefficient")
-            with at(f"{entry_path}.branch"):
-                branch = system.tree.branch_from_json(branch)
-            items.append((branch, coeff))
+                where = ".branch"
+                branch = branch_from_json(branch)
+                where = ""
+                acc[branch] = acc.get(branch, 0) + coeff
+        except (KeyError, TypeError, ValueError) as exc:
+            fail_at(f"{path}.combo[{n}]{where}", exc)
         fact = Coboundary.from_json(fact_y, system, f"{path}.fact_y")
-        with at(path):
-            return planted(system, items, fact)
+        return _planted(system, acc, fact)
 
 
 def planted(system: System, combo, fact: Coboundary | None = None) -> Planted:
@@ -299,7 +318,17 @@ def planted(system: System, combo, fact: Coboundary | None = None) -> Planted:
     for branch, coeff in items:
         tree.branch(branch.presentation)
         acc[branch] = acc.get(branch, 0) + ring.value_of(coeff)
-    m = ring.modulus
+    return _planted(system, acc, fact)
+
+
+def _planted(system: System, acc: dict[Branch, int], fact: Coboundary) -> Planted:
+    """The trusted canonicalizing constructor behind ``planted``, for branches
+    the tree has validated with integer coefficients and a coboundary of
+    ``system``: coefficients reduced mod m, zeros dropped, pairs sorted.
+    Arithmetic, normalization and the certificate checks recombine valid
+    elements, and ``Planted.from_json`` has checked each branch once, so they
+    all build through it."""
+    m = system.ring.modulus
     return Planted(system, tuple(sorted((b, v) for b, c in acc.items() if (v := c % m))), fact)
 
 
@@ -508,7 +537,7 @@ def normalize_cobounded(a: Planted) -> Normalized:
         cut = a.eval_entry(i, istar).below(istar)
         if not cut.is_zero():
             table[i] = cut
-    witness = coboundary(system, table)
+    witness = _coboundary(system, table.items())
     if witness != a.fact:
         raise AssertionError("normalization must absorb the whole coboundary part")
-    return Normalized(planted(system, a.combo), witness, bounds)
+    return Normalized(_planted(system, dict(a.combo), _coboundary(system, ())), witness, bounds)

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .coherent import (
     Coboundary,
     Planted,
+    _planted,
     branch_generator,
     default_horizon,
     normalize_cobounded,
@@ -143,13 +144,12 @@ def extract_branch(b: Planted, p: int) -> tuple[RingElem, Branch]:
         raise NoBranchError("no persistent branch chain: the element is equivalent to zero")
     tree = b.system.tree
     node, _, c = entry.terms[0]
-    d = entry.ring.elem(c)
     branch = tree.branch_from_node(node)
     for i in range(p, p + 3):
         for j in range(i + 1, i + 3):
-            if b.entry_coefficient(i, j, tree.branch_node(branch, i), j) != d:
+            if b.entry_coefficient(i, j, tree.branch_node(branch, i), j).value != c:
                 raise AssertionError("extracted coefficient is not constant past the probe level")
-    return d, branch
+    return entry.ring.elem(c), branch
 
 
 def decompose(a: Planted) -> Decomposition:
@@ -176,7 +176,7 @@ def decompose(a: Planted) -> Decomposition:
 def _verify_decomposition(a: Planted, dec: Decomposition) -> None:
     """Raise ``AssertionError`` unless ``combo + residual`` presents ``a`` exactly
     and the extracted branches pass through distinct nodes at the probe level."""
-    if planted(a.system, dict(dec.combo), dec.residual) != a:
+    if _planted(a.system, dict(dec.combo), dec.residual) != a:
         raise AssertionError("decomposition does not reproduce the element's presentation")
     tree = a.system.tree
     nodes = [tree.branch_node(b, dec.provenance) for b, _ in dec.combo]
@@ -201,7 +201,7 @@ def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceW
         raise ValueError("index set must be eventually coherent")
     _check_vanishes_on(diff, pairs)
     y = diff.fact
-    if planted(a.system, {}, y) != diff:
+    if _planted(a.system, {}, y) != diff:
         raise AssertionError("witness does not present the difference")
     return EquivalenceWitness(y, pairs.to_json(), max(12, default_horizon(diff)))
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .ring import Ring, RingElem
-from .schema import at, json_int, json_list
+from .schema import at, fail_at, json_int, json_list
 from .tree import Node, Tree
 
 if TYPE_CHECKING:
@@ -136,16 +136,20 @@ class ModuleElement(NamedTuple):
             level, terms = json_int(obj["level"], "level"), obj["terms"]
             _check_level(level)
         acc: dict[tuple[Node, int], int] = {}
-        for term_path, term in json_list(terms, f"{path}.terms"):
-            with at(term_path):
+        node_from_json = tree.node_from_json
+        n, where = 0, ""  # the term being read, and "" or ".node": its field
+        try:
+            for n, term in enumerate(json_list(terms, f"{path}.terms")):
                 node = term["node"]
                 l = json_int(term["l"], "generator index")
                 coeff = json_int(term["coeff"], "coefficient")
-            with at(f"{term_path}.node"):
-                node = tree.node_from_json(node)
-            with at(term_path):
+                where = ".node"
+                node = node_from_json(node)
+                where = ""
                 _check_term(level, node, l)
-            acc[(node, l)] = acc.get((node, l), 0) + coeff
+                acc[(node, l)] = acc.get((node, l), 0) + coeff
+        except (KeyError, TypeError, ValueError) as exc:
+            fail_at(f"{path}.terms[{n}]{where}", exc)
         return _canonical(level, acc, ring, tree)
 
 

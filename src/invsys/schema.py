@@ -1,16 +1,27 @@
 """Input-schema errors, reported with the JSON path of the offending value.
 
 The ``from_json`` constructors are the only readers of outside input.  Each
-parses one JSON value at a known path and, through ``at``, turns whatever a
-malformed value raises there (a missing key, a value of the wrong type or out
-of range) into a ``SchemaError`` naming that path, so the command line exits 2
-without a traceback.  Everything built from parsed input is valid, and the
-arithmetic inside the package trusts it.
+parses one JSON value at a known path and turns whatever a malformed value
+raises there (a missing key, a value of the wrong type or out of range) into
+a ``SchemaError`` naming that path, so the command line exits 2 without a
+traceback.  Everything built from parsed input is valid, and the arithmetic
+inside the package trusts it.
+
+A value read once per file enters an ``at`` block, and so does each width
+of a ``finite_support`` tree's table.  The items of an element file's three
+lists (a module element's terms, a planted element's combo entries, a
+coboundary's levels) are read in one ``try`` instead, which keeps the item's
+index and a marker of the field being read, and builds the path string only
+when a value fails, by ``fail_at``; the message is the one ``at`` gives at
+that path.  A coboundary level still joins one path, its element's, to hand
+it down to ``ModuleElement.from_json``.
 
 ``Value`` is the base of the package's immutable value types.
 """
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 
 class SchemaError(ValueError):
@@ -22,8 +33,8 @@ class at:
 
     A missing key is reported at ``path.key``, so a block subscripts only the
     JSON object found at ``path``.  A ``SchemaError`` passes through unchanged.
-    A class rather than a generator-based context manager, since every parsed
-    JSON value enters two or three of these blocks.
+    A class rather than a generator-based context manager, since each value
+    read outside a list's items enters one of these blocks.
     """
 
     __slots__ = ("path",)
@@ -35,13 +46,28 @@ class at:
         pass
 
     def __exit__(self, kind, exc, tb) -> bool:
-        if kind is None or issubclass(kind, SchemaError):
-            return False
-        if issubclass(kind, KeyError):
-            raise SchemaError(f"{self.path}.{exc.args[0]}: missing key") from exc
-        if issubclass(kind, (TypeError, ValueError)):
-            raise SchemaError(f"{self.path}: {exc}") from exc
+        if kind is not None:
+            _raise_at(self.path, exc)
         return False
+
+
+def _raise_at(path: str, exc: BaseException) -> None:
+    """Raise the ``SchemaError`` naming ``path`` for a malformed value's ``exc``;
+    return for an ``exc`` that passes through, a ``SchemaError`` among them."""
+    if isinstance(exc, SchemaError):
+        return
+    if isinstance(exc, KeyError):
+        raise SchemaError(f"{path}.{exc.args[0]}: missing key") from exc
+    if isinstance(exc, (TypeError, ValueError)):
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def fail_at(path: str, exc: Exception) -> NoReturn:
+    """Raise what leaving ``with at(path)`` raises for ``exc``: the ``SchemaError``
+    naming ``path`` for a malformed value, ``exc`` itself otherwise.  Called
+    from an ``except`` block, so the path is built only for a failing value."""
+    _raise_at(path, exc)
+    raise exc
 
 
 def json_int(value, what: str) -> int:
@@ -52,11 +78,11 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def json_list(obj, path: str) -> list[tuple[str, object]]:
-    """The items of a JSON array, each with its own path."""
+def json_list(obj, path: str):
+    """``obj`` if it is a JSON array; otherwise a ``SchemaError`` at ``path``."""
     if not isinstance(obj, (list, tuple)):
         raise SchemaError(f"{path}: expected a list, got {type(obj).__name__}")
-    return [(f"{path}[{n}]", item) for n, item in enumerate(obj)]
+    return obj
 
 
 class Value:

@@ -201,8 +201,8 @@ class Tree(Value):
                 raise ValueError("finite_support tree needs a widths object")
             table, eventual = widths.get("table", ()), widths["eventual"]
         widths_table = []
-        for entry_path, w in json_list(table, f"{path}.widths.table"):
-            with at(entry_path):
+        for n, w in enumerate(json_list(table, f"{path}.widths.table")):
+            with at(f"{path}.widths.table[{n}]"):
                 if json_int(w, "width") < 1:
                     raise ValueError(f"width table entries must be positive integers, got {w}")
                 widths_table.append(w)

@@ -24,6 +24,7 @@ from invsys import (
     planted,
 )
 from invsys.cli import main
+from invsys.system import SchemaError
 
 
 def write_json(path, obj):
@@ -292,6 +293,54 @@ def test_deeply_nested_file_is_invalid_json(tmp_path, sys1_path, fresh_cli, whic
     assert "recursion" in error
 
 
+def _reference_read_json(path: str):
+    """What ``_read_json`` must return or raise: ``json.load`` on the file opened
+    in text mode as UTF-8, with universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            try:
+                return json.load(handle)
+            except (ValueError, RecursionError) as exc:
+                raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror}") from exc
+
+
+READ_CASES = {
+    "crlf": b'{\r\n  "combo": [{"branch": 1, "coeff": 2}],\r\n  "fact_y": []\r\n}\r\n',
+    "crlf before a syntax error": b'{\r\n  "combo": [\r\n    1 2]}\r\n',
+    "lone cr before a syntax error": b'{\r"combo":\r\r[1,,2]}',
+    "cr inside a string": b'{"a\rb": 1}',
+    "utf-8 bom": b'\xef\xbb\xbf{"combo": []}',
+    "invalid utf-8": b'{"combo": [\xff]}',
+    "utf-8 cut inside a character": b'{"a": "\xc3',
+    "utf-16": '{"combo": []}'.encode("utf-16"),
+    "non-ascii text": '{"\u00e9": "\u00fc\u4e2d"}'.encode(),
+    "truncated json": b'{"combo": [{"branch": 1, ',
+    "empty file": b"",
+    "nesting past the recursion limit": DEEP_NESTING.encode(),
+    "over-long integer": HUGE_LITERAL.encode(),
+}
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_read_json_matches_json_load_on_the_text_file(tmp_path, case):
+    """The one-pass reader returns the value, or raises the ``SchemaError`` text,
+    that ``json.load`` on the file opened as UTF-8 text gives: line and column
+    after a CR, the BOM and UTF-8 faults, the decoder's limits."""
+    path = tmp_path / "elem.json"
+    path.write_bytes(READ_CASES[case])
+    try:
+        want = ("value", _reference_read_json(str(path)))
+    except SchemaError as exc:
+        want = ("error", str(exc))
+    try:
+        got = ("value", cli._read_json(str(path)))
+    except SchemaError as exc:
+        got = ("error", str(exc))
+    assert got == want
+
+
 def test_missing_file_exit_code(sys1_path, capsys):
     code = main(["--system", sys1_path, "--element", "/nonexistent.json", "--cmd", "check"])
     assert code == 2
@@ -336,6 +385,91 @@ def test_loading_an_element_checks_each_node_once(family, tmp_path, monkeypatch)
     combo = {} if branch is None else {tree.branch_from_json(branch): 2}
     assert loaded == planted(system, combo, fact)
     assert loaded.fact.entries[0][1].terms == ((n1, 2, 2),)
+
+
+# family -> the branches an element's combo lists, repeats included; the
+# decreasing-sequence tree has none, so its one entry is refused
+BRANCH_LISTS = {
+    "disjoint_branches": [1, 0, 1],
+    "finite_support": [[[4, 1]], [], [[2, 1], [0, 1]], [[4, 1]]],
+    "decreasing_seq": [[2, 1]],
+}
+
+
+@pytest.mark.parametrize("family", LOAD_CASES)
+def test_loading_an_element_checks_each_branch_once(family, tmp_path, monkeypatch):
+    """An element with k combo entries calls ``Tree.branch`` k times, and is the
+    element ``planted`` builds from the same pairs."""
+    system = LOAD_CASES[family][0]
+    tree = system.tree
+    branches = BRANCH_LISTS[family]
+    obj = {"combo": [{"branch": b, "coeff": n + 1} for n, b in enumerate(branches)],
+           "fact_y": []}
+    path = write_json(tmp_path / "elem.json", obj)
+    calls = []
+    branch = type(tree).branch
+    monkeypatch.setattr(type(tree), "branch",
+                        lambda self, presentation: calls.append(presentation)
+                        or branch(self, presentation))
+    if family == "decreasing_seq":
+        with pytest.raises(SchemaError) as caught:
+            cli.load_element(path, system)
+        assert str(caught.value) == (f"{path}: $.combo[0].branch: "
+                                     "a decreasing-sequence tree has no branches")
+    else:
+        loaded = cli.load_element(path, system)
+    monkeypatch.undo()
+    assert calls == [tree._address_from_json(b) for b in branches]
+    if family != "decreasing_seq":
+        pairs = [(tree.branch_from_json(b), n + 1) for n, b in enumerate(branches)]
+        assert loaded == planted(system, pairs)
+
+
+def _faulty(term=None, branch=1, tag=1):
+    """An element on the two disjoint branches with two combo entries and two
+    coboundary levels of three terms each; ``term`` replaces the third term at
+    level 1 (a field mapped to None is dropped), ``branch`` the second branch,
+    ``tag`` the second level tag."""
+    def terms(level):
+        return [{"node": {"level": level, "address": a}, "l": level + 2 + a, "coeff": 1}
+                for a in (0, 1, 0)]
+    last = terms(1)
+    if term is not None:
+        last[2] = {k: v for k, v in {**last[2], **term}.items() if v is not None}
+    return {"combo": [{"branch": 0, "coeff": 1}, {"branch": branch, "coeff": 2}],
+            "fact_y": [{"level": 0, "elem": {"level": 0, "terms": terms(0)}},
+                       {"level": tag, "elem": {"level": 1, "terms": last}}]}
+
+
+FAULTS_AT_AN_INDEX = {
+    "terms[2].node": (_faulty(term={"node": {"level": 1, "address": 5}}),
+                      "$.fact_y[1].elem.terms[2].node: node address must be a branch index "
+                      "below 2: Node(level=1, address=5)"),
+    "terms[2].node at another level": (
+        _faulty(term={"node": {"level": 2, "address": 0}}),
+        "$.fact_y[1].elem.terms[2]: term node Node(level=2, address=0) is not at level 1"),
+    "terms[2].l": (_faulty(term={"l": 1}),
+                   "$.fact_y[1].elem.terms[2]: generator index 1 must exceed the level 1"),
+    "terms[2].l missing": (_faulty(term={"l": None}), "$.fact_y[1].elem.terms[2].l: missing key"),
+    "terms[2].l a string": (_faulty(term={"l": "4"}), "$.fact_y[1].elem.terms[2]: "
+                            "generator index must be an integer, got '4'"),
+    "terms[2].coeff": (_faulty(term={"coeff": 1.5}),
+                       "$.fact_y[1].elem.terms[2]: coefficient must be an integer, got 1.5"),
+    "combo[1].branch": (_faulty(branch=2), "$.combo[1].branch: branch index must lie below 2: 2"),
+    "fact_y[1].level": (_faulty(tag=2),
+                        "$.fact_y[1].level: level tag 2 does not match element level 1"),
+}
+
+
+@pytest.mark.parametrize("case", FAULTS_AT_AN_INDEX)
+def test_schema_error_names_the_faulty_item_exactly(tmp_path, sys1, case):
+    """A fault in an item past the first is reported with that item's index and
+    field, in exactly the words a fault in the first item gets."""
+    obj, message = FAULTS_AT_AN_INDEX[case]
+    path = write_json(tmp_path / "elem.json", obj)
+    with pytest.raises(SchemaError) as caught:
+        cli.load_element(path, sys1)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_determinism_byte_identical(tmp_path, sys1, sys1_path, capsys):

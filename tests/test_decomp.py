@@ -511,6 +511,19 @@ def test_equiv_witness_index_set_is_the_full_index_set(sys1):
     assert w.to_json()["index_set"] == ind_omega().to_json()
 
 
+def test_a_changed_witness_report_changes_no_later_report(sys1):
+    """Editing the index set of one ``equiv`` witness's JSON leaves the shared
+    constant, and the next witness's report, as they were."""
+    pristine = ind_omega().to_json()
+    a = branch_generator(sys1, sys1.tree.branch(0))
+    report = equiv_decide(a, a)[1].to_json()
+    report["index_set"]["first"]["finite"].append(5)
+    report["index_set"]["pro"][0]["set"]["threshold"] = 7
+    report["index_set"]["pro"].append({"i_from": 1})
+    assert decomp.IND_OMEGA_JSON == pristine
+    assert equiv_decide(a, a)[1].to_json()["index_set"] == pristine
+
+
 def test_witness_precondition_violation_raises(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
     b = branch_generator(sys1, sys1.tree.branch(1))
