@@ -287,7 +287,7 @@ def quotient_card_report(system: System) -> dict:
     total = m ** count
     report: dict = {"cardinality": total, "branches": count, "modulus": m}
     if total <= 64:
-        every = planted(system, {system.tree.branch(k): 1 for k in range(count)})
+        every = planted(system, {branch: 1 for branch in system.tree.branches()})
         terms = _probe(every, every.probe_bound).terms
         if len(terms) != count or any(c != 1 for _, _, c in terms):
             raise AssertionError("branch nodes are not separated at the probe level")

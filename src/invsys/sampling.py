@@ -11,7 +11,7 @@ from random import Random
 from .coherent import Coboundary, Planted, coboundary, planted
 from .freemod import module_element
 from .system import System
-from .tree import Branch, DecreasingSeqTree, DisjointBranchesTree, FiniteSupportTree, Node, Tree
+from .tree import Branch, Node, Tree
 
 # Draw sizes no caller varies: branches per element, terms per y level, the
 # generator-index spread above a level, and finite-support branch positions.
@@ -22,30 +22,15 @@ BRANCH_POSITION_CAP = 4
 
 
 def sample_node(tree: Tree, rng: Random, level: int) -> Node:
-    if isinstance(tree, DisjointBranchesTree):
-        return Node(level, rng.randrange(tree.count))
-    if isinstance(tree, FiniteSupportTree):
-        pairs = []
-        for pos in range(level):
-            if tree.width(pos) >= 2 and rng.random() < 0.4:
-                pairs.append((pos, rng.randrange(1, tree.width(pos))))
-        return Node(level, tuple(pairs))
-    if isinstance(tree, DecreasingSeqTree):
-        values = rng.sample(range(level + 3), level)
-        return Node(level, tuple(sorted(values, reverse=True)))
-    raise TypeError(f"unknown tree kind: {tree!r}")
+    """A node at ``level``; each finitely supported position is filled with
+    chance 0.4."""
+    return Node(level, tree.draw_address(rng, level, 0.4))
 
 
 def sample_branch(tree: Tree, rng: Random, max_position: int = 4) -> Branch:
-    if isinstance(tree, DisjointBranchesTree):
-        return tree.branch(rng.randrange(tree.count))
-    if isinstance(tree, FiniteSupportTree):
-        pairs = []
-        for pos in range(max_position):
-            if tree.width(pos) >= 2 and rng.random() < 0.5:
-                pairs.append((pos, rng.randrange(1, tree.width(pos))))
-        return tree.branch(tuple(pairs))
-    raise ValueError("tree has no branches to sample")
+    """A branch with support positions below ``max_position``, each filled
+    with chance 0.5; a branchless tree refuses the draw."""
+    return tree.branch(tree.draw_address(rng, max_position, 0.5))
 
 
 def sample_branches(tree: Tree, rng: Random, count: int) -> list[Branch]:

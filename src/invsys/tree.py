@@ -20,10 +20,22 @@ Levels of the last two families are infinite, so there is deliberately no
 full-level enumeration: all operations are restriction and membership based
 and consult only nodes occurring in finite supports.
 
-A family states only its address rules: ``_check_address``, ``_restrict``,
-``branch``, ``branch_count``, ``presentation_level``, ``to_json`` and
-``_address_from_json``.  ``Tree`` derives the rest, among it ``check_node``'s
-negative-level check and ``branch_node``, the restriction of the presentation.
+A family is one class, and no other module names it.  It states only its
+rules:
+
+* the address rules ``_check_address``, ``_restrict`` and ``branch``, each
+  the one complete rule for its addresses: booleans and non-integers are
+  refused wherever an integer belongs;
+* ``branch_count``, ``branches`` when that count is a positive integer, and
+  ``presentation_level``;
+* ``draw_address``, the draw ``invsys.sampling`` makes for a node or a branch;
+* ``to_json``, and ``_from_json`` when the description has fields to read.
+
+``Tree`` derives the rest.  ``from_json`` looks ``kind`` up in the family
+table, ``check_node`` adds the negative-level check, and ``branch_node`` is
+the restriction of the presentation.  ``_address_from_json`` turns a JSON
+address into the tuple form ``to_json`` writes, and the family rule checks
+it, so a JSON address meets exactly the library's rule.
 
 Nodes and branch handles are named tuples, so the ``(node, l)`` keys of every
 term map are compared and hashed in C, and their tuple order is the canonical
@@ -142,6 +154,11 @@ class Tree(Value):
         """Number of branches: an integer, 0, or ``COUNTABLY_INFINITE``."""
         raise NotImplementedError
 
+    def branches(self) -> tuple[Branch, ...]:
+        """Every branch, in canonical order, of a family with a positive integer
+        ``branch_count``."""
+        raise NotImplementedError
+
     def branch_sort_key(self, branch: Branch):
         return branch.presentation
 
@@ -174,6 +191,14 @@ class Tree(Value):
         """
         raise NotImplementedError
 
+    # -- sampling ---------------------------------------------------------
+
+    def draw_address(self, rng, size: int, chance: float):
+        """An address drawn from ``rng``, for a node at level ``size`` or for a
+        branch whose support positions lie below ``size``; a finitely supported
+        position is filled with probability ``chance``."""
+        raise NotImplementedError
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -185,43 +210,34 @@ class Tree(Value):
             if not isinstance(obj, dict):
                 raise ValueError(f"tree description must be an object, got {obj!r}")
             kind = obj.get("kind")
-            if kind == "decreasing_seq":
-                return DecreasingSeqTree()
-            if kind == "disjoint_branches":
-                count = obj["count"]
-            elif kind == "finite_support":
-                widths = obj["widths"]
-            else:
+            family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+            if family is None:
                 raise ValueError(f"unknown tree kind: {kind!r}")
-        if kind == "disjoint_branches":
-            with at(f"{path}.count"):
-                return DisjointBranchesTree(json_int(count, "branch count"))
-        with at(f"{path}.widths"):
-            if not isinstance(widths, dict):
-                raise ValueError("finite_support tree needs a widths object")
-            table, eventual = widths.get("table", ()), widths["eventual"]
-        widths_table = []
-        for n, w in enumerate(json_list(table, f"{path}.widths.table")):
-            with at(f"{path}.widths.table[{n}]"):
-                if json_int(w, "width") < 1:
-                    raise ValueError(f"width table entries must be positive integers, got {w}")
-                widths_table.append(w)
-        with at(f"{path}.widths.eventual"):
-            return FiniteSupportTree(tuple(widths_table), json_int(eventual, "eventual width"))
+        return family._from_json(obj, path)
+
+    @classmethod
+    def _from_json(cls, obj: dict, path: str) -> Tree:
+        """The tree of this family that ``obj``, read at ``path``, describes."""
+        return cls()
 
     def node_from_json(self, obj: dict) -> Node:
         if not isinstance(obj, dict) or "level" not in obj or "address" not in obj:
             raise ValueError(f"node description must have level and address: {obj!r}")
         level = json_int(obj["level"], "node level")
-        node = Node(level, self._address_from_json(obj["address"]))
+        node = Node(level, self._address_from_json(obj["address"], "node"))
         self.check_node(node)
         return node
 
     def branch_from_json(self, obj) -> Branch:
-        return self.branch(self._address_from_json(obj))
+        return self.branch(self._address_from_json(obj, "branch"))
 
-    def _address_from_json(self, obj):
-        raise NotImplementedError
+    def _address_from_json(self, obj, what: str):
+        """The address ``_address_to_json`` writes as ``obj``: each list becomes a
+        tuple.  The caller applies the family rule to the result; ``what``,
+        ``"node"`` or ``"branch"``, words a family's own check made here."""
+        if isinstance(obj, list):
+            return tuple(tuple(p) if isinstance(p, list) else p for p in obj)
+        return obj
 
 
 class DisjointBranchesTree(Tree):
@@ -231,7 +247,7 @@ class DisjointBranchesTree(Tree):
     kind = "disjoint_branches"
 
     def __init__(self, count: int):
-        if not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:
             raise ValueError(f"branch count must be a positive integer, got {count!r}")
         object.__setattr__(self, "count", count)
 
@@ -239,30 +255,38 @@ class DisjointBranchesTree(Tree):
         return (self.count,)
 
     def _check_address(self, node: Node) -> None:
-        if not isinstance(node.address, int) or not 0 <= node.address < self.count:
+        if type(node.address) is not int or not 0 <= node.address < self.count:
             raise ValueError(f"node address must be a branch index below {self.count}: {node!r}")
 
     def _restrict(self, address, i: int) -> Node:
         return Node(i, address)
 
     def branch(self, presentation) -> Branch:
-        if not isinstance(presentation, int) or not 0 <= presentation < self.count:
+        if type(presentation) is not int or not 0 <= presentation < self.count:
             raise ValueError(f"branch index must lie below {self.count}: {presentation!r}")
         return Branch(presentation)
 
     def branch_count(self):
         return self.count
 
+    def branches(self) -> tuple[Branch, ...]:
+        return tuple(map(Branch, range(self.count)))
+
     def presentation_level(self, branch: Branch) -> int:
         return 0
+
+    def draw_address(self, rng, size: int, chance: float):
+        return rng.randrange(self.count)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "count": self.count}
 
-    def _address_from_json(self, obj):
-        if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ValueError(f"disjoint-branch address must be an integer: {obj!r}")
-        return obj
+    @classmethod
+    def _from_json(cls, obj: dict, path: str) -> Tree:
+        with at(path):
+            count = obj["count"]
+        with at(f"{path}.count"):
+            return cls(json_int(count, "branch count"))
 
 
 class FiniteSupportTree(Tree):
@@ -277,9 +301,9 @@ class FiniteSupportTree(Tree):
     kind = "finite_support"
 
     def __init__(self, widths_table: tuple[int, ...], eventual_width: int):
-        if any(not isinstance(w, int) or w < 1 for w in widths_table):
+        if any(type(w) is not int or w < 1 for w in widths_table):
             raise ValueError(f"width table entries must be positive integers: {widths_table!r}")
-        if not isinstance(eventual_width, int) or eventual_width < 2:
+        if type(eventual_width) is not int or eventual_width < 2:
             raise ValueError(f"eventual width must be an integer >= 2, got {eventual_width!r}")
         object.__setattr__(self, "widths_table", widths_table)
         object.__setattr__(self, "eventual_width", eventual_width)
@@ -300,6 +324,8 @@ class FiniteSupportTree(Tree):
             if not isinstance(entry, tuple) or len(entry) != 2:
                 raise ValueError(f"{what} support entry must be a (position, value) pair: {entry!r}")
             p, v = entry
+            if type(p) is not int or type(v) is not int:
+                raise ValueError(f"{what} support position and value must be integers: {entry!r}")
             if p <= last:
                 raise ValueError(f"{what} support positions must be strictly increasing: {pairs!r}")
             last = p
@@ -326,20 +352,42 @@ class FiniteSupportTree(Tree):
             return 0
         return branch.presentation[-1][0] + 1
 
+    def draw_address(self, rng, size: int, chance: float):
+        return tuple((pos, rng.randrange(1, self.width(pos))) for pos in range(size)
+                     if self.width(pos) >= 2 and rng.random() < chance)
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "widths": {"table": list(self.widths_table), "eventual": self.eventual_width},
         }
 
-    def _address_from_json(self, obj):
-        pairs = []
-        for entry in obj:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValueError(f"support map entry must be a [position, value] pair: {entry!r}")
-            pairs.append((json_int(entry[0], "support position"),
-                          json_int(entry[1], "support value")))
-        return tuple(sorted(pairs))
+    @classmethod
+    def _from_json(cls, obj: dict, path: str) -> Tree:
+        with at(path):
+            widths = obj["widths"]
+        with at(f"{path}.widths"):
+            if not isinstance(widths, dict):
+                raise ValueError("finite_support tree needs a widths object")
+            table, eventual = widths.get("table", ()), widths["eventual"]
+        widths_table = []
+        for n, w in enumerate(json_list(table, f"{path}.widths.table")):
+            with at(f"{path}.widths.table[{n}]"):
+                if json_int(w, "width") < 1:
+                    raise ValueError(f"width table entries must be positive integers, got {w}")
+                widths_table.append(w)
+        with at(f"{path}.widths.eventual"):
+            return cls(tuple(widths_table), json_int(eventual, "eventual width"))
+
+    def _address_from_json(self, obj, what: str):
+        """A support map may list its pairs in any order: each pair is checked
+        by the family rule, then they are sorted."""
+        pairs = super()._address_from_json(obj, what)
+        if isinstance(pairs, tuple):
+            for entry in pairs:
+                self._check_support((entry,), None, what)
+            pairs = tuple(sorted(pairs))
+        return pairs
 
 
 class DecreasingSeqTree(Tree):
@@ -353,7 +401,7 @@ class DecreasingSeqTree(Tree):
         if not isinstance(seq, tuple) or len(seq) != node.level:
             raise ValueError(f"node address must be a length-{node.level} sequence: {node!r}")
         for k, v in enumerate(seq):
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ValueError(f"sequence entries must be non-negative integers: {node!r}")
             if k > 0 and v >= seq[k - 1]:
                 raise ValueError(f"sequence must be strictly decreasing: {node!r}")
@@ -376,10 +424,11 @@ class DecreasingSeqTree(Tree):
     def presentation_level(self, branch: Branch) -> int:
         raise NoBranchError("a decreasing-sequence tree has no branches")
 
+    def draw_address(self, rng, size: int, chance: float):
+        return tuple(sorted(rng.sample(range(size + 3), size), reverse=True))
+
     def to_json(self) -> dict:
         return {"kind": self.kind}
 
-    def _address_from_json(self, obj):
-        if not isinstance(obj, list):
-            raise ValueError(f"decreasing-sequence address must be a list: {obj!r}")
-        return tuple(json_int(v, "sequence entry") for v in obj)
+
+_FAMILIES = {f.kind: f for f in (DisjointBranchesTree, FiniteSupportTree, DecreasingSeqTree)}

@@ -371,7 +371,8 @@ def test_loading_an_element_checks_each_node_once(family, tmp_path, monkeypatch)
            "fact_y": [{"level": 1, "elem": {"level": 1, "terms": low_terms}},
                       {"level": 2, "elem": {"level": 2, "terms": [term(2, high, 5, 1)]}}]}
     path = write_json(tmp_path / "elem.json", obj)
-    n1, n2 = Node(1, tree._address_from_json(low)), Node(2, tree._address_from_json(high))
+    n1 = Node(1, tree._address_from_json(low, "node"))
+    n2 = Node(2, tree._address_from_json(high, "node"))
     calls = []
     check_node = type(tree).check_node
     monkeypatch.setattr(type(tree), "check_node",
@@ -419,7 +420,7 @@ def test_loading_an_element_checks_each_branch_once(family, tmp_path, monkeypatc
     else:
         loaded = cli.load_element(path, system)
     monkeypatch.undo()
-    assert calls == [tree._address_from_json(b) for b in branches]
+    assert calls == [tree._address_from_json(b, "branch") for b in branches]
     if family != "decreasing_seq":
         pairs = [(tree.branch_from_json(b), n + 1) for n, b in enumerate(branches)]
         assert loaded == planted(system, pairs)
@@ -533,6 +534,8 @@ MALFORMED_SYSTEMS = {
     "ring.m not an integer": ({"ring": {"kind": "zmod", "m": "3"}, "tree": GOOD_SYSTEM["tree"]},
                               "$.ring.m"),
     "missing tree": ({"ring": GOOD_SYSTEM["ring"]}, "$.tree"),
+    "tree.kind a list": ({"ring": GOOD_SYSTEM["ring"], "tree": {"kind": ["decreasing_seq"]}},
+                         "$.tree"),
     "missing tree.count": ({"ring": GOOD_SYSTEM["ring"], "tree": {"kind": "disjoint_branches"}},
                            "$.tree.count"),
     "missing widths.eventual": ({"ring": GOOD_SYSTEM["ring"],
@@ -632,6 +635,55 @@ def test_malformed_element_exit_2_with_path(tmp_path, sys1_path, capsys, case):
         sys1_path = write_json(tmp_path / "sys.json", system[0])
     elem = write_json(tmp_path / "elem.json", obj)
     assert_schema_exit(["--system", sys1_path, "--element", elem, "--cmd", "check"], path, capsys)
+
+
+# family -> (system, node level, {shape: malformed address}); each address is
+# malformed as a whole or in one entry, as the family's addresses are built.
+MALFORMED_ADDRESSES = {
+    "disjoint_branches": (GOOD_SYSTEM, 0, {
+        "bool": True, "float": 1.0, "string": "1", "object": {"index": 1},
+        "nested list": [[1]], "pair of the wrong length": [0, 1, 1], "null": None}),
+    "finite_support": (FINITE_SUPPORT, 2, {
+        "bool": [[0, True]], "float": [[0.5, 1]], "string": [[0, "1"]],
+        "object": [{"position": 0, "value": 1}], "nested list": [[[0], 1]],
+        "pair of the wrong length": [[0, 1, 1]], "null": [None],
+        "bool address": True, "object address": {"0": 1}, "null address": None,
+        "bad pair after an unordered one": [[1, 1], [0, 1], [0.5, 1]]}),
+    "decreasing_seq": (DECREASING_SEQ, 2, {
+        "bool": [1, True], "float": [2.0, 1], "string": ["2", 1], "object": [{"v": 2}, 1],
+        "nested list": [[2], 1], "pair of the wrong length": [[2, 1, 0], 1], "null": [2, None],
+        "string address": "21"}),
+}
+
+
+@pytest.mark.parametrize("position", ("node", "branch"))
+@pytest.mark.parametrize("family, shape", [(family, shape)
+                                           for family, (_, _, shapes) in MALFORMED_ADDRESSES.items()
+                                           for shape in shapes])
+def test_malformed_address_exit_2_with_path(tmp_path, capsys, family, shape, position):
+    """Every malformed address exits 2 at the JSON path of the node or branch
+    that holds it, in node position and in branch position."""
+    system, level, shapes = MALFORMED_ADDRESSES[family]
+    address = shapes[shape]
+    if position == "node":
+        obj, path = with_node(level, address), "$.fact_y[0].elem.terms[0].node"
+    else:
+        obj, path = {"combo": [{"branch": address, "coeff": 1}], "fact_y": []}, "$.combo[0].branch"
+    sys_path = write_json(tmp_path / "sys.json", system)
+    elem = write_json(tmp_path / "elem.json", obj)
+    assert_schema_exit(["--system", sys_path, "--element", elem, "--cmd", "check"], path, capsys)
+
+
+def test_support_pairs_load_in_any_order(tmp_path, capsys):
+    """A support map's pairs may be listed in any order, in a node and in a branch."""
+    system = System.from_json(FINITE_SUPPORT)
+    tree = system.tree
+    elem = write_json(tmp_path / "elem.json",
+                      {"combo": [{"branch": [[2, 1], [0, 1]], "coeff": 1}],
+                       "fact_y": with_node(3, [[2, 1], [0, 2]])["fact_y"]})
+    loaded = cli.load_element(elem, system)
+    assert loaded.combo == ((tree.branch(((0, 1), (2, 1))), 1),)
+    assert loaded.fact.entries[0][1].terms == ((Node(3, ((0, 2), (2, 1))), 4, 1),)
 
 
 @pytest.mark.parametrize("fmt", ("json", "text"))

@@ -19,6 +19,7 @@ import pytest
 
 import invsys
 from invsys import indexset, oracle
+from invsys import tree as tree_module
 
 SRC = Path(invsys.__file__).parent
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -97,6 +98,45 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy(tmp_path, fresh
 def test_oracle_and_sampling_are_imported_only_inside_functions(target):
     assert importers(target, top_level_imports) == []
     assert importers(target) != []
+
+
+# -- tree families -------------------------------------------------------------------
+
+
+def family_mentions(name, module):
+    """The family classes and kind strings a module names in code: as a name,
+    an attribute, an imported name or a string constant.  The package
+    ``__init__`` may re-export the classes: its ``from .tree import`` and its
+    ``__all__`` entries are skipped."""
+    families = tree_module._FAMILIES
+    words = {family.__name__ for family in families.values()} | set(families)
+    skip = set()
+    if name == "__init__.py":
+        for stmt in module.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "tree":
+                skip.update(id(alias) for alias in stmt.names)
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+                skip.update(id(node) for node in ast.walk(stmt.value))
+    found = []
+    for node in ast.walk(module):
+        if id(node) in skip:
+            continue
+        word = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(word, str) and word in words:
+            found.append(word)
+    return found
+
+
+def test_only_the_tree_module_names_a_family():
+    """A family is one class in ``tree``: no other module names a family class
+    or a kind string, so a new family touches no other module."""
+    assert {name: family_mentions(name, module) for name, module in MODULES.items()
+            if name != "tree.py" and family_mentions(name, module)} == {}
+    assert family_mentions("tree.py", MODULES["tree.py"]) != []
 
 
 # -- the package surface -------------------------------------------------------------

@@ -99,13 +99,55 @@ def test_decreasing_tree_rejects_branches():
         tree.branch_from_node(Node(2, (3, 1)))
 
 
+FAMILIES = (DisjointBranchesTree, FiniteSupportTree, DecreasingSeqTree)
+
+
+def stating(name):
+    """The families whose own class states ``name``."""
+    return [family for family in FAMILIES if name in vars(family)]
+
+
 def test_families_state_only_their_address_rules():
-    """``Tree`` owns the level check and the branch-node rule; only the
-    branchless family overrides ``branch_node``, to raise."""
-    for family in (DisjointBranchesTree, FiniteSupportTree, DecreasingSeqTree):
-        assert "check_node" not in vars(family) and "_check_address" in vars(family)
-    assert [f for f in (DisjointBranchesTree, FiniteSupportTree, DecreasingSeqTree)
-            if "branch_node" in vars(f)] == [DecreasingSeqTree]
+    """Every family states its address rules, branch count, presentation
+    level, draw and description; ``Tree`` derives the rest, the level check,
+    the branch-node rule and the JSON readers among it."""
+    for rule in ("_check_address", "_restrict", "branch", "branch_count",
+                 "presentation_level", "draw_address", "to_json"):
+        assert stating(rule) == list(FAMILIES), rule
+    # Only the family with finitely many branches lists them, and only the
+    # families with fields read a description.
+    assert stating("branches") == [DisjointBranchesTree]
+    assert stating("_from_json") == [DisjointBranchesTree, FiniteSupportTree]
+    # finite_support sorts a JSON support map's pairs; the branchless family
+    # overrides the branch-node rule, to raise.
+    assert stating("_address_from_json") == [FiniteSupportTree]
+    assert stating("branch_node") == [DecreasingSeqTree]
+    for derived in ("check_node", "restrict", "pro_level_within", "separation_level",
+                    "from_json", "node_from_json", "branch_from_json"):
+        assert stating(derived) == [], derived
+
+
+# The library rules refuse a boolean or a non-integer wherever an integer
+# belongs, as the JSON readers do.
+NON_INTEGERS = {
+    "branch count a bool": lambda: DisjointBranchesTree(True),
+    "width a bool": lambda: FiniteSupportTree((True,), 2),
+    "branch index a bool": lambda: DisjointBranchesTree(3).branch(True),
+    "node address a bool": lambda: DisjointBranchesTree(3).check_node(Node(0, True)),
+    "support value a bool": lambda: FiniteSupportTree((3,), 2).branch(((0, True),)),
+    "support position a float": lambda: FiniteSupportTree((3,), 2).branch(((0.5, 1),)),
+    "sequence entry a bool": lambda: DecreasingSeqTree().check_node(Node(1, (True,))),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGERS)
+def test_library_rules_refuse_bools_and_non_integers(case):
+    with pytest.raises(ValueError):
+        NON_INTEGERS[case]()
+
+
+def test_a_finite_family_lists_its_branches():
+    assert DisjointBranchesTree(3).branches() == (Branch(0), Branch(1), Branch(2))
 
 
 def test_finite_support_branch_takes_only_the_tuple_form():
