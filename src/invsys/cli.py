@@ -45,6 +45,7 @@ import json
 import math
 import os
 import sys
+from itertools import combinations
 from random import Random
 
 from .coherent import (
@@ -162,10 +163,7 @@ def _run_check(system: System, elements, args):
         # The recurrences are the coefficients of the coherence defects, so
         # the family is coherent exactly when they all hold.
         eq = check_eq_recurrences(elem, h)
-        stable = all(
-            restriction_stability(elem, i, j, k)
-            for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h)
-        )
+        stable = all(restriction_stability(elem, i, j, k) for i, j, k in combinations(range(h), 3))
         entry_ok = eq.ok and stable
         ok = ok and entry_ok
         reports.append({

@@ -24,6 +24,16 @@ sweep over all C(h, 3) runs only to report the violations of an incoherent
 family.  ``check`` still tests restriction stability on every triple, so its
 cost stays O(h^3).
 
+The two sweeps do each level's shared work once.  Every triple ``(i, i+1,
+k)`` of one level ``i`` subtracts the same entry ``a[i, i+1]``, so the
+coherence sweep sums ``-a[i, i+1]`` into a base map once per level and starts
+each defect from a copy of it: per triple one ``_add_terms`` and one
+``_add_hom`` remain.  The stability test reads each of its two entries once,
+and most entries have no term below ``j``; for those it answers from one scan
+of each entry and builds no list.  Without a substitute entry map both sweeps
+read an entry that is already in the element's table directly, and compute
+only the others through ``eval_entry``.
+
 Restriction stability is a corollary of coherence: coherence on all triples
 implies stability on all triples.  For ``i < j < k`` coherence gives
 ``a[i,k] - a[i,j] = hom_i(a[j,k])``, and ``hom_i`` sends a level-j generator
@@ -174,12 +184,13 @@ class Planted(Value):
     ``(i, j)``, and ``_branch_nodes`` maps a level ``i`` to its branch row,
     which every entry ``(i, j)`` shares: the ``(node, coefficient)`` pairs of
     ``combo`` at that level, nodes merged, coefficients reduced mod m, zeros
-    dropped, sorted.  Neither is a field, so neither takes part in equality,
-    hashing or ``repr``.
+    dropped, sorted.  ``_probe_bound`` holds ``probe_bound`` once it has been
+    read.  None of them is a field, so none takes part in equality, hashing
+    or ``repr``.
     """
 
     _fields = ("system", "combo", "fact")
-    __slots__ = (*_fields, "_entries", "_branch_nodes")
+    __slots__ = (*_fields, "_entries", "_branch_nodes", "_probe_bound")
 
     def __init__(self, system: System, combo: tuple[tuple[Branch, int], ...], fact: Coboundary):
         object.__setattr__(self, "system", system)
@@ -187,6 +198,7 @@ class Planted(Value):
         object.__setattr__(self, "fact", fact)
         object.__setattr__(self, "_entries", {})
         object.__setattr__(self, "_branch_nodes", {})
+        object.__setattr__(self, "_probe_bound", None)
 
     def _key(self) -> tuple:
         return (self.system, self.combo, self.fact)
@@ -206,10 +218,15 @@ class Planted(Value):
         nodes there, with no pairwise comparison.  This single number stands
         in for the unbounded-pigeonhole arguments that justify branch
         extraction: all structure read at or beyond it is still certified
-        against the evaluation map afterwards.
+        against the evaluation map afterwards.  It is computed on the first
+        read; ``decompose`` probes one element several times.
         """
-        tree = self.system.tree
-        return max([self.stab_bound, *(tree.presentation_level(b) for b, _ in self.combo)])
+        bound = self._probe_bound
+        if bound is None:
+            tree = self.system.tree
+            bound = max([self.stab_bound, *(tree.presentation_level(b) for b, _ in self.combo)])
+            object.__setattr__(self, "_probe_bound", bound)
+        return bound
 
     def is_zero(self) -> bool:
         return not self.combo and self.fact.is_zero()
@@ -357,10 +374,13 @@ def _triples(horizon: int):
                 yield i, j, k
 
 
-def _defect(ev, i: int, j: int, k: int) -> dict[tuple[Node, int], int]:
+def _defect(ev, i: int, j: int, k: int, base: dict | None = None) -> dict[tuple[Node, int], int]:
     """The coherence defect ``a[i,k] - (a[i,j] + hom(a[j,k]))`` of one triple,
     as an unreduced ``(node, l) -> int`` map: the identity holds there exactly
     when every coefficient vanishes mod m.
+
+    ``base``, when given, is the map of ``-a[i,j]`` that a sweep over many
+    ``k`` shares; the defect starts from a copy of it.
 
     The entries are checked as ``-``, ``+`` and ``apply_hom`` check their
     operands, so an entry of the wrong level or system raises the same
@@ -374,29 +394,44 @@ def _defect(ev, i: int, j: int, k: int) -> dict[tuple[Node, int], int]:
             raise ValueError(f"mismatched levels: {e.level} vs {i}")
         if (e.ring, e.tree) != (mate.ring, mate.tree):
             raise ValueError("operands live in different systems")
-    acc: dict[tuple[Node, int], int] = {}
+    if base is None:
+        acc: dict[tuple[Node, int], int] = {}
+        _add_terms(acc, e_ij, -1)
+    else:
+        acc = base.copy()
     _add_terms(acc, e_ik, 1)
-    _add_terms(acc, e_ij, -1)
     _add_hom(acc, e_jk, i, -1)
     return acc
+
+
+def _reader(a: Planted, eval_fn):
+    """The entry map the identity sweeps read: ``eval_fn`` when one is given,
+    else ``a``'s table, with ``eval_entry`` computing an entry not yet in it.
+    An entry is a named tuple of four fields, so only a miss reads falsy."""
+    if eval_fn is not None:
+        return eval_fn
+    get, compute = a._entries.get, a.eval_entry
+    return lambda i, j: get((i, j)) or compute(i, j)
 
 
 def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
     """Verify ``a[i,k] = a[i,j] + hom(a[j,k])`` for all ``i < j < k < horizon``
     by sweeping the defects of the consecutive triples ``(i, i+1, k)`` only;
-    ``check_eq_recurrences`` proves the rest follow.
+    ``check_eq_recurrences`` proves the rest follow.  The map of
+    ``-a[i, i+1]`` is summed once per level ``i`` and shared by its triples.
 
     ``eval_fn`` substitutes the entry map, letting tests inject faults.
     """
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
-    ev = eval_fn if eval_fn is not None else a.eval_entry
+    ev = _reader(a, eval_fn)
     m = a.system.ring.modulus
-    return not any(
-        c % m
-        for i in range(horizon - 2) for k in range(i + 2, horizon)
-        for c in _defect(ev, i, i + 1, k).values()
-    )
+    for i in range(horizon - 2):
+        base = {(n, l): -c for n, l, c in ev(i, i + 1).terms}
+        for k in range(i + 2, horizon):
+            if any(c % m for c in _defect(ev, i, i + 1, k, base).values()):
+                return False
+    return True
 
 
 class EqViolation(NamedTuple):
@@ -461,7 +496,7 @@ def check_eq_recurrences(a: Planted, horizon: int, eval_fn=None) -> EqReport:
 
     ``eval_fn`` substitutes the entry map, letting tests inject faults.
     """
-    ev = eval_fn if eval_fn is not None else a.eval_entry
+    ev = _reader(a, eval_fn)
     if check_coherence(a, horizon, ev):
         return EqReport(horizon, ())
     ring, tree = a.system.ring, a.system.tree
@@ -477,7 +512,10 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
     """Whether the parts below ``j`` of the ``(i,j)`` and ``(i,k)`` entries agree.
 
     Entries are canonical, so the parts agree exactly when the terms with
-    generator index below ``j`` do, in order.
+    generator index below ``j`` do, in order.  Each entry is read once.  When
+    the ``(i,j)`` entry has no term below ``j``, as no entry without a ``y``
+    at level ``i`` or ``j`` has, the answer is whether the ``(i,k)`` entry has
+    none either, and no list of terms is built.
 
     Coherence on all triples implies stability on all triples:
     ``a[i,k] - a[i,j] = hom_i(a[j,k])``, and every term of that has index
@@ -489,9 +527,23 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
     """
     if not i < j < k:
         raise ValueError(f"need i < j < k, got ({i}, {j}, {k})")
-    ev = eval_fn if eval_fn is not None else a.eval_entry
-    low = [t for t in ev(i, j).terms if t[1] < j]
-    return low == [t for t in ev(i, k).terms if t[1] < j]
+    if eval_fn is None:
+        # the table read of ``_reader``, inline: this test runs per triple
+        table = a._entries
+        ij = table.get((i, j)) or a.eval_entry(i, j)
+        ik = table.get((i, k)) or a.eval_entry(i, k)
+    else:
+        ij, ik = eval_fn(i, j), eval_fn(i, k)
+    ij, ik = ij.terms, ik.terms
+    for t in ij:
+        if t[1] < j:
+            break
+    else:  # no term of (i, j) below j
+        for t in ik:
+            if t[1] < j:
+                return False
+        return True
+    return [t for t in ij if t[1] < j] == [t for t in ik if t[1] < j]
 
 
 # -- normalization ---------------------------------------------------------------

@@ -46,7 +46,6 @@ combinations are pairwise inequivalent.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -67,9 +66,21 @@ from .tree import COUNTABLY_INFINITE, Branch, NoBranchError
 if TYPE_CHECKING:
     from .indexset import IndexSet
 
-# ``ind_omega().to_json()``: the index set of every witness ``equiv_decide`` returns.
-IND_OMEGA_JSON = {"first": {"finite": [], "threshold": 0},
-                  "pro": [{"i_from": 0, "i_to": None, "set": {"finite": [], "threshold": 0}}]}
+
+class _FullIndexSet:
+    """The index set ``ind_omega()`` of every pair ``i < j``: the set of every
+    witness ``equiv_decide`` returns.  It stands in for that ``IndexSet``
+    without loading ``indexset``, and ``to_json`` builds the same JSON, fresh
+    on each call, so no report shares a list with another."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {"first": {"finite": [], "threshold": 0},
+                "pro": [{"i_from": 0, "i_to": None, "set": {"finite": [], "threshold": 0}}]}
+
+
+IND_OMEGA = _FullIndexSet()
 
 
 class Decomposition(NamedTuple):
@@ -94,16 +105,17 @@ class Decomposition(NamedTuple):
 
 class EquivalenceWitness(NamedTuple):
     """A coboundary witnessing that two families differ by a boundary, with
-    the JSON of the index set their agreement was checked on."""
+    the index set their agreement was checked on: an ``IndexSet``, or
+    ``IND_OMEGA``.  Both are immutable and build their JSON afresh."""
 
     y: Coboundary
-    index_set: dict
+    index_set: IndexSet | _FullIndexSet
     verified_to: int
 
     def to_json(self) -> dict:
         return {
             "y": self.y.to_json(),
-            "index_set": copy.deepcopy(self.index_set),
+            "index_set": self.index_set.to_json(),
             "verified_to": self.verified_to,
         }
 
@@ -203,7 +215,7 @@ def witness_equivalence(a: Planted, b: Planted, pairs: IndexSet) -> EquivalenceW
     y = diff.fact
     if _planted(a.system, {}, y) != diff:
         raise AssertionError("witness does not present the difference")
-    return EquivalenceWitness(y, pairs.to_json(), max(12, default_horizon(diff)))
+    return EquivalenceWitness(y, pairs, max(12, default_horizon(diff)))
 
 
 def _check_vanishes_on(diff: Planted, pairs: IndexSet) -> None:
@@ -242,7 +254,7 @@ def equiv_decide(a: Planted, b: Planted):
     dec = decompose(a - b)
     if dec.combo:
         return False, dec
-    witness = EquivalenceWitness(dec.residual, IND_OMEGA_JSON, dec.verified_to)
+    witness = EquivalenceWitness(dec.residual, IND_OMEGA, dec.verified_to)
     return True, witness
 
 

@@ -266,6 +266,25 @@ def test_every_round_probes_one_level_and_builds_no_index_set(monkeypatch, sys3,
     assert rounds > 20
 
 
+def test_each_element_computes_its_probe_bound_once(monkeypatch, sysf):
+    """The probe bound reads every combo branch's presentation level once per
+    element: the normalized remainder and each remainder after a peel, so
+    3 + 2 + 1 reads for three branches, however often the phases probe."""
+    tree = sysf.tree
+    levels = []
+    real = type(tree).presentation_level
+    monkeypatch.setattr(type(tree), "presentation_level",
+                        lambda self, b: levels.append(b) or real(self, b))
+    branches = [tree.branch(((0, 1),)), tree.branch(((0, 1), (3, 1))), tree.branch(((1, 1),))]
+    fact = coboundary(sysf, {2: module_element(2, {(Node(2, ((0, 1),)), 4): 1},
+                                               sysf.ring, tree)})
+    a = planted(sysf, dict(zip(branches, (1, 2, 1))), fact)
+    levels.clear()
+    dec = decompose(a)
+    assert sorted(dec.combo) == sorted(zip(branches, (1, 2, 1)))
+    assert len(levels) == 3 + 2 + 1
+
+
 # -- certification by presentation -------------------------------------------------------
 
 
@@ -502,25 +521,25 @@ def test_agreement_check_matches_the_full_sweep(system, rng, data):
 
 
 def test_equiv_witness_index_set_is_the_full_index_set(sys1):
-    assert decomp.IND_OMEGA_JSON == ind_omega().to_json()
+    assert decomp.IND_OMEGA.to_json() == ind_omega().to_json()
     a = branch_generator(sys1, sys1.tree.branch(0))
     equivalent, w = equiv_decide(a, a)
-    assert equivalent
-    # Each witness hands out its own copy of the shared constant.
+    assert equivalent and w.index_set is decomp.IND_OMEGA
+    # Each report of a witness builds its own copy of the shared set's JSON.
     w.to_json()["index_set"]["pro"].clear()
     assert w.to_json()["index_set"] == ind_omega().to_json()
 
 
 def test_a_changed_witness_report_changes_no_later_report(sys1):
     """Editing the index set of one ``equiv`` witness's JSON leaves the shared
-    constant, and the next witness's report, as they were."""
+    set's JSON, and the next witness's report, as they were."""
     pristine = ind_omega().to_json()
     a = branch_generator(sys1, sys1.tree.branch(0))
     report = equiv_decide(a, a)[1].to_json()
     report["index_set"]["first"]["finite"].append(5)
     report["index_set"]["pro"][0]["set"]["threshold"] = 7
     report["index_set"]["pro"].append({"i_from": 1})
-    assert decomp.IND_OMEGA_JSON == pristine
+    assert decomp.IND_OMEGA.to_json() == pristine
     assert equiv_decide(a, a)[1].to_json()["index_set"] == pristine
 
 

@@ -16,8 +16,17 @@ sums the defect's coefficients into one unreduced map without building an
 element; on faulted tables that map must present ``reference_defect``, the
 defect written in module arithmetic, and reject a misplaced entry with the
 same error.
+
+``check_coherence`` shares each level's ``-a[i, i+1]`` across the triples of
+that level, and ``restriction_stability`` answers from one scan of each entry
+when the ``(i, j)`` entry has no term below ``j``; both read the element's
+entry table directly when no entry map is given.  On faulted and misplaced
+entries, read through an entry map or planted in the table itself, both must
+answer, or raise, exactly as ``per_triple_coherence`` and
+``filtered_stability``, the per-triple code they replaced.
 """
 
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -32,13 +41,16 @@ from invsys import (
     ModuleElement,
     Ring,
     System,
+    Planted,
     apply_hom,
     check_coherence,
     check_eq_recurrences,
     module_element,
+    restriction_stability,
 )
 from invsys import coherent
 from invsys.coherent import EqViolation
+from invsys.freemod import _add_hom, _add_terms
 from invsys.sampling import random_planted, sample_node
 
 SYSTEMS = (
@@ -195,9 +207,11 @@ def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
     swept = []
     defect = coherent._defect
 
-    def counted_defect(ev, i, j, k):
+    # Both sweeps map each triple through ``_defect``: the fast one from the
+    # base map of its level ``i``, the full one from scratch.
+    def counted_defect(ev, i, j, k, base=None):
         swept.append((i, j, k))
-        return defect(ev, i, j, k)
+        return defect(ev, i, j, k, base)
 
     monkeypatch.setattr(coherent, "_defect", counted_defect)
     assert check_eq_recurrences(a, h).ok
@@ -262,3 +276,97 @@ def test_defect_paths_reject_a_misplaced_entry_alike(system, role):
 
         message = raised(reference_defect, ev, i, j, k)
         assert raised(coherent._defect, ev, i, j, k) == message
+
+
+def per_triple_defect(ev, i, j, k):
+    """The defect map of one triple, summed from scratch, with the entry
+    checks of module arithmetic."""
+    e_ik, e_ij, e_jk = ev(i, k), ev(i, j), ev(j, k)
+    if i >= e_jk.level:
+        raise ValueError(f"target level {i} must be below the source level {e_jk.level}")
+    for e, mate in ((e_ij, e_jk), (e_ik, e_ij)):
+        if e.level != i:
+            raise ValueError(f"mismatched levels: {e.level} vs {i}")
+        if (e.ring, e.tree) != (mate.ring, mate.tree):
+            raise ValueError("operands live in different systems")
+    acc = {}
+    _add_terms(acc, e_ik, 1)
+    _add_terms(acc, e_ij, -1)
+    _add_hom(acc, e_jk, i, -1)
+    return acc
+
+
+def per_triple_coherence(a, horizon, ev):
+    m = a.system.ring.modulus
+    return not any(
+        c % m
+        for i in range(horizon - 2) for k in range(i + 2, horizon)
+        for c in per_triple_defect(ev, i, i + 1, k).values()
+    )
+
+
+def filtered_stability(ev, i, j, k):
+    low = [t for t in ev(i, j).terms if t[1] < j]
+    return low == [t for t in ev(i, k).terms if t[1] < j]
+
+
+def outcome(fn, *args):
+    try:
+        return "answer", fn(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+# Where a term below j goes at one triple (i, j, k): nowhere, into the (i, j)
+# entry only, into the (i, k) entry only, or into both, with equal or
+# different coefficients.
+LOW_TERM_PLACES = ("none", "ij", "ik", "both-equal", "both-different")
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=st.sampled_from(SYSTEMS), rng=st.randoms(use_true_random=False),
+       horizon=st.integers(4, 8), place=st.sampled_from(LOW_TERM_PLACES),
+       misplace=st.booleans(), through_table=st.booleans(), data=st.data())
+def test_shared_work_sweeps_match_the_per_triple_code(system, rng, horizon, place, misplace,
+                                                     through_table, data):
+    ring, tree = system.ring, system.tree
+    a = random_planted(system, rng, level_cap=horizon)
+    pairs = data.draw(st.lists(st.sampled_from(pairs_below(horizon)), max_size=2, unique=True),
+                      label="faulted pairs")
+    faults = {(i, j): fault_at(a, i, j, horizon, rng) for i, j in pairs}
+    i, j, k = data.draw(st.sampled_from([t for t in combinations(range(horizon), 3)
+                                         if t[1] >= t[0] + 2]), label="low-term triple")
+    key = (sample_node(tree, rng, i), rng.randint(i + 1, j - 1))
+    c = rng.randrange(1, ring.modulus)
+    other_c = c % (ring.modulus - 1) + 1  # nonzero, and not c
+    coeffs = {"ij": {(i, j): c}, "ik": {(i, k): c}, "both-equal": {(i, j): c, (i, k): c},
+              "both-different": {(i, j): c, (i, k): other_c}}.get(place, {})
+    for pair, coeff in coeffs.items():
+        low = module_element(i, {key: coeff}, ring, tree)
+        faults[pair] = faults[pair] + low if pair in faults else low
+    table = {pair: a.eval_entry(*pair) + fault for pair, fault in faults.items()}
+    if misplace:
+        # an entry of the wrong level or system, refused by the defect where
+        # its level or system is checked
+        p, q = data.draw(st.sampled_from(pairs_below(horizon)), label="misplaced pair")
+        table[(p, q)] = data.draw(st.sampled_from([
+            ModuleElement.zero(p + 1, ring, tree),
+            ModuleElement.zero(p, Ring(ring.modulus + 1), tree)]), label="misplaced entry")
+
+    if through_table:
+        # a fresh copy of ``a`` whose table already holds the faulted entries
+        # and some of the others; the sweeps, handed no entry map, read that
+        # table and compute the rest
+        b = Planted(system, a.combo, a.fact)
+        for pair in pairs_below(horizon):
+            if pair in table or rng.random() < 0.5:
+                b._entries[pair] = table.get(pair) or a.eval_entry(*pair)
+        ev, got_ev = b.eval_entry, None
+    else:
+        b = a
+        ev = got_ev = lambda p, q: table.get((p, q)) or a.eval_entry(p, q)
+    assert (outcome(check_coherence, b, horizon, got_ev)
+            == outcome(per_triple_coherence, b, horizon, ev))
+    for t in combinations(range(horizon), 3):
+        assert (outcome(restriction_stability, b, *t, got_ev)
+                == outcome(filtered_stability, ev, *t))

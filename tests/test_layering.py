@@ -80,6 +80,12 @@ def test_no_module_imports_numpy():
     assert importers("numpy") == []
 
 
+def test_no_module_imports_copy():
+    """Every report builds its JSON afresh, an ``equiv`` witness's index set
+    included, so no module deep-copies."""
+    assert importers("copy") == []
+
+
 def test_only_the_on_demand_modules_import_dataclasses():
     assert importers("dataclasses") == ["indexset.py"]
 
