@@ -24,15 +24,20 @@ sweep over all C(h, 3) runs only to report the violations of an incoherent
 family.  ``check`` still tests restriction stability on every triple, so its
 cost stays O(h^3).
 
-The two sweeps do each level's shared work once.  Every triple ``(i, i+1,
-k)`` of one level ``i`` subtracts the same entry ``a[i, i+1]``, so the
-coherence sweep sums ``-a[i, i+1]`` into a base map once per level and starts
-each defect from a copy of it: per triple one ``_add_terms`` and one
-``_add_hom`` remain.  The stability test reads each of its two entries once,
-and most entries have no term below ``j``; for those it answers from one scan
-of each entry and builds no list.  Without a substitute entry map both sweeps
-read an entry that is already in the element's table directly, and compute
-only the others through ``eval_entry``.
+The two sweeps do each level's shared work once.  The coherence sweep runs
+one loop per level ``i``.  Every triple ``(i, i+1, k)`` of the level
+subtracts the same entry ``a[i, i+1]``, so the loop reads it once, sums
+``-a[i, i+1]`` into a base map and starts each defect from a copy of it.
+Every triple maps its ``(i+1, k)`` entry into level ``i``, and those entries
+share most of their nodes, so the loop keeps one restriction map ``node ->
+node|i`` for the level, which ``_add_hom`` fills on a node's first use.  Per
+triple two entries are read, all three are checked, and one ``_add_terms``
+and one ``_add_hom`` remain.  The stability test reads each of its two
+entries once, and most entries have no term below ``j``; for those it
+answers from one scan of each entry and builds no list.  Without a
+substitute entry map both sweeps read an entry that is already in the
+element's table directly, and compute only the others through
+``eval_entry``.
 
 Restriction stability is a corollary of coherence: coherence on all triples
 implies stability on all triples.  For ``i < j < k`` coherence gives
@@ -61,7 +66,8 @@ and sorted, built once per level.  An entry with no ``y`` at level ``i`` or
 ``j`` is that row placed at index ``j``, already canonical.  Otherwise
 ``eval_entry`` sums the row, ``y_i`` and ``-hom(y_j)`` into one unreduced term
 map with ``freemod``'s ``_add_terms`` and ``_add_hom`` and canonicalizes it
-once; ``_defect`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same way.
+once.  ``check_coherence`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same
+way, level by level, and ``_defect`` triple by triple for the full sweep.
 ``check_coherence`` only asks whether every coefficient of that map vanishes
 mod m, so it sorts nothing and builds no element; the full sweep that lists
 the violations of an incoherent family canonicalizes each map once.
@@ -374,19 +380,10 @@ def _triples(horizon: int):
                 yield i, j, k
 
 
-def _defect(ev, i: int, j: int, k: int, base: dict | None = None) -> dict[tuple[Node, int], int]:
-    """The coherence defect ``a[i,k] - (a[i,j] + hom(a[j,k]))`` of one triple,
-    as an unreduced ``(node, l) -> int`` map: the identity holds there exactly
-    when every coefficient vanishes mod m.
-
-    ``base``, when given, is the map of ``-a[i,j]`` that a sweep over many
-    ``k`` shares; the defect starts from a copy of it.
-
-    The entries are checked as ``-``, ``+`` and ``apply_hom`` check their
-    operands, so an entry of the wrong level or system raises the same
-    ``ValueError`` as the defect written in module arithmetic.
-    """
-    e_ik, e_ij, e_jk = ev(i, k), ev(i, j), ev(j, k)
+def _check_entries(i: int, e_ik: ModuleElement, e_ij: ModuleElement, e_jk: ModuleElement) -> None:
+    """Check the entries of one triple as ``-``, ``+`` and ``apply_hom`` check
+    their operands, so an entry of the wrong level or system raises the same
+    ``ValueError`` as the defect written in module arithmetic."""
     if i >= e_jk.level:
         raise ValueError(f"target level {i} must be below the source level {e_jk.level}")
     for e, mate in ((e_ij, e_jk), (e_ik, e_ij)):
@@ -394,11 +391,20 @@ def _defect(ev, i: int, j: int, k: int, base: dict | None = None) -> dict[tuple[
             raise ValueError(f"mismatched levels: {e.level} vs {i}")
         if (e.ring, e.tree) != (mate.ring, mate.tree):
             raise ValueError("operands live in different systems")
-    if base is None:
-        acc: dict[tuple[Node, int], int] = {}
-        _add_terms(acc, e_ij, -1)
-    else:
-        acc = base.copy()
+
+
+def _defect(ev, i: int, j: int, k: int) -> dict[tuple[Node, int], int]:
+    """The coherence defect ``a[i,k] - (a[i,j] + hom(a[j,k]))`` of one triple,
+    as an unreduced ``(node, l) -> int`` map: the identity holds there exactly
+    when every coefficient vanishes mod m.  Only the full violation sweep
+    reads it; ``check_coherence`` sums the same map level by level.
+
+    The entries are checked by ``_check_entries`` first.
+    """
+    e_ik, e_ij, e_jk = ev(i, k), ev(i, j), ev(j, k)
+    _check_entries(i, e_ik, e_ij, e_jk)
+    acc: dict[tuple[Node, int], int] = {}
+    _add_terms(acc, e_ij, -1)
     _add_terms(acc, e_ik, 1)
     _add_hom(acc, e_jk, i, -1)
     return acc
@@ -417,8 +423,15 @@ def _reader(a: Planted, eval_fn):
 def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
     """Verify ``a[i,k] = a[i,j] + hom(a[j,k])`` for all ``i < j < k < horizon``
     by sweeping the defects of the consecutive triples ``(i, i+1, k)`` only;
-    ``check_eq_recurrences`` proves the rest follow.  The map of
-    ``-a[i, i+1]`` is summed once per level ``i`` and shared by its triples.
+    ``check_eq_recurrences`` proves the rest follow.
+
+    The sweep runs one loop per level ``i``.  It reads ``a[i, i+1]`` once and
+    sums ``-a[i, i+1]`` into a base map, and it keeps one restriction map
+    ``node -> node|i`` for the level, filled on first use.  Per triple it
+    reads ``a[i,k]`` and ``a[i+1,k]``, checks the three entries as
+    ``_defect`` does, copies the base, adds the ``(i,k)`` terms and the hom
+    of ``(i+1,k)`` through the level's map, and stops at the first
+    coefficient that is nonzero mod m.
 
     ``eval_fn`` substitutes the entry map, letting tests inject faults.
     """
@@ -427,10 +440,18 @@ def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
     ev = _reader(a, eval_fn)
     m = a.system.ring.modulus
     for i in range(horizon - 2):
-        base = {(n, l): -c for n, l, c in ev(i, i + 1).terms}
+        e_ij = ev(i, i + 1)
+        base = {(n, l): -c for n, l, c in e_ij.terms}
+        down: dict[Node, Node] = {}
         for k in range(i + 2, horizon):
-            if any(c % m for c in _defect(ev, i, i + 1, k, base).values()):
-                return False
+            e_ik, e_jk = ev(i, k), ev(i + 1, k)
+            _check_entries(i, e_ik, e_ij, e_jk)
+            acc = base.copy()
+            _add_terms(acc, e_ik, 1)
+            _add_hom(acc, e_jk, i, -1, down)
+            for c in acc.values():
+                if c % m:
+                    return False
     return True
 
 

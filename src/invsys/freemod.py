@@ -19,7 +19,9 @@ they skip those checks: they reduce, drop zeros and sort through the trusted
 ``sign * e`` and ``_add_hom`` adds ``sign * hom(e)`` into an unreduced
 ``(node, l) -> int`` map and validate nothing, so a caller can sum several
 elements and images and reduce once, or test the sum for zero without
-building an element at all.
+building an element at all.  ``_add_hom`` may also be handed a caller's
+``node -> node|i`` map, so a caller that maps many elements into one level
+restricts each of their distinct nodes once.
 
 ``ModuleElement`` is a named tuple, as ``tree.Node`` and ``Branch`` are, so it
 is built, compared and hashed in C.  An element therefore equals the plain
@@ -203,16 +205,26 @@ def _add_terms(acc: dict, e: ModuleElement, sign: int) -> None:
         acc[(n, l)] = acc.get((n, l), 0) + sign * c
 
 
-def _add_hom(acc: dict, e: ModuleElement, i: int, sign: int) -> None:
+def _add_hom(acc: dict, e: ModuleElement, i: int, sign: int, down: dict | None = None) -> None:
     """Add ``sign * hom(e)`` into ``acc``, for a level ``i`` the caller has
-    checked lies below ``e.level``: the generator rule, once."""
+    checked lies below ``e.level``: the generator rule, once.
+
+    ``down``, when given, is a ``node -> node|i`` map that a caller mapping
+    many elements into level ``i`` shares: a node's restriction is read from
+    it, and computed and stored there on the first use.
+    """
     j = e.level
     restrict = e.tree._restrict
     for eta, l, c in e.terms:
-        down = restrict(eta.address, i)
+        if down is None:
+            nu = restrict(eta.address, i)
+        else:
+            nu = down.get(eta)
+            if nu is None:
+                nu = down[eta] = restrict(eta.address, i)
         c *= sign
-        acc[(down, l)] = acc.get((down, l), 0) + c
-        acc[(down, j)] = acc.get((down, j), 0) - c
+        acc[(nu, l)] = acc.get((nu, l), 0) + c
+        acc[(nu, j)] = acc.get((nu, j), 0) - c
 
 
 def apply_hom(e: ModuleElement, i: int) -> ModuleElement:

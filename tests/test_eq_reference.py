@@ -11,16 +11,19 @@ coherence off the recurrence sweep.
 
 ``check_coherence`` sweeps only the consecutive triples ``(i, i+1, k)``; on
 faulted entry maps it must agree with ``all_triples_coherent``, the sweep
-over every triple that it replaced.  Per triple it reads ``_defect``, which
-sums the defect's coefficients into one unreduced map without building an
-element; on faulted tables that map must present ``reference_defect``, the
-defect written in module arithmetic, and reject a misplaced entry with the
-same error.
+over every triple that it replaced.  The full violation sweep reads
+``_defect``, which sums one triple's defect coefficients into one unreduced
+map without building an element; on faulted tables that map must present
+``reference_defect``, the defect written in module arithmetic, and reject a
+misplaced entry with the same error.
 
-``check_coherence`` shares each level's ``-a[i, i+1]`` across the triples of
-that level, and ``restriction_stability`` answers from one scan of each entry
-when the ``(i, j)`` entry has no term below ``j``; both read the element's
-entry table directly when no entry map is given.  On faulted and misplaced
+``check_coherence`` runs one loop per level ``i``: it reads ``a[i, i+1]``
+once, shares the map of ``-a[i, i+1]`` and one restriction map ``node ->
+node|i`` across the triples of the level, and reads ``a[i, k]`` and
+``a[i+1, k]`` per triple, which a recording entry map pins.
+``restriction_stability`` answers from one scan of each entry when the
+``(i, j)`` entry has no term below ``j``; both read the element's entry
+table directly when no entry map is given.  On faulted and misplaced
 entries, read through an entry map or planted in the table itself, both must
 answer, or raise, exactly as ``per_triple_coherence`` and
 ``filtered_stability``, the per-triple code they replaced.
@@ -197,6 +200,19 @@ def reference_defect(ev, i, j, k):
     return ev(i, k) - (ev(i, j) + apply_hom(ev(j, k), i))
 
 
+def fast_reads(triples):
+    """The entry reads of ``check_coherence`` over consecutive triples: the
+    ``(i, i+1)`` entry once per level, then ``(i, k)`` and ``(i+1, k)`` per
+    triple."""
+    reads, level = [], None
+    for i, j, k in triples:
+        if i != level:
+            reads.append((i, j))
+            level = i
+        reads += [(i, k), (j, k)]
+    return reads
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
 def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
     rng = Random(f"fallback/{system.tree.kind}")
@@ -204,30 +220,39 @@ def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
     h = 14
     consecutive = [(i, i + 1, k) for i in range(h - 2) for k in range(i + 2, h)]
     every = [(i, j, k) for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h)]
-    swept = []
+    swept, read = [], []
     defect = coherent._defect
 
-    # Both sweeps map each triple through ``_defect``: the fast one from the
-    # base map of its level ``i``, the full one from scratch.
-    def counted_defect(ev, i, j, k, base=None):
+    # Only the full sweep maps a triple through ``_defect``; the fast sweep
+    # sums its defects level by level, and a recording entry map shows which
+    # triples it visits.
+    def counted_defect(ev, i, j, k):
         swept.append((i, j, k))
-        return defect(ev, i, j, k, base)
+        return defect(ev, i, j, k)
+
+    def recording(ev):
+        def rec(p, q):
+            read.append((p, q))
+            return ev(p, q)
+        return rec
 
     monkeypatch.setattr(coherent, "_defect", counted_defect)
     assert check_eq_recurrences(a, h).ok
-    assert swept == consecutive and len(swept) == comb(h - 1, 2)
+    assert check_eq_recurrences(a, h, eval_fn=recording(a.eval_entry)).ok
+    assert swept == [] and len(consecutive) == comb(h - 1, 2)
+    assert read == fast_reads(consecutive)
 
     # The fast path reads entry (0, 7) only as the (i,k) entry of (0, 1, 7),
     # stops there, and the full sweep then reads every triple once.
-    swept.clear()
+    read.clear()
     fault = module_element(0, {(sample_node(system.tree, rng, 0), 9): 1},
                            system.ring, system.tree)
-    ev = perturbed(a, {(0, 7): fault})
-    report = check_eq_recurrences(a, h, eval_fn=ev)
+    report = check_eq_recurrences(a, h, eval_fn=recording(perturbed(a, {(0, 7): fault})))
     assert not report.ok
     fast = consecutive[:consecutive.index((0, 1, 7)) + 1]
-    assert swept == fast + every and len(swept) == len(fast) + comb(h, 3)
-    assert report.violations == reference_eq_recurrences(a, h, ev)
+    assert swept == every and len(swept) == comb(h, 3)
+    assert read == fast_reads(fast) + [e for i, j, k in every for e in ((i, k), (i, j), (j, k))]
+    assert report.violations == reference_eq_recurrences(a, h, perturbed(a, {(0, 7): fault}))
 
 
 @settings(max_examples=80, deadline=None)

@@ -231,9 +231,9 @@ def counting_add_hom(monkeypatch):
     calls = []
     add_hom = coherent._add_hom
 
-    def counted(acc, e, i, sign):
+    def counted(acc, e, i, sign, down=None):
         calls.append((e.level, i))
-        add_hom(acc, e, i, sign)
+        add_hom(acc, e, i, sign, down)
 
     monkeypatch.setattr(coherent, "_add_hom", counted)
     return calls
@@ -285,6 +285,48 @@ def test_repeated_check_maps_once_per_triple_and_builds_no_ring_element(system, 
     assert len(homs) == comb(HORIZON - 1, 2)
     assert ring_elems == []
     assert built == []
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_repeated_check_restricts_each_node_once_per_level(system, monkeypatch):
+    elem = deep_element(system)
+    first = _run_check(system, [elem], CHECK_ARGS)
+    tree_class = type(system.tree)
+    restrict = tree_class._restrict
+    restricted = []
+
+    def counted(tree, address, i):
+        restricted.append((address, i))
+        return restrict(tree, address, i)
+
+    maps = []  # (target level, restriction map) of every hom the sweep applies
+    add_hom = coherent._add_hom
+
+    def spied(acc, e, i, sign, down=None):
+        maps.append((i, down))
+        add_hom(acc, e, i, sign, down)
+
+    monkeypatch.setattr(tree_class, "_restrict", counted)
+    monkeypatch.setattr(coherent, "_add_hom", spied)
+    # Only the coherence sweep restricts: level i maps the entries
+    # (i+1, k), k >= i+2, and restricts each distinct node among them once.
+    assert _run_check(system, [elem], CHECK_ARGS) == first
+    per_level = [{eta for k in range(i + 2, HORIZON) for eta, _, _ in elem.eval_entry(i + 1, k).terms}
+                 for i in range(HORIZON - 2)]
+    terms = sum(len(elem.eval_entry(i + 1, k).terms)
+                for i in range(HORIZON - 2) for k in range(i + 2, HORIZON))
+    assert len(restricted) == sum(len(nodes) for nodes in per_level) < terms
+    assert sorted(restricted) == sorted((eta.address, i)
+                                        for i, nodes in enumerate(per_level) for eta in nodes)
+    # Each level has its own map, which holds exactly the level's nodes,
+    # each sent to its restriction at that level.
+    assert [i for i, _ in maps] == [i for i in range(HORIZON - 2) for _ in range(i + 2, HORIZON)]
+    by_level = {i: down for i, down in maps}
+    assert all(down is by_level[i] for i, down in maps)
+    assert len({id(down) for down in by_level.values()}) == HORIZON - 2
+    for i, down in by_level.items():
+        assert set(down) == per_level[i]
+        assert all(nu == system.tree.restrict(eta, i) for eta, nu in down.items())
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
