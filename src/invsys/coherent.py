@@ -225,7 +225,7 @@ class Planted(Value):
         in for the unbounded-pigeonhole arguments that justify branch
         extraction: all structure read at or beyond it is still certified
         against the evaluation map afterwards.  It is computed on the first
-        read; ``decompose`` probes one element several times.
+        read; ``decompose`` probes its remainder in two phases.
         """
         bound = self._probe_bound
         if bound is None:

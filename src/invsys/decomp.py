@@ -1,13 +1,12 @@
 """Constructive decomposition of coherent families into branch generators.
 
-The peeling loop writes any planted element as a branch-generator combination
-plus a coboundary.  Normalization splits off the coboundary, leaving a
-remainder in pure branch form; every peeling phase then reads that remainder
-at one *probe level* ``p``, its probe bound, through the single probe pair
-``(p, p+1)``.  The level is the corner of the square tail ``[p, omega)^2``:
-on it every entry is supported on separated branch nodes at the top index,
-so no other pair needs reading.  Subtracting an extracted branch can only
-lower the probe bound, so one level serves every round.
+Peeling writes any planted element as a branch-generator combination plus a
+coboundary.  Normalization splits off the coboundary, leaving a remainder in
+pure branch form; peeling then reads that remainder at one *probe level*
+``p``, its probe bound, through the single probe pair ``(p, p+1)``.  The
+level is the corner of the square tail ``[p, omega)^2``: on it every entry is
+supported on separated branch nodes at the top index, so that one entry
+names every branch and its coefficient, and one pass peels them all.
 
 The probe level stands in for three facts that are otherwise not decidable
 from finitely many black-box probes:
@@ -15,16 +14,15 @@ from finitely many black-box probes:
 * zero detection (``refine_nonzero``): an element whose entry vanishes at the
   probe pair has no branch part at all, hence is equivalent to zero;
 * support stabilization (``support_bound``): past the probe bound, entry
-  supports all have the same size, so one probe fixes the strict bound on the
-  number of rounds: were it ever reached, the extracted branch nodes would
-  all sit inside one entry's support, exceeding the bound;
+  supports all have the same size, so the probe entry's term count is the
+  combo size;
 * coefficient persistence (``extract_branch``): past the probe bound, a
   support node's coefficient is the same at every pair and names its branch
   outright.
 
 Each extracted coefficient is spot-checked against the evaluation map on
-sampled pairs ``p <= i < j`` before it is returned.  The decomposition as a
-whole is certified by its presentation: the canonical form of
+the pairs ``p <= i < j <= i + 2`` before it is returned.  The decomposition
+as a whole is certified by its presentation: the canonical form of
 ``combo + residual`` must be ``a`` itself.  ``eval_entry`` is a pure function
 of the presentation, so equal canonical presentations agree at every index
 pair, not only below the ``verified_to`` horizon, and the check takes time
@@ -53,13 +51,11 @@ from .coherent import (
     Coboundary,
     Planted,
     _planted,
-    branch_generator,
     default_horizon,
     normalize_cobounded,
     planted,
 )
 from .freemod import ModuleElement
-from .ring import RingElem
 from .system import System
 from .tree import COUNTABLY_INFINITE, Branch, NoBranchError
 
@@ -86,8 +82,8 @@ IND_OMEGA = _FullIndexSet()
 class Decomposition(NamedTuple):
     """A certified peeling result: ``a`` is the combo plus the residual coboundary.
 
-    ``provenance`` is the probe level ``p`` at which every peeling round read
-    its entry; the extracted branches pass through distinct nodes there.
+    ``provenance`` is the probe level ``p`` whose one entry named every
+    branch; the extracted branches pass through distinct nodes there.
     """
 
     combo: tuple[tuple[Branch, int], ...]
@@ -138,48 +134,50 @@ def refine_nonzero(b: Planted, p: int) -> bool:
 
 
 def support_bound(b: Planted, p: int) -> int:
-    """A strict bound on entry support sizes on ``[p, omega)^2``."""
+    """A strict bound on entry support sizes on ``[p, omega)^2``: the combo
+    size plus one.  It has no caller in ``decompose``, where it could not fail."""
     return len(_probe(b, p).support()) + 1
 
 
-def extract_branch(b: Planted, p: int) -> tuple[RingElem, Branch]:
-    """A branch whose coefficient in ``b`` is a nonzero constant on ``[p, omega)^2``.
+def extract_branch(b: Planted, p: int) -> list[tuple[Branch, int]]:
+    """Every branch of ``b``, in node order, with its coefficient: a nonzero
+    constant on ``[p, omega)^2``.
 
     The entry at the probe pair is canonical and ``_probe`` has checked that
-    every term sits at index ``p + 1``, so its first term holds the least
-    node, which determines the branch, and that node's coefficient.  The
-    coefficient is then spot-checked on sampled pairs ``p <= i < j`` before
-    the result is handed back.
+    every term sits at index ``p + 1``, so each term's node determines a
+    branch and holds its coefficient.  Each coefficient is then spot-checked
+    on the six pairs ``p <= i < j <= i + 2``, each read once, before the
+    result is handed back.
     """
     entry = _probe(b, p)
     if entry.is_zero():
         raise NoBranchError("no persistent branch chain: the element is equivalent to zero")
     tree = b.system.tree
-    node, _, c = entry.terms[0]
-    branch = tree.branch_from_node(node)
-    for i in range(p, p + 3):
-        for j in range(i + 1, i + 3):
-            if b.entry_coefficient(i, j, tree.branch_node(branch, i), j).value != c:
-                raise AssertionError("extracted coefficient is not constant past the probe level")
-    return entry.ring.elem(c), branch
+    pairs = [(i, j) for i in range(p, p + 3) for j in range(i + 1, i + 3)]
+    spots = {(node, l): c for i, j in pairs for node, l, c in b.eval_entry(i, j).terms}
+    extracted = [(tree.branch_from_node(node), c) for node, _, c in entry.terms]
+    for branch, c in extracted:
+        if any(spots.get((tree.branch_node(branch, i), j)) != c for i, j in pairs):
+            raise AssertionError("extracted coefficient is not constant past the probe level")
+    return extracted
 
 
 def decompose(a: Planted) -> Decomposition:
-    """Peel ``a`` into branch generators modulo a coboundary, certified."""
+    """Peel ``a`` into branch generators modulo a coboundary, certified.
+
+    One probe entry names every branch; subtracting them all must leave that
+    entry zero.  The combo size is not checked against ``support_bound``,
+    which counts the same entry's nodes, so the check could not fail.
+    """
     normal = normalize_cobounded(a)
     remainder = normal.element
     p = remainder.probe_bound
-
-    extracted: list[tuple[Branch, int]] = []
-    n_star = support_bound(remainder, p)
-    while refine_nonzero(remainder, p):
-        d, branch = extract_branch(remainder, p)
-        extracted.append((branch, d.value))
-        remainder = remainder - branch_generator(a.system, branch, d)
-        if len(extracted) >= n_star:
-            raise AssertionError("peeling must finish strictly below the support bound")
-
-    combo = tuple(sorted(extracted))
+    combo = ()
+    if refine_nonzero(remainder, p):
+        peeled = _planted(a.system, dict(extract_branch(remainder, p)), remainder.fact)
+        if not _probe(remainder - peeled, p).is_zero():
+            raise AssertionError("peeling must leave no branch part at the probe level")
+        combo = peeled.combo
     result = Decomposition(combo, normal.witness, p, default_horizon(a))
     _verify_decomposition(a, result)
     return result

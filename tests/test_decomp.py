@@ -36,6 +36,7 @@ from invsys import (
     witness_equivalence,
     zero_element,
 )
+from invsys.coherent import default_horizon
 from invsys.decomp import Decomposition, EquivalenceWitness
 from invsys.indexset import ProPiece
 from invsys.sampling import random_coboundary, random_planted, sample_branches, sample_node
@@ -134,18 +135,30 @@ def test_support_bound_merged_branches(sys1):
 
 def test_extract_reads_constant_coefficient(sys1):
     b = branch_generator(sys1, sys1.tree.branch(1), 2)
-    d, t = extract_branch(b, 0)
-    assert d.value == 2
+    [(t, d)] = extract_branch(b, 0)
+    assert d == 2
     assert t == sys1.tree.branch(1)
     for i in range(4):
         for j in range(i + 1, i + 4):
-            assert b.entry_coefficient(i, j, sys1.tree.branch_node(t, i), j) == d
+            assert b.entry_coefficient(i, j, sys1.tree.branch_node(t, i), j).value == d
 
 
-def test_extract_prefers_least_address(sys1):
-    b = planted(sys1, {sys1.tree.branch(0): 1, sys1.tree.branch(1): 2})
-    d, t = extract_branch(b, 0)
-    assert (d.value, t) == (1, sys1.tree.branch(0))
+def three_branches(sysf):
+    tree = sysf.tree
+    return planted(sysf, {tree.branch(((0, 1),)): 1, tree.branch(((1, 1),)): 2,
+                          tree.branch(((0, 1), (2, 1))): 1})
+
+
+def test_extract_returns_every_branch_in_node_order(sys1, sysf):
+    b = planted(sys1, {sys1.tree.branch(1): 2, sys1.tree.branch(0): 1})
+    assert extract_branch(b, 0) == [(sys1.tree.branch(0), 1), (sys1.tree.branch(1), 2)]
+    tree = sysf.tree
+    b = three_branches(sysf)
+    p = b.probe_bound
+    extracted = extract_branch(b, p)
+    nodes = [tree.branch_node(t, p) for t, _ in extracted]
+    assert nodes == sorted(nodes) == [node for node, _, _ in b.eval_entry(p, p + 1).terms]
+    assert sorted(extracted) == list(b.combo)
 
 
 def test_extract_on_branchless_system_raises(sys2):
@@ -165,11 +178,35 @@ def test_extract_soundness_sampled(sys3, sysf):
             b = branch_generator(system, system.tree.branch(0) if system is sys3
                                  else system.tree.branch(((0, 1),)))
         p = b.probe_bound
-        d, t = extract_branch(b, p)
+        extracted = extract_branch(b, p)
+        assert sorted(extracted) == list(b.combo)
         tree = system.tree
-        for i in range(p, p + 10):
-            for j in range(i + 1, i + 6):
-                assert b.entry_coefficient(i, j, tree.branch_node(t, i), j) == d
+        for t, d in extracted:
+            for i in range(p, p + 10):
+                for j in range(i + 1, i + 6):
+                    assert b.entry_coefficient(i, j, tree.branch_node(t, i), j).value == d
+
+
+def test_spot_check_refuses_a_changed_coefficient(monkeypatch, sysf):
+    """A coefficient changed at any one of the six spot pairs, on one branch's
+    node, makes the extraction raise instead of returning that branch."""
+    b = three_branches(sysf)
+    p = b.probe_bound
+    real = Planted.eval_entry
+    for i in range(p, p + 3):
+        for j in range(i + 1, i + 3):
+            def changed(self, i2, j2, at=(i, j)):
+                entry = real(self, i2, j2)
+                if (i2, j2) != at:
+                    return entry
+                (node, l, c), *rest = entry.terms
+                return entry._replace(terms=((node, l, c % 2 + 1), *rest))
+
+            with monkeypatch.context() as patched:
+                patched.setattr(Planted, "eval_entry", changed)
+                with pytest.raises(AssertionError, match="^extracted coefficient is not constant"):
+                    extract_branch(planted(sysf, dict(b.combo)), p)
+    assert sorted(extract_branch(b, p)) == list(b.combo)
 
 
 # -- full decomposition -----------------------------------------------------------------
@@ -208,18 +245,17 @@ def test_decompose_round_trip_randomized(sys1, sys3, sysf):
             assert dec.combo == a.combo
 
 
-def test_decompose_terminates_below_support_bound(sys3, sysf):
+def test_decompose_combo_size_is_the_support_bound_less_one(sys2, sys3, sysf):
+    """The combo and the support bound both count the probe entry's nodes, so
+    the bound the per-round loop checked is met exactly, zero elements too."""
     rng = Random(13)
-    for system in (sys3, sysf):
+    for system in (sys2, sys3, sysf):
         for _ in range(15):
             a = random_planted(system, rng)
             remainder = normalize_cobounded(a).element
             p = remainder.probe_bound
-            if not refine_nonzero(remainder, p):
-                continue
-            n_star = support_bound(remainder, p)
             dec = decompose(a)
-            assert len(dec.combo) < n_star
+            assert len(dec.combo) == support_bound(remainder, p) - 1
             assert dec.provenance == p
 
 
@@ -240,8 +276,9 @@ def test_decompose_branches_diverge_at_probe_level(sysf):
 
 
 def test_every_round_probes_one_level_and_builds_no_index_set(monkeypatch, sys3, sysf):
-    """Each phase of every round reads the probe bound of the normalized
-    remainder, and the peel never constructs or queries an ``IndexSet``."""
+    """Each phase of the one peeling pass reads the probe bound of the
+    normalized remainder, and the peel never constructs or queries an
+    ``IndexSet``."""
     def refuse(*args, **kwargs):
         raise AssertionError("the peel touched an index set")
 
@@ -254,7 +291,7 @@ def test_every_round_probes_one_level_and_builds_no_index_set(monkeypatch, sys3,
         monkeypatch.setattr(decomp, name,
                             lambda b, p, phase=phase: levels.append(p) or phase(b, p))
     rng = Random(29)
-    rounds = 0
+    branches = 0
     for system in (sys3, sysf):
         for _ in range(20):
             a = random_planted(system, rng)
@@ -262,14 +299,15 @@ def test_every_round_probes_one_level_and_builds_no_index_set(monkeypatch, sys3,
             dec = decompose(a)
             assert dec.combo == a.combo
             assert set(levels) == {normalize_cobounded(a).element.probe_bound}
-            rounds += len(dec.combo)
-    assert rounds > 20
+            branches += len(dec.combo)
+    assert branches > 20
 
 
 def test_each_element_computes_its_probe_bound_once(monkeypatch, sysf):
-    """The probe bound reads every combo branch's presentation level once per
-    element: the normalized remainder and each remainder after a peel, so
-    3 + 2 + 1 reads for three branches, however often the phases probe."""
+    """The probe bound reads every combo branch's presentation level once, on
+    the normalized remainder: 3 reads for three branches, however often the
+    phases probe.  What is left after the one subtraction has no branch to
+    read, where a new remainder per peeled branch read 3 + 2 + 1."""
     tree = sysf.tree
     levels = []
     real = type(tree).presentation_level
@@ -282,7 +320,52 @@ def test_each_element_computes_its_probe_bound_once(monkeypatch, sysf):
     levels.clear()
     dec = decompose(a)
     assert sorted(dec.combo) == sorted(zip(branches, (1, 2, 1)))
-    assert len(levels) == 3 + 2 + 1
+    assert len(levels) == 3
+
+
+def wide_element(n):
+    """``n`` distinct branches of the width-3-then-2 finite-support tree over
+    Z/5, positions below 10, with the same two-level ``y`` for every ``n``."""
+    system = System(Ring(5), FiniteSupportTree((3,), 2))
+    ring, tree = system.ring, system.tree
+
+    def address(k):
+        digits = [(0, k % 3), *((pos, (k // 3) >> (pos - 1) & 1) for pos in range(1, 10))]
+        return tuple((pos, v) for pos, v in digits if v)
+
+    fact = coboundary(system, {
+        1: module_element(1, {(Node(1, ((0, 2),)), 3): 1}, ring, tree),
+        4: module_element(4, {(Node(4, ((1, 1), (3, 1))), 6): 2}, ring, tree),
+    })
+    return planted(system, {tree.branch(address(k)): k % 4 + 1 for k in range(n)}, fact)
+
+
+def test_decompose_computes_as_many_entries_at_200_branches_as_at_50(monkeypatch):
+    """One entry per ``y`` level to normalize, the six spot pairs (the probe
+    pair among them) and the closing probe: 2 + 6 + 1 entries, however many
+    branches.  A new remainder per peeled branch computed 7 more per branch."""
+    computed = counting_entries(monkeypatch)
+    counts = []
+    for n in (50, 200):
+        a = wide_element(n)
+        computed.clear()
+        assert decompose(a).combo == a.combo
+        counts.append(len(computed))
+    assert counts == [2 + 6 + 1] * 2
+
+
+def test_closing_probe_catches_a_dropped_branch(monkeypatch, sysf):
+    """With one branch missing from the extraction, what is left after the
+    subtraction keeps a branch part at the probe pair: the closing probe
+    raises before the presentation check is reached."""
+    real = decomp.extract_branch
+    monkeypatch.setattr(decomp, "extract_branch", lambda b, p: real(b, p)[1:])
+    tree = sysf.tree
+    a = planted(sysf, {tree.branch(((0, 1),)): 1, tree.branch(((1, 1),)): 2},
+                with_y0(sysf, {(Node(0, ()), 2): 1}))
+    with pytest.raises(AssertionError,
+                       match="^peeling must leave no branch part at the probe level$"):
+        decompose(a)
 
 
 # -- certification by presentation -------------------------------------------------------
@@ -613,6 +696,76 @@ def test_everything_trivial_over_branchless(sys2):
         a = random_planted(sys2, rng)
         equivalent, certificate = equiv_decide(a, zero_element(sys2))
         assert equivalent
+
+
+# -- the per-round peel, as a reference ---------------------------------------------------
+
+
+def per_round_extract(b, p):
+    """The extraction the batch replaced: the least node's branch and its
+    coefficient, spot-checked by a scan of each entry."""
+    tree = b.system.tree
+    node, _, c = b.eval_entry(p, p + 1).terms[0]
+    branch = tree.branch_from_node(node)
+    for i in range(p, p + 3):
+        for j in range(i + 1, i + 3):
+            assert b.entry_coefficient(i, j, tree.branch_node(branch, i), j).value == c
+    return branch, c
+
+
+def per_round_decompose(a):
+    """The peeling loop the batch replaced: one round per branch, each building
+    a new remainder and probing it again, below the support bound."""
+    normal = normalize_cobounded(a)
+    remainder = normal.element
+    p = remainder.probe_bound
+    extracted = []
+    n_star = support_bound(remainder, p)
+    while refine_nonzero(remainder, p):
+        branch, c = per_round_extract(remainder, p)
+        extracted.append((branch, c))
+        remainder = remainder - branch_generator(a.system, branch, c)
+        assert len(extracted) < n_star
+    dec = Decomposition(tuple(sorted(extracted)), normal.witness, p, default_horizon(a))
+    decomp._verify_decomposition(a, dec)
+    return dec
+
+
+def per_round_equiv(a, b):
+    dec = per_round_decompose(a - b)
+    if dec.combo:
+        return False, dec
+    return True, EquivalenceWitness(dec.residual, decomp.IND_OMEGA, dec.verified_to)
+
+
+def seeded_element(system, rng, wide):
+    """A random element, with up to 8 more branches planted when ``wide``."""
+    a = random_planted(system, rng, max_fact_levels=2)
+    if wide and system.tree.branch_count() != 0:
+        extra = sample_branches(system.tree, rng, rng.randint(1, 8))
+        m = system.ring.modulus
+        a = a + planted(system, {t: rng.randrange(1, m) for t in extra})
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=st.sampled_from(WITNESS_SYSTEMS), rng=st.randoms(use_true_random=False),
+       wide=st.booleans(), other=st.sampled_from(["random", "cobounded", "shared"]))
+def test_batch_peel_matches_the_per_round_loop(system, rng, wide, other):
+    """``decompose`` gives the per-round loop's combo, residual, provenance and
+    horizon, and ``equiv_decide`` its flag and certificate bytes."""
+    a = seeded_element(system, rng, wide)
+    assert decompose(a) == per_round_decompose(a)
+    if other == "random":
+        b = seeded_element(system, rng, wide)
+    elif other == "cobounded":
+        b = a + planted(system, {}, random_coboundary(system, rng))
+    else:
+        b = a - planted(system, dict(a.combo[:1]))
+    flag, certificate = equiv_decide(a, b)
+    ref_flag, ref_certificate = per_round_equiv(a, b)
+    assert flag == ref_flag
+    assert certificate.to_json() == ref_certificate.to_json()
 
 
 # -- quotient cardinality -----------------------------------------------------------------
