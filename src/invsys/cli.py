@@ -31,10 +31,23 @@ Only ``oracle-verify`` imports the matrix oracle and the random sampler,
 inside its handler; ``check``, ``decompose``, ``equiv`` and ``card`` run on
 the symbolic modules alone.
 
+``OPTIONS`` states each of the six options once, and argv takes one of two
+paths through it.  Argv made only of whole ``--flag value`` pairs, each flag
+one of the six long flags spelled out, each value a string not starting
+with ``-`` that argparse would accept, and naming ``--system`` and ``--cmd``,
+is read straight off the table by ``_plain_args``: argparse's option
+matching and conversions were the largest fixed cost of a small call.  Every
+other argv (``--help``, an abbreviation, ``--flag=value``, ``--``, a value
+starting with ``-``, an unknown flag, a missing or bad value) goes to the
+argparse parser built from the same table, so help, usage and error bytes
+come from argparse alone.  The console script, whose argv is None, reads
+``sys.argv[1:]`` and takes the same paths.
+
 ``main(argv)`` may be called any number of times in one process.  The calls
-share one argument parser, built on the first call (never at import), and
-each gets a fresh namespace, so the stdout of a call is byte for byte what a
-fresh process prints for the same arguments.
+share one argument parser, built on the first call that needs it (never at
+import, and never for a call ``_plain_args`` reads), and each gets a fresh
+namespace, so the stdout of a call is byte for byte what a fresh process
+prints for the same arguments.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ import os
 import sys
 from itertools import combinations
 from random import Random
+from typing import NamedTuple
 
 from .coherent import (
     Planted,
@@ -125,25 +139,91 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
+class _Option(NamedTuple):
+    """One command-line option, stated once for both readers of argv: an
+    ``int`` or a plain string, limited to ``choices`` when they are given,
+    and with ``append`` collected into a list."""
+
+    flag: str
+    default: object = None
+    type: type | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    append: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:]
+
+
+OPTIONS = (
+    _Option("--system", required=True, help="path to a system file"),
+    _Option("--element", default=[], append=True, help="path to an element file (repeatable)"),
+    _Option("--cmd", required=True, choices=COMMANDS),
+    _Option("--horizon", type=int,
+            help="check horizon (3 to 64); oracle-verify height (3 to 8)"),
+    _Option("--seed", default=0, type=int, help="seed for randomized suites"),
+    _Option("--format", default="json", choices=("json", "text")),
+)
+
+# ``OPTIONS`` as ``_plain_args`` reads it.
+_BY_FLAG = {opt.flag: opt for opt in OPTIONS}
+_DEFAULTS = {opt.dest: opt.default for opt in OPTIONS}
+_REQUIRED = tuple(opt.dest for opt in OPTIONS if opt.required)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after."""
+    """The command-line parser, built from ``OPTIONS`` on the first call and
+    shared after."""
     parser = _Parser(
         prog="invsys",
         description="exact computations in inverse systems of free Z/m-modules over a tree",
     )
-    parser.add_argument("--system", required=True, help="path to a system file")
-    parser.add_argument(
-        "--element", action="append", default=[], help="path to an element file (repeatable)"
-    )
-    parser.add_argument("--cmd", required=True, choices=COMMANDS)
-    parser.add_argument(
-        "--horizon", type=int, default=None,
-        help="check horizon (3 to 64); oracle-verify height (3 to 8)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--format", choices=["json", "text"], default="json")
+    for opt in OPTIONS:
+        parser.add_argument(opt.flag, action="append" if opt.append else "store",
+                            default=opt.default, type=opt.type, choices=opt.choices,
+                            required=opt.required, help=opt.help)
     return parser
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    ``OPTIONS`` directly, when ``argv`` is whole ``--flag value`` pairs: each
+    flag one of the long option strings exactly, each value a ``str`` that
+    does not start with ``-``, the ``int`` values readable by ``int`` and the
+    choices listed, with ``--system`` and ``--cmd`` both present.  For any
+    other argv it returns None and leaves the reading, and the help text and
+    every usage error, to argparse.
+    """
+    if len(argv) % 2:
+        return None
+    values = _DEFAULTS.copy()
+    for n in range(0, len(argv), 2):
+        flag, value = argv[n], argv[n + 1]
+        if type(flag) is not str or type(value) is not str or value.startswith("-"):
+            return None
+        opt = _BY_FLAG.get(flag)
+        if opt is None:
+            return None
+        dest = opt.dest
+        if opt.append:
+            # a new list, as argparse copies before it appends, so the
+            # default list is never changed
+            values[dest] = [*values[dest], value]
+        elif opt.type is int:
+            try:
+                values[dest] = int(value)
+            except ValueError:
+                return None
+        elif opt.choices is not None and value not in opt.choices:
+            return None
+        else:
+            values[dest] = value
+    if any(values[dest] is None for dest in _REQUIRED):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _run_check(system: System, elements, args):
@@ -361,7 +441,11 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = build_parser().parse_args(argv)
+    # Read argv as ``parse_args`` does: ``sys.argv[1:]`` for None, else a list.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if args.horizon is not None and args.horizon < 3:
             raise SchemaError("horizon must be at least 3")

@@ -147,7 +147,7 @@ def extract_branch(b: Planted, p: int) -> list[tuple[Branch, int]]:
     every term sits at index ``p + 1``, so each term's node determines a
     branch and holds its coefficient.  Each coefficient is then spot-checked
     on the six pairs ``p <= i < j <= i + 2``, each read once, before the
-    result is handed back.
+    result is handed back; each branch is restricted once per spot level.
     """
     entry = _probe(b, p)
     if entry.is_zero():
@@ -157,8 +157,10 @@ def extract_branch(b: Planted, p: int) -> list[tuple[Branch, int]]:
     spots = {(node, l): c for i, j in pairs for node, l, c in b.eval_entry(i, j).terms}
     extracted = [(tree.branch_from_node(node), c) for node, _, c in entry.terms]
     for branch, c in extracted:
-        if any(spots.get((tree.branch_node(branch, i), j)) != c for i, j in pairs):
-            raise AssertionError("extracted coefficient is not constant past the probe level")
+        for i in range(p, p + 3):
+            node = tree.branch_node(branch, i)
+            if any(spots.get((node, j)) != c for j in range(i + 1, i + 3)):
+                raise AssertionError("extracted coefficient is not constant past the probe level")
     return extracted
 
 

@@ -1,9 +1,12 @@
+import argparse
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invsys import (
@@ -951,6 +954,187 @@ def test_a_call_refused_by_the_parser_leaves_the_next_unchanged(tmp_path, sys1, 
     assert caught.value.code == 2
     assert "--cmd" in capsys.readouterr().err
     assert (main(argv), capsys.readouterr().out) == before
+
+
+# -- two readers of argv, one option table -----------------------------------------------
+
+def written_out_parser():
+    """The parser with its options written out one ``add_argument`` call each,
+    as before ``OPTIONS`` stated them once: the parser built from the table
+    must keep its help text and every usage error."""
+    parser = cli._Parser(
+        prog="invsys",
+        description="exact computations in inverse systems of free Z/m-modules over a tree",
+    )
+    parser.add_argument("--system", required=True, help="path to a system file")
+    parser.add_argument(
+        "--element", action="append", default=[], help="path to an element file (repeatable)"
+    )
+    parser.add_argument("--cmd", required=True,
+                        choices=("check", "decompose", "equiv", "card", "oracle-verify"))
+    parser.add_argument(
+        "--horizon", type=int, default=None,
+        help="check horizon (3 to 64); oracle-verify height (3 to 8)",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    parser.add_argument("--format", choices=["json", "text"], default="json")
+    return parser
+
+
+def parse_outcome(parser, argv):
+    """What ``parser.parse_args(argv)`` returns or exits with, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except TypeError as exc:  # an item of argv that is not a str
+            result = ("TypeError", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+# Argv that ``_plain_args`` leaves to argparse: help, abbreviations (one
+# ambiguous), ``=``-joined values, ``--``, values starting with ``-``, an
+# unknown flag, a stray or missing value, bad values and missing options.
+ARGPARSE_ONLY = [
+    ["--help"],
+    ["-h"],
+    ["--system", "s.json", "--cmd", "card", "--help"],
+    [],
+    ["--sys", "s.json", "--cmd", "card"],
+    ["--s", "s.json", "--cmd", "card"],
+    ["--system", "s.json", "--c", "card", "--elem", "a.json"],
+    ["--system=s.json", "--cmd=card"],
+    ["--system", "s.json", "--cmd", "card", "--horizon", "-1"],
+    ["--system", "s.json", "--cmd", "card", "--seed", "-3"],
+    ["--system", "-x", "--cmd", "card"],
+    ["--system", "-", "--cmd", "card"],
+    ["--system", "s.json", "--cmd", "card", "--"],
+    ["--", "--system", "s.json", "--cmd", "card"],
+    ["--system", "s.json", "--cmd", "card", "--unknown", "1"],
+    ["--system", "s.json", "--cmd", "card", "extra"],
+    ["--system", "s.json", "--cmd"],
+    ["--system", "s.json", "--cmd", "nope"],
+    ["--system", "s.json", "--cmd", "card", "--format", "xml"],
+    ["--system", "s.json", "--cmd", "card", "--horizon", "x"],
+    ["--system", "s.json", "--cmd", "card", "--seed", "1.5"],
+    ["--system", "s.json"],
+    ["--cmd", "card"],
+    ["--system", "s.json", "--cmd", "card", "--element", 7],
+]
+
+CANONICAL = [
+    ["--system", "s.json", "--cmd", "card"],
+    ["--cmd", "equiv", "--element", "a.json", "--system", "s.json", "--element", "b.json"],
+    ["--system", "s.json", "--cmd", "oracle-verify", "--horizon", "8", "--seed", "12",
+     "--format", "text"],
+    ["--system", "", "--cmd", "check", "--system", "t.json", "--horizon", " 7", "--seed", "1_0"],
+    ["--system", "s.json", "--cmd", "check", "--cmd", "card", "--format", "text",
+     "--format", "json", "--seed", "\u0663"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ONLY)
+def test_argv_outside_the_plain_form_keeps_argparse_bytes(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._plain_args(argv) is None
+    assert parse_outcome(cli.build_parser(), argv) == parse_outcome(written_out_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", CANONICAL)
+def test_plain_argv_reads_as_the_written_out_parser_reads_it(argv):
+    assert vars(cli._plain_args(argv)) == parse_outcome(written_out_parser(), argv)[0]
+
+
+FLAGS = [opt.flag for opt in cli.OPTIONS]
+VALUES = ["", "-", "-x", "-3", " 7", "1_0", "\u0663", "7", "0", "s.json", *cli.COMMANDS, "nope",
+          "json", "text", "JSON"]
+OTHER_TOKENS = ["--sys", "--elem", "--c", "--hor", "--se", "--form", "--s", "--system=s.json",
+                "--horizon=5", "--cmd=card", "--element=a.json", "-h", "--help", "--",
+                "--unknown"]
+
+
+def flag_value(flag):
+    """A value for ``flag``: from the whole grammar, or, twice as often, one
+    that it accepts."""
+    opt = cli._BY_FLAG[flag]
+    good = opt.choices or (["7", " 7", "1_0", "\u0663", "0"] if opt.type is int
+                           else ["s.json", "", "a b", "x=y"])
+    return st.sampled_from(VALUES) | st.sampled_from(good) | st.sampled_from(good)
+
+
+@st.composite
+def argv_tokens(draw):
+    """Flag-value pairs, mostly with ``--system`` and ``--cmd`` among them, in
+    any order, with a few stray tokens of the grammar dropped in anywhere."""
+    pairs = draw(st.lists(st.sampled_from(FLAGS).flatmap(
+        lambda flag: st.tuples(st.just(flag), flag_value(flag))), max_size=5))
+    if draw(st.sampled_from([True, True, False])):
+        pairs += [("--system", "s.json"), ("--cmd", draw(st.sampled_from(cli.COMMANDS)))]
+    argv = [token for pair in draw(st.permutations(pairs)) for token in pair]
+    stray = st.lists(st.sampled_from(FLAGS + VALUES + OTHER_TOKENS), min_size=1, max_size=3)
+    for token in draw(st.just([]) | st.just([]) | stray):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argv_tokens())
+@example(argv=["--system", "-x", "--cmd", "card"])
+@example(argv=["--system", "s.json", "--cmd", "card", "--horizon", "7", "--seed", "1_0"])
+@example(argv=["--element", "a.json", "--system", "s.json", "--cmd", "equiv", "--element", "b"])
+def test_plain_reading_is_what_argparse_reads(argv):
+    """Wherever ``_plain_args`` reads argv, argparse accepts it and reads the
+    same values; the other argv, argparse alone reads."""
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    result, out, err = parse_outcome(cli.build_parser(), argv)
+    assert (out, err) == ("", "")
+    assert vars(plain) == result
+
+
+def test_each_plain_reading_gets_its_own_element_list():
+    base = ["--system", "s.json", "--cmd", "equiv"]
+    first = cli._plain_args([*base, "--element", "a.json", "--element", "b.json"])
+    second = cli._plain_args([*base, "--element", "c.json"])
+    assert (first.element, second.element) == (["a.json", "b.json"], ["c.json"])
+    assert cli._plain_args(base).element == []
+    assert cli.build_parser().parse_args(base).element == []
+
+
+def test_canonical_argv_of_every_command_never_reaches_argparse(tmp_path, sys1, sys1_path,
+                                                                monkeypatch):
+    parsed = []
+    real = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: parsed.append(a) or real(self, *a, **k))
+    a = gen_file(tmp_path, sys1, "a.json", 0)
+    b = gen_file(tmp_path, sys1, "b.json", 1)
+    calls = {"check": (["--element", a, "--horizon", "5"], 0),
+             "decompose": (["--element", a, "--format", "text"], 0),
+             "equiv": (["--element", a, "--element", b], 1),
+             "card": ([], 0),
+             "oracle-verify": (["--element", a, "--horizon", "4", "--seed", "3"], 0)}
+    assert set(calls) == set(cli.COMMANDS)
+    for cmd, (extra, status) in calls.items():
+        assert main(["--system", sys1_path, "--cmd", cmd, *extra]) == status
+    assert parsed == []
+    # the counter does count: an abbreviation goes to argparse
+    assert main(["--sys", sys1_path, "--cmd", "card"]) == 0
+    assert len(parsed) == 1
+
+
+@pytest.mark.parametrize("flag, built", [("--system", "0"), ("--sys", "1")])
+def test_a_canonical_console_call_builds_no_parser(tmp_path, sys1_path, fresh_cli, flag, built):
+    """The console script's ``main()`` reads ``sys.argv[1:]``; a canonical
+    call never builds the parser, an abbreviation builds it."""
+    probe = ("import sys, invsys.cli as c; code = c.main(); "
+             "print(c.build_parser.cache_info().currsize, code)")
+    child = fresh_cli([flag, sys1_path, "--cmd", "card"], code=probe, cwd=tmp_path, timeout=120,
+                      check=True)
+    assert child.stdout.splitlines()[-1] == f"{built} 0"
 
 
 # -- the JSON writer and the output encoding -------------------------------------------

@@ -354,6 +354,26 @@ def test_decompose_computes_as_many_entries_at_200_branches_as_at_50(monkeypatch
     assert counts == [2 + 6 + 1] * 2
 
 
+def test_spot_check_restricts_each_branch_once_per_spot_level(monkeypatch):
+    """With the six spot entries already computed, ``extract_branch`` restricts
+    each branch at the three spot levels once each: 3 ``branch_node`` calls
+    per branch, where one call per spot pair made 6."""
+    for n in (50, 200):
+        b = wide_element(n)
+        p = b.probe_bound
+        for i in range(p, p + 3):
+            for j in range(i + 1, i + 3):
+                b.eval_entry(i, j)
+        tree = b.system.tree
+        levels = []
+        real = type(tree).branch_node
+        with monkeypatch.context() as patched:
+            patched.setattr(type(tree), "branch_node",
+                            lambda self, branch, i: levels.append(i) or real(self, branch, i))
+            assert sorted(extract_branch(b, p)) == list(b.combo)
+        assert sorted(levels) == [p] * n + [p + 1] * n + [p + 2] * n
+
+
 def test_closing_probe_catches_a_dropped_branch(monkeypatch, sysf):
     """With one branch missing from the extraction, what is left after the
     subtraction keeps a branch part at the probe pair: the closing probe
