@@ -75,10 +75,11 @@ from .system import SchemaError, System
 _escape = json.encoder.encode_basestring_ascii
 
 # ``check`` decides coherence from the C(h-1, 2) consecutive index triples,
-# but it tests restriction stability on all C(h, 3) triples, and an
-# incoherent element sweeps them all to list its violations, so its cost
-# still grows as the cube of the horizon; neither a flag nor an element's
-# default horizon may ask for more than this.
+# but it tests restriction stability on all C(h, 3) triples, and an entry
+# table that evaluation got wrong, the only one that can be incoherent,
+# sweeps them all to list its violations, so its cost still grows as the
+# cube of the horizon; neither a flag nor an element's default horizon may
+# ask for more than this.
 MAX_CHECK_HORIZON = 64
 
 # ``card`` prints the quotient cardinality m ** n in full, and Python refuses

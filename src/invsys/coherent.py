@@ -24,20 +24,24 @@ sweep over all C(h, 3) runs only to report the violations of an incoherent
 family.  ``check`` still tests restriction stability on every triple, so its
 cost stays O(h^3).
 
-The two sweeps do each level's shared work once.  The coherence sweep runs
-one loop per level ``i``.  Every triple ``(i, i+1, k)`` of the level
-subtracts the same entry ``a[i, i+1]``, so the loop reads it once, sums
-``-a[i, i+1]`` into a base map and starts each defect from a copy of it.
-Every triple maps its ``(i+1, k)`` entry into level ``i``, and those entries
-share most of their nodes, so the loop keeps one restriction map ``node ->
-node|i`` for the level, which ``_add_hom`` fills on a node's first use.  Per
-triple two entries are read, all three are checked, and one ``_add_terms``
-and one ``_add_hom`` remain.  The stability test reads each of its two
-entries once, and most entries have no term below ``j``; for those it
-answers from one scan of each entry and builds no list.  Without a
-substitute entry map both sweeps read an entry that is already in the
-element's table directly, and compute only the others through
-``eval_entry``.
+Both sweeps read their defects from one generator, ``_defects``, over the
+triples ``(i, j, k)`` of one pair ``(i, j)``.  Every such triple subtracts
+the same entry ``a[i, j]``, so it reads it once, sums ``-a[i, j]`` into a
+base map and starts each defect from a copy of it.  Every triple maps its
+``(j, k)`` entry into level ``i``, and those entries share most of their
+nodes, so the caller keeps one restriction map ``node -> node|i`` per level
+``i``, which ``_add_hom`` fills on a node's first use.  Per triple two
+entries are read, all three are checked, and one ``_add_terms`` and one
+``_add_hom`` remain.  The coherence sweep runs it at ``j = i + 1``, the full
+sweep at every ``j``.  The stability test reads each of its two entries
+once, and most entries have no term below ``j``; for those it answers from
+one scan of each entry and builds no list.
+
+The element's entry table is the only entry source: the sweeps read an
+entry that is already in it directly, and compute only the others through
+``eval_entry``.  A presented element is coherent, so only a table that
+evaluation got wrong can fail a check; tests inject such faults by
+pre-filling the table of a fresh ``Planted(a.system, a.combo, a.fact)``.
 
 Restriction stability is a corollary of coherence: coherence on all triples
 implies stability on all triples.  For ``i < j < k`` coherence gives
@@ -66,8 +70,7 @@ and sorted, built once per level.  An entry with no ``y`` at level ``i`` or
 ``j`` is that row placed at index ``j``, already canonical.  Otherwise
 ``eval_entry`` sums the row, ``y_i`` and ``-hom(y_j)`` into one unreduced term
 map with ``freemod``'s ``_add_terms`` and ``_add_hom`` and canonicalizes it
-once.  ``check_coherence`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same
-way, level by level, and ``_defect`` triple by triple for the full sweep.
+once.  ``_defects`` sums ``a[i,k] - a[i,j] - hom(a[j,k])`` the same way.
 ``check_coherence`` only asks whether every coefficient of that map vanishes
 mod m, so it sorts nothing and builds no element; the full sweep that lists
 the violations of an incoherent family canonicalizes each map once.
@@ -372,14 +375,6 @@ def default_horizon(a: Planted) -> int:
 # -- identity checks ----------------------------------------------------------
 
 
-def _triples(horizon: int):
-    """Every index triple ``i < j < k`` below the horizon, in lexicographic order."""
-    for i in range(horizon):
-        for j in range(i + 1, horizon):
-            for k in range(j + 1, horizon):
-                yield i, j, k
-
-
 def _check_entries(i: int, e_ik: ModuleElement, e_ij: ModuleElement, e_jk: ModuleElement) -> None:
     """Check the entries of one triple as ``-``, ``+`` and ``apply_hom`` check
     their operands, so an entry of the wrong level or system raises the same
@@ -393,62 +388,53 @@ def _check_entries(i: int, e_ik: ModuleElement, e_ij: ModuleElement, e_jk: Modul
             raise ValueError("operands live in different systems")
 
 
-def _defect(ev, i: int, j: int, k: int) -> dict[tuple[Node, int], int]:
-    """The coherence defect ``a[i,k] - (a[i,j] + hom(a[j,k]))`` of one triple,
-    as an unreduced ``(node, l) -> int`` map: the identity holds there exactly
-    when every coefficient vanishes mod m.  Only the full violation sweep
-    reads it; ``check_coherence`` sums the same map level by level.
-
-    The entries are checked by ``_check_entries`` first.
-    """
-    e_ik, e_ij, e_jk = ev(i, k), ev(i, j), ev(j, k)
-    _check_entries(i, e_ik, e_ij, e_jk)
-    acc: dict[tuple[Node, int], int] = {}
-    _add_terms(acc, e_ij, -1)
-    _add_terms(acc, e_ik, 1)
-    _add_hom(acc, e_jk, i, -1)
-    return acc
-
-
-def _reader(a: Planted, eval_fn):
-    """The entry map the identity sweeps read: ``eval_fn`` when one is given,
-    else ``a``'s table, with ``eval_entry`` computing an entry not yet in it.
-    An entry is a named tuple of four fields, so only a miss reads falsy."""
-    if eval_fn is not None:
-        return eval_fn
+def _reader(a: Planted):
+    """The entry map the identity sweeps read: ``a``'s table, with
+    ``eval_entry`` computing an entry not yet in it.  An entry is a named
+    tuple of four fields, so only a miss reads falsy."""
     get, compute = a._entries.get, a.eval_entry
     return lambda i, j: get((i, j)) or compute(i, j)
 
 
-def check_coherence(a: Planted, horizon: int, eval_fn=None) -> bool:
+def _defects(ev, i: int, j: int, horizon: int, down: dict[Node, Node]):
+    """The coherence defects ``a[i,k] - (a[i,j] + hom(a[j,k]))`` of the
+    triples ``(i, j, k)``, ``j < k < horizon``, in order of ``k``, each as an
+    unreduced ``(node, l) -> int`` map: the identity holds at a triple
+    exactly when every coefficient of its map vanishes mod m.
+
+    ``a[i,j]`` is read once, and each defect starts from a copy of the map
+    of ``-a[i,j]``.  ``down`` is level ``i``'s restriction map ``node ->
+    node|i``, filled on first use; the caller shares it across the ``j`` of
+    the level.  Per triple ``a[i,k]`` and ``a[j,k]`` are read and the three
+    entries checked by ``_check_entries``.
+    """
+    e_ij = ev(i, j)
+    base = {(n, l): -c for n, l, c in e_ij.terms}
+    for k in range(j + 1, horizon):
+        e_ik, e_jk = ev(i, k), ev(j, k)
+        _check_entries(i, e_ik, e_ij, e_jk)
+        acc = base.copy()
+        _add_terms(acc, e_ik, 1)
+        _add_hom(acc, e_jk, i, -1, down)
+        yield acc
+
+
+def check_coherence(a: Planted, horizon: int) -> bool:
     """Verify ``a[i,k] = a[i,j] + hom(a[j,k])`` for all ``i < j < k < horizon``
     by sweeping the defects of the consecutive triples ``(i, i+1, k)`` only;
     ``check_eq_recurrences`` proves the rest follow.
 
-    The sweep runs one loop per level ``i``.  It reads ``a[i, i+1]`` once and
-    sums ``-a[i, i+1]`` into a base map, and it keeps one restriction map
-    ``node -> node|i`` for the level, filled on first use.  Per triple it
-    reads ``a[i,k]`` and ``a[i+1,k]``, checks the three entries as
-    ``_defect`` does, copies the base, adds the ``(i,k)`` terms and the hom
-    of ``(i+1,k)`` through the level's map, and stops at the first
-    coefficient that is nonzero mod m.
-
-    ``eval_fn`` substitutes the entry map, letting tests inject faults.
+    Each level ``i`` runs ``_defects`` at ``j = i + 1`` with its own
+    restriction map, and the sweep stops at the first coefficient that is
+    nonzero mod m.  The entries are read from ``a``'s table, so a test
+    injects a fault by pre-filling it.
     """
     if horizon < 3:
         raise ValueError("horizon must be at least 3")
-    ev = _reader(a, eval_fn)
+    ev = _reader(a)
     m = a.system.ring.modulus
     for i in range(horizon - 2):
-        e_ij = ev(i, i + 1)
-        base = {(n, l): -c for n, l, c in e_ij.terms}
-        down: dict[Node, Node] = {}
-        for k in range(i + 2, horizon):
-            e_ik, e_jk = ev(i, k), ev(i + 1, k)
-            _check_entries(i, e_ik, e_ij, e_jk)
-            acc = base.copy()
-            _add_terms(acc, e_ik, 1)
-            _add_hom(acc, e_jk, i, -1, down)
+        for acc in _defects(ev, i, i + 1, horizon, {}):
             for c in acc.values():
                 if c % m:
                     return False
@@ -486,7 +472,7 @@ class EqReport(NamedTuple):
         }
 
 
-def check_eq_recurrences(a: Planted, horizon: int, eval_fn=None) -> EqReport:
+def check_eq_recurrences(a: Planted, horizon: int) -> EqReport:
     """Check the three coefficient recurrences relating entries at ``(i,k)``,
     ``(i,j)`` and ``(j,k)`` over every triple below the horizon.
 
@@ -513,23 +499,28 @@ def check_eq_recurrences(a: Planted, horizon: int, eval_fn=None) -> EqReport:
 
     using that ``apply_hom`` is additive and that ``hom_i o hom_{i+1} =
     hom_i``.  Nothing else is assumed of the entries, so the argument holds
-    for any table of level-i elements, a faulted ``eval_fn`` included.
+    for any table of level-i elements, a pre-filled faulty one included.
 
-    ``eval_fn`` substitutes the entry map, letting tests inject faults.
+    The full sweep runs ``_defects`` at every pair ``(i, j)`` that has a
+    triple below the horizon, with one restriction map per level ``i``, and
+    lists the violations in lexicographic order of ``(i, j, k)``.
     """
-    ev = _reader(a, eval_fn)
-    if check_coherence(a, horizon, ev):
+    if check_coherence(a, horizon):
         return EqReport(horizon, ())
+    ev = _reader(a)
     ring, tree = a.system.ring, a.system.tree
     violations = []
-    for i, j, k in _triples(horizon):
-        for nu, l, _ in _canonical(i, _defect(ev, i, j, k), ring, tree).terms:
-            tag = "below" if l < j else "at" if l == j else "above"
-            violations.append(EqViolation(tag, i, j, k, nu, l))
+    for i in range(horizon - 2):
+        down: dict[Node, Node] = {}
+        for j in range(i + 1, horizon - 1):
+            for k, acc in enumerate(_defects(ev, i, j, horizon, down), j + 1):
+                for nu, l, _ in _canonical(i, acc, ring, tree).terms:
+                    tag = "below" if l < j else "at" if l == j else "above"
+                    violations.append(EqViolation(tag, i, j, k, nu, l))
     return EqReport(horizon, tuple(violations))
 
 
-def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> bool:
+def restriction_stability(a: Planted, i: int, j: int, k: int) -> bool:
     """Whether the parts below ``j`` of the ``(i,j)`` and ``(i,k)`` entries agree.
 
     Entries are canonical, so the parts agree exactly when the terms with
@@ -544,18 +535,15 @@ def restriction_stability(a: Planted, i: int, j: int, k: int, eval_fn=None) -> b
     ``(eta|i, l) - (eta|i, j)`` with ``l > j``.  The argument needs only that
     every entry's generator indices exceed its level.
 
-    ``eval_fn`` substitutes the entry map, letting tests inject faults.
+    The entries are read from ``a``'s table, so a test injects a fault by
+    pre-filling it.
     """
     if not i < j < k:
         raise ValueError(f"need i < j < k, got ({i}, {j}, {k})")
-    if eval_fn is None:
-        # the table read of ``_reader``, inline: this test runs per triple
-        table = a._entries
-        ij = table.get((i, j)) or a.eval_entry(i, j)
-        ik = table.get((i, k)) or a.eval_entry(i, k)
-    else:
-        ij, ik = eval_fn(i, j), eval_fn(i, k)
-    ij, ik = ij.terms, ik.terms
+    # the table read of ``_reader``, inline: this test runs per triple
+    table = a._entries
+    ij = (table.get((i, j)) or a.eval_entry(i, j)).terms
+    ik = (table.get((i, k)) or a.eval_entry(i, k)).terms
     for t in ij:
         if t[1] < j:
             break
@@ -600,14 +588,17 @@ def normalize_cobounded(a: Planted) -> Normalized:
     bound is ``i + 1``, and every level-i generator index exceeds ``i``, so
     the cut of entry ``(i, i + 1)`` below ``i + 1`` is zero by definition.
     The work is thus one entry per nonzero level of ``y``, however high the
-    levels lie.
+    levels lie.  It is an entry of the coboundary part alone: every branch
+    term of entry ``(i, i*)`` sits at index ``i*``, outside the cut, so no
+    branch row is built.
     """
     system = a.system
     bounds = LevelBounds({i: max(l for _, l, _ in y_i.terms) + 1 for i, y_i in a.fact.entries})
+    cobounded = _planted(system, {}, a.fact)
     table = {}
     for i, _ in a.fact.entries:
         istar = bounds.at(i)
-        cut = a.eval_entry(i, istar).below(istar)
+        cut = cobounded.eval_entry(i, istar).below(istar)
         if not cut.is_zero():
             table[i] = cut
     witness = _coboundary(system, table.items())

@@ -6,7 +6,20 @@ from pathlib import Path
 import pytest
 
 import invsys
-from invsys import DecreasingSeqTree, DisjointBranchesTree, FiniteSupportTree, Ring, System
+from invsys import DecreasingSeqTree, DisjointBranchesTree, FiniteSupportTree, Planted, Ring, System
+
+
+def prefilled(a, entries, table=dict):
+    """A fresh copy of ``a`` whose entry table starts as ``entries``, a
+    ``(i, j) -> element`` mapping, held in a new ``table(entries)``.
+
+    The identity checks read an entry from the table when it is there and
+    evaluate it otherwise, so this is how a test injects faulty entries.
+    ``table`` may be a recording mapping type.
+    """
+    b = Planted(a.system, a.combo, a.fact)
+    object.__setattr__(b, "_entries", table(entries))
+    return b
 
 
 @pytest.fixture

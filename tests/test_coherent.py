@@ -26,7 +26,10 @@ from invsys import (
     singleton,
     zero_element,
 )
+from invsys.coherent import EqViolation
 from invsys.sampling import random_coboundary, random_planted, sample_branches, sample_node
+
+from conftest import prefilled
 
 
 def b0(level):
@@ -102,14 +105,9 @@ def test_coherence_holds_for_planted(sys1):
 
 def test_coherence_detects_injected_fault(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
-
-    def corrupted(i, j):
-        entry = a.eval_entry(i, j)
-        if (i, j) == (1, 3):
-            return entry + generator(b0(1), 2, sys1.ring, sys1.tree)
-        return entry
-
-    assert check_coherence(a, 8, eval_fn=corrupted) is False
+    corrupted = prefilled(a, {(1, 3): a.eval_entry(1, 3) + generator(b0(1), 2, sys1.ring, sys1.tree)})
+    assert check_coherence(a, 8) is True
+    assert check_coherence(corrupted, 8) is False
 
 
 def test_coherence_of_zero(sys1):
@@ -147,18 +145,13 @@ def test_eq_zero_element(sys1):
 
 def test_eq_report_lists_injected_violation(sys1):
     a = branch_generator(sys1, sys1.tree.branch(0))
-
-    def corrupted(i, j):
-        entry = a.eval_entry(i, j)
-        if (i, j) == (0, 2):
-            return entry + generator(b0(0), 1, sys1.ring, sys1.tree)
-        return entry
-
-    report = check_eq_recurrences(a, 4, eval_fn=corrupted)
+    corrupted = prefilled(a, {(0, 2): a.eval_entry(0, 2) + generator(b0(0), 1, sys1.ring, sys1.tree)})
+    report = check_eq_recurrences(corrupted, 4)
     assert not report.ok
-    assert all((v.i, v.j) == (0, 2) or (v.i, v.k) == (0, 2) or (v.j, v.k) == (0, 2)
-               for v in report.violations)
-    assert any(v.l == 1 for v in report.violations)
+    # the extra (b0(0), 1) sits at index j = 1 of the (i,k) entry of (0, 1, 2)
+    # and below j = 2 in the (i,j) entry of (0, 2, 3)
+    assert report.violations == (EqViolation("at", 0, 1, 2, b0(0), 1),
+                                 EqViolation("below", 0, 2, 3, b0(0), 1))
 
 
 def test_entries_past_stab_bound_are_pure_branch_form(sys1, sysf):
@@ -235,17 +228,15 @@ def test_restriction_stability_randomized(sys1, sysf):
 
 
 def test_restriction_stability_detects_fault(sys1):
-    fact = with_y0(sys1, {(b0(0), 2): 1})
-    a = planted(sys1, {}, fact)
-    assert restriction_stability(a, 0, 3, 5)
-
-    def corrupted(i, j):
-        entry = a.eval_entry(i, j)
-        if (i, j) == (0, 5):
-            return entry + generator(b0(0), 2, sys1.ring, sys1.tree)
-        return entry
-
-    assert restriction_stability(a, 0, 3, 5, eval_fn=corrupted) is False
+    cobounded = planted(sys1, {}, with_y0(sys1, {(b0(0), 2): 1}))
+    bare = branch_generator(sys1, sys1.tree.branch(0))
+    fault = generator(b0(0), 2, sys1.ring, sys1.tree)
+    # the (0, 3) entry of ``cobounded`` has a term below 3 and that of
+    # ``bare`` has none: the low-term comparison and the early return
+    for a in (cobounded, bare):
+        assert restriction_stability(a, 0, 3, 5)
+        corrupted = prefilled(a, {(0, 5): a.eval_entry(0, 5) + fault})
+        assert restriction_stability(corrupted, 0, 3, 5) is False
 
 
 def test_restriction_stability_computes_a_missing_entry(sys1, sys2, sysf):
@@ -292,16 +283,12 @@ def test_coherence_rejects_every_fault_that_breaks_stability(sys1, sys2, sysf):
             else:
                 node, l = sample_node(tree, rng, i), rng.randint(i + 1, h)
             fault = y_elem(system, i, {(node, l): rng.randrange(1, ring.modulus)})
-
-            def faulted(p, q, a=a, i=i, j=j, fault=fault):
-                entry = a.eval_entry(p, q)
-                return entry + fault if (p, q) == (i, j) else entry
-
-            stable = all(restriction_stability(a, p, q, r, eval_fn=faulted)
+            faulted = prefilled(a, {(i, j): a.eval_entry(i, j) + fault})
+            stable = all(restriction_stability(faulted, p, q, r)
                          for p in range(h) for q in range(p + 1, h) for r in range(q + 1, h))
             if not stable:
                 unstable += 1
-                assert not check_coherence(a, h, eval_fn=faulted), (a, i, j, fault)
+                assert not check_coherence(faulted, h), (a, i, j, fault)
         assert unstable >= 10, (system, unstable)
 
 
@@ -418,16 +405,44 @@ def test_normalize_contract_randomized(sys1, sysf):
                     assert diff == normal.witness.induced(i, j)
 
 
-def test_normalize_computes_one_entry_per_nonzero_level(sys1):
-    # levels between and below the two nonzero ones are never evaluated
+def test_normalize_computes_one_entry_per_nonzero_level(sys1, monkeypatch):
+    # levels between and below the two nonzero ones are never evaluated, and
+    # each cut is an entry of the coboundary part alone, not of ``a``
     fact = coboundary(sys1, {3: y_elem(sys1, 3, {(b0(3), 4): 1}),
                              5000: y_elem(sys1, 5000, {(Node(5000, 1), 5003): 2})})
     a = planted(sys1, {sys1.tree.branch(0): 1}, fact)
+    real, evaluated = Planted.eval_entry, []
+
+    def recording(self, i, j):
+        evaluated.append((self.combo, self.fact, i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(Planted, "eval_entry", recording)
     normal = normalize_cobounded(a)
-    assert sorted(a._entries) == [(3, 5), (5000, 5004)]
+    assert evaluated == [((), fact, 3, 5), ((), fact, 5000, 5004)]
+    assert a._entries == {}
     assert [normal.bounds.at(i) for i in (0, 3, 4, 4999, 5000, 5001)] == [1, 5, 5, 5000, 5004, 5002]
     assert normal.witness == fact
     assert normal.element == planted(sys1, {sys1.tree.branch(0): 1})
+
+
+def test_normalize_restricts_no_branch(monkeypatch):
+    """The cuts never read the branch part, so normalizing an element of 50
+    branches asks the tree for no branch node."""
+    system = System(Ring(5), DisjointBranchesTree(60))
+    tree = system.tree
+    fact = coboundary(system, {i: y_elem(system, i, {(Node(i, i), i + 2): 1}) for i in (0, 2, 4, 6, 8)})
+    a = planted(system, {tree.branch(t): 1 + t % 4 for t in range(50)}, fact)
+    real, calls = type(tree).branch_node, []
+
+    def counting(self, branch, i):
+        calls.append((branch, i))
+        return real(self, branch, i)
+
+    monkeypatch.setattr(type(tree), "branch_node", counting)
+    normal = normalize_cobounded(a)
+    assert calls == []
+    assert normal.witness == fact and normal.element == planted(system, dict(a.combo))
 
 
 def test_normalize_refuses_a_perturbed_cut(sys1, monkeypatch):

@@ -4,28 +4,27 @@ out coefficient by coefficient.
 ``reference_eq_recurrences`` is the candidate-by-candidate check the sweep
 replaced: for every ``(nu, l)`` that any of the three entries of a triple can
 touch, it rebuilds the expected ``(i,k)`` coefficient from the ``(i,j)`` and
-``(j,k)`` entries with ring arithmetic.  On faulted entry maps the sweep must
-report the same violations in the same order, and ``check_coherence`` must
-hold exactly when that report is ok, which is what lets ``check`` read
-coherence off the recurrence sweep.
+``(j,k)`` entries with ring arithmetic.  Faults are injected by pre-filling
+the entry table of a fresh copy of an element (``conftest.prefilled``), the
+only entry source of the checks.  On faulted tables the sweep must report
+the same violations in the same order, and ``check_coherence`` must hold
+exactly when that report is ok, which is what lets ``check`` read coherence
+off the recurrence sweep.
 
 ``check_coherence`` sweeps only the consecutive triples ``(i, i+1, k)``; on
-faulted entry maps it must agree with ``all_triples_coherent``, the sweep
-over every triple that it replaced.  The full violation sweep reads
-``_defect``, which sums one triple's defect coefficients into one unreduced
-map without building an element; on faulted tables that map must present
-``reference_defect``, the defect written in module arithmetic, and reject a
-misplaced entry with the same error.
+faulted tables it must agree with ``all_triples_coherent``, the sweep over
+every triple that it replaced.  Both sweeps read ``_defects``, which sums
+the defect coefficients of the triples ``(i, j, k)`` of one pair ``(i, j)``
+into unreduced maps without building an element; on faulted tables each map
+must present ``reference_defect``, the defect written in module arithmetic,
+and a misplaced entry must be rejected with the same error.
 
-``check_coherence`` runs one loop per level ``i``: it reads ``a[i, i+1]``
-once, shares the map of ``-a[i, i+1]`` and one restriction map ``node ->
-node|i`` across the triples of the level, and reads ``a[i, k]`` and
-``a[i+1, k]`` per triple, which a recording entry map pins.
+``_defects`` reads ``a[i, j]`` once, starts each defect from the map of
+``-a[i, j]``, and maps ``a[j, k]`` through one restriction map ``node ->
+node|i`` per level, which a recording table and a counted ``_restrict`` pin.
 ``restriction_stability`` answers from one scan of each entry when the
-``(i, j)`` entry has no term below ``j``; both read the element's entry
-table directly when no entry map is given.  On faulted and misplaced
-entries, read through an entry map or planted in the table itself, both must
-answer, or raise, exactly as ``per_triple_coherence`` and
+``(i, j)`` entry has no term below ``j``.  On faulted and misplaced entries
+both must answer, or raise, exactly as ``per_triple_coherence`` and
 ``filtered_stability``, the per-triple code they replaced.
 """
 
@@ -44,17 +43,20 @@ from invsys import (
     ModuleElement,
     Ring,
     System,
-    Planted,
     apply_hom,
     check_coherence,
     check_eq_recurrences,
+    coboundary,
     module_element,
+    planted,
     restriction_stability,
 )
 from invsys import coherent
 from invsys.coherent import EqViolation
 from invsys.freemod import _add_hom, _add_terms
 from invsys.sampling import random_planted, sample_node
+
+from conftest import prefilled
 
 SYSTEMS = (
     System(Ring(3), DisjointBranchesTree(3)),
@@ -129,18 +131,13 @@ def fault_at(a, i, j, horizon, rng: Random):
 
 
 def perturbed(a, faults):
-    """The entry map of ``a`` plus ``faults``, a ``(i, j) -> element`` map."""
-
-    def ev(i, j):
-        entry = a.eval_entry(i, j)
-        fault = faults.get((i, j))
-        return entry if fault is None else entry + fault
-
-    return ev
+    """A copy of ``a`` whose table holds ``a``'s entry plus the fault at each
+    pair of ``faults``, a ``(i, j) -> element`` map."""
+    return prefilled(a, {pair: a.eval_entry(*pair) + fault for pair, fault in faults.items()})
 
 
 def faulted(a, horizon, rng: Random):
-    """The entry map of ``a`` with a few entries below the horizon perturbed."""
+    """A copy of ``a`` with a few entries below the horizon perturbed."""
     faults = {}
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(horizon - 1)
@@ -154,10 +151,10 @@ def faulted(a, horizon, rng: Random):
        horizon=st.integers(3, 7), fault=st.booleans())
 def test_defect_sweep_matches_reference(system, rng, horizon, fault):
     a = random_planted(system, rng, level_cap=horizon)
-    ev = faulted(a, horizon, rng) if fault else a.eval_entry
-    report = check_eq_recurrences(a, horizon, eval_fn=ev)
-    assert report.violations == reference_eq_recurrences(a, horizon, ev)
-    assert check_coherence(a, horizon, eval_fn=ev) == report.ok
+    b = faulted(a, horizon, rng) if fault else a
+    report = check_eq_recurrences(b, horizon)
+    assert report.violations == reference_eq_recurrences(b, horizon, b.eval_entry)
+    assert check_coherence(b, horizon) == report.ok
 
 
 def all_triples_coherent(horizon, ev):
@@ -178,8 +175,8 @@ def test_consecutive_triples_decide_coherence(system, rng, horizon, data):
     a = random_planted(system, rng, level_cap=horizon)
     pairs = data.draw(st.lists(st.sampled_from(pairs_below(horizon)), max_size=3, unique=True),
                       label="faulted pairs")
-    ev = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng) for i, j in pairs})
-    assert check_coherence(a, horizon, eval_fn=ev) == all_triples_coherent(horizon, ev)
+    b = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng) for i, j in pairs})
+    assert check_coherence(b, horizon) == all_triples_coherent(horizon, b.eval_entry)
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
@@ -191,8 +188,8 @@ def test_consecutive_triples_decide_coherence_at_every_pair(system):
     for _ in range(4):
         a = random_planted(system, rng, level_cap=horizon)
         for i, j in pairs_below(horizon):
-            ev = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng)})
-            assert check_coherence(a, horizon, eval_fn=ev) == all_triples_coherent(horizon, ev)
+            b = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng)})
+            assert check_coherence(b, horizon) == all_triples_coherent(horizon, b.eval_entry)
 
 
 def reference_defect(ev, i, j, k):
@@ -200,17 +197,39 @@ def reference_defect(ev, i, j, k):
     return ev(i, k) - (ev(i, j) + apply_hom(ev(j, k), i))
 
 
-def fast_reads(triples):
-    """The entry reads of ``check_coherence`` over consecutive triples: the
-    ``(i, i+1)`` entry once per level, then ``(i, k)`` and ``(i+1, k)`` per
-    triple."""
-    reads, level = [], None
+def sweep_reads(triples):
+    """The entry reads of a sweep over ``triples`` through ``_defects``: the
+    ``(i, j)`` entry once per run of triples of one pair, then ``(i, k)``
+    and ``(j, k)`` per triple."""
+    reads, pair = [], None
     for i, j, k in triples:
-        if i != level:
-            reads.append((i, j))
-            level = i
+        if (i, j) != pair:
+            pair = (i, j)
+            reads.append(pair)
         reads += [(i, k), (j, k)]
     return reads
+
+
+class Recording(dict):
+    """An entry table that records the pair of every read."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+def full_tables(a, h, rng):
+    """``a``'s full table below ``h``, and a copy with a fault at entry
+    ``(0, 7)``: one term of index 9."""
+    system = a.system
+    entries = {pair: a.eval_entry(*pair) for pair in pairs_below(h)}
+    fault = module_element(0, {(sample_node(system.tree, rng, 0), 9): 1},
+                           system.ring, system.tree)
+    return entries, {**entries, (0, 7): entries[(0, 7)] + fault}
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
@@ -218,41 +237,70 @@ def test_full_sweep_runs_only_on_a_defect(system, monkeypatch):
     rng = Random(f"fallback/{system.tree.kind}")
     a = random_planted(system, rng, max_fact_levels=4, level_cap=9)
     h = 14
+    entries, faulty = full_tables(a, h, rng)
     consecutive = [(i, i + 1, k) for i in range(h - 2) for k in range(i + 2, h)]
     every = [(i, j, k) for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h)]
-    swept, read = [], []
-    defect = coherent._defect
+    swept = []
+    defects = coherent._defects
 
-    # Only the full sweep maps a triple through ``_defect``; the fast sweep
-    # sums its defects level by level, and a recording entry map shows which
-    # triples it visits.
-    def counted_defect(ev, i, j, k):
-        swept.append((i, j, k))
-        return defect(ev, i, j, k)
+    # Both sweeps take their defects from ``_defects``; the wrapper records
+    # each triple whose defect is taken, and a recording table, installed
+    # fully pre-filled, records every entry read.
+    def counted(ev, i, j, horizon, down):
+        for k, acc in enumerate(defects(ev, i, j, horizon, down), j + 1):
+            swept.append((i, j, k))
+            yield acc
 
-    def recording(ev):
-        def rec(p, q):
-            read.append((p, q))
-            return ev(p, q)
-        return rec
-
-    monkeypatch.setattr(coherent, "_defect", counted_defect)
+    monkeypatch.setattr(coherent, "_defects", counted)
     assert check_eq_recurrences(a, h).ok
-    assert check_eq_recurrences(a, h, eval_fn=recording(a.eval_entry)).ok
-    assert swept == [] and len(consecutive) == comb(h - 1, 2)
-    assert read == fast_reads(consecutive)
+    swept.clear()
+    b = prefilled(a, entries, Recording)
+    assert check_eq_recurrences(b, h).ok
+    assert swept == consecutive and len(consecutive) == comb(h - 1, 2)
+    assert b._entries.reads == sweep_reads(consecutive)
 
     # The fast path reads entry (0, 7) only as the (i,k) entry of (0, 1, 7),
-    # stops there, and the full sweep then reads every triple once.
-    read.clear()
-    fault = module_element(0, {(sample_node(system.tree, rng, 0), 9): 1},
-                           system.ring, system.tree)
-    report = check_eq_recurrences(a, h, eval_fn=recording(perturbed(a, {(0, 7): fault})))
+    # stops there, and the full sweep then reads (i, j) once per pair and
+    # (i, k), (j, k) per triple.
+    swept.clear()
+    b = prefilled(a, faulty, Recording)
+    report = check_eq_recurrences(b, h)
     assert not report.ok
     fast = consecutive[:consecutive.index((0, 1, 7)) + 1]
-    assert swept == every and len(swept) == comb(h, 3)
-    assert read == fast_reads(fast) + [e for i, j, k in every for e in ((i, k), (i, j), (j, k))]
-    assert report.violations == reference_eq_recurrences(a, h, perturbed(a, {(0, 7): fault}))
+    assert swept == fast + every and len(every) == comb(h, 3)
+    assert b._entries.reads == sweep_reads(fast) + sweep_reads(every)
+    assert report.violations == reference_eq_recurrences(b, h, b.eval_entry)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_full_sweep_restricts_each_node_once_per_level(system, monkeypatch):
+    """The full sweep shares one restriction map per level ``i`` across its
+    pairs ``(i, j)``: ``tree._restrict`` runs once for each node of an entry
+    ``a[j, k]``, ``i < j < k``, and level ``i``, not once per triple."""
+    rng = Random(f"restrict-once/{system.tree.kind}")
+    ring, tree = system.ring, system.tree
+    # a term in every y_l, 1 <= l <= 8, so every level has nodes to restrict
+    y = {l: module_element(l, {(sample_node(tree, rng, l), l + 2): 1}, ring, tree)
+         for l in range(1, 9)}
+    a = random_planted(system, rng, level_cap=9) + planted(system, {}, coboundary(system, y))
+    h = 14
+    _, faulty = full_tables(a, h, rng)
+    b = prefilled(a, faulty)
+    once = sum(len({eta for j in range(i + 1, h) for k in range(j + 1, h)
+                    for eta, _, _ in faulty[(j, k)].terms}) for i in range(h - 2))
+    per_triple = sum(len(faulty[(j, k)].terms)
+                     for i in range(h) for j in range(i + 1, h) for k in range(j + 1, h))
+    real, restricted = type(system.tree)._restrict, []
+
+    def counting(self, address, i):
+        restricted.append((address, i))
+        return real(self, address, i)
+
+    # the table is incoherent, so the full sweep runs; it alone is counted
+    monkeypatch.setattr(coherent, "check_coherence", lambda *args: False)
+    monkeypatch.setattr(type(system.tree), "_restrict", counting)
+    assert not check_eq_recurrences(b, h).ok
+    assert len(restricted) == once < per_triple
 
 
 @settings(max_examples=80, deadline=None)
@@ -264,12 +312,16 @@ def test_defect_matches_reference(system, rng, horizon, data):
     a = random_planted(system, rng, level_cap=horizon)
     pairs = data.draw(st.lists(st.sampled_from(pairs_below(horizon)), max_size=3, unique=True),
                       label="faulted pairs")
-    ev = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng) for i, j in pairs})
-    for i in range(horizon):
-        for j in range(i + 1, horizon):
-            for k in range(j + 1, horizon):
-                got = module_element(i, coherent._defect(ev, i, j, k), system.ring, system.tree)
-                assert got == reference_defect(ev, i, j, k)
+    b = perturbed(a, {(i, j): fault_at(a, i, j, horizon, rng) for i, j in pairs})
+    ev, triples = coherent._reader(b), 0
+    for i in range(horizon - 2):
+        down = {}
+        for j in range(i + 1, horizon - 1):
+            for k, acc in enumerate(coherent._defects(ev, i, j, horizon, down), j + 1):
+                got = module_element(i, acc, system.ring, system.tree)
+                assert got == reference_defect(b.eval_entry, i, j, k)
+                triples += 1
+    assert triples == comb(horizon, 3)
 
 
 def raised(fn, *args):
@@ -296,11 +348,9 @@ def test_defect_paths_reject_a_misplaced_entry_alike(system, role):
         ModuleElement.zero(pair[0], other.ring, other.tree),
     )
     for wrong in misplaced:
-        def ev(p, q, wrong=wrong):
-            return wrong if (p, q) == pair else a.eval_entry(p, q)
-
-        message = raised(reference_defect, ev, i, j, k)
-        assert raised(coherent._defect, ev, i, j, k) == message
+        b = prefilled(a, {pair: wrong})
+        message = raised(reference_defect, b.eval_entry, i, j, k)
+        assert raised(list, coherent._defects(coherent._reader(b), i, j, k + 1, {})) == message
 
 
 def per_triple_defect(ev, i, j, k):
@@ -351,9 +401,9 @@ LOW_TERM_PLACES = ("none", "ij", "ik", "both-equal", "both-different")
 @settings(max_examples=150, deadline=None)
 @given(system=st.sampled_from(SYSTEMS), rng=st.randoms(use_true_random=False),
        horizon=st.integers(4, 8), place=st.sampled_from(LOW_TERM_PLACES),
-       misplace=st.booleans(), through_table=st.booleans(), data=st.data())
+       misplace=st.booleans(), every_pair=st.booleans(), data=st.data())
 def test_shared_work_sweeps_match_the_per_triple_code(system, rng, horizon, place, misplace,
-                                                     through_table, data):
+                                                     every_pair, data):
     ring, tree = system.ring, system.tree
     a = random_planted(system, rng, level_cap=horizon)
     pairs = data.draw(st.lists(st.sampled_from(pairs_below(horizon)), max_size=2, unique=True),
@@ -378,20 +428,12 @@ def test_shared_work_sweeps_match_the_per_triple_code(system, rng, horizon, plac
             ModuleElement.zero(p + 1, ring, tree),
             ModuleElement.zero(p, Ring(ring.modulus + 1), tree)]), label="misplaced entry")
 
-    if through_table:
-        # a fresh copy of ``a`` whose table already holds the faulted entries
-        # and some of the others; the sweeps, handed no entry map, read that
-        # table and compute the rest
-        b = Planted(system, a.combo, a.fact)
-        for pair in pairs_below(horizon):
-            if pair in table or rng.random() < 0.5:
-                b._entries[pair] = table.get(pair) or a.eval_entry(*pair)
-        ev, got_ev = b.eval_entry, None
-    else:
-        b = a
-        ev = got_ev = lambda p, q: table.get((p, q)) or a.eval_entry(p, q)
-    assert (outcome(check_coherence, b, horizon, got_ev)
-            == outcome(per_triple_coherence, b, horizon, ev))
+    # a fresh copy of ``a`` whose table already holds the faulted entries
+    # and every other entry, or some of them; the sweeps read that table and
+    # compute the rest
+    b = prefilled(a, {pair: table.get(pair) or a.eval_entry(*pair) for pair in pairs_below(horizon)
+                      if pair in table or every_pair or rng.random() < 0.5})
+    ev = b.eval_entry
+    assert outcome(check_coherence, b, horizon) == outcome(per_triple_coherence, b, horizon, ev)
     for t in combinations(range(horizon), 3):
-        assert (outcome(restriction_stability, b, *t, got_ev)
-                == outcome(filtered_stability, ev, *t))
+        assert outcome(restriction_stability, b, *t) == outcome(filtered_stability, ev, *t)

@@ -21,6 +21,8 @@ from invsys import (
 from invsys.freemod import _canonical
 from invsys.sampling import random_planted, sample_branch, sample_node
 
+from conftest import prefilled
+
 
 def b0(level):
     return Node(level, 0)
@@ -287,13 +289,10 @@ def test_elements_over_equal_systems_combine(system, rng, level):
 def test_defects_read_entries_over_an_equal_system(system, rng):
     a = random_planted(system, rng, level_cap=5)
     copy = parsed_copy(system)
-
-    def reparsed(i, j):
-        # every triple mixes entries over both copies
-        entry = a.eval_entry(i, j)
-        return entry._replace(ring=copy.ring, tree=copy.tree) if (i + j) % 2 else entry
-
-    assert check_eq_recurrences(a, 7, reparsed).ok
+    # every triple mixes entries over both copies
+    reparsed = prefilled(a, {(i, j): a.eval_entry(i, j)._replace(ring=copy.ring, tree=copy.tree)
+                             for i in range(7) for j in range(i + 1, 7) if (i + j) % 2})
+    assert check_eq_recurrences(reparsed, 7).ok
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,14 +315,9 @@ def test_defect_rejects_an_entry_of_another_system(system, rng, data, field):
     horizon = 7
     j = data.draw(st.integers(1, horizon - 1), label="j")
     i = data.draw(st.integers(0, j - 1), label="i")
-    other = foreign(system, field)
-
-    def faulted(p, q):
-        entry = a.eval_entry(p, q)
-        return entry._replace(**{field: other}) if (p, q) == (i, j) else entry
-
+    faulted = prefilled(a, {(i, j): a.eval_entry(i, j)._replace(**{field: foreign(system, field)})})
     with pytest.raises(ValueError, match="^operands live in different systems$"):
-        check_eq_recurrences(a, horizon, faulted)
+        check_eq_recurrences(faulted, horizon)
 
 
 def test_repr_is_the_field_listing(sys1):

@@ -3,10 +3,11 @@ every mutant and run every test it names.
 
 Running the mutants takes one pytest process each, so it is a separate step;
 this guard is cheap.  Each snippet occurs exactly once in its file under
-``src/``, its replacement differs from it, and each listed test ID is one
-that pytest collects.
+``src/``, its replacement differs from it, the mutated file still parses,
+and each listed test ID is one that pytest collects.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -23,9 +24,13 @@ MUTANTS = json.loads((ROOT / "tests" / "mutants.json").read_text())
 def test_each_snippet_occurs_once(mutant):
     assert set(mutant) == {"name", "file", "snippet", "replacement", "killed_by"}
     assert Path(mutant["file"]).parts[0] == "src"
-    assert (ROOT / mutant["file"]).read_text().count(mutant["snippet"]) == 1
+    text = (ROOT / mutant["file"]).read_text()
+    assert text.count(mutant["snippet"]) == 1
     assert mutant["replacement"] != mutant["snippet"]
     assert mutant["killed_by"]
+    # a mutant that does not parse fails every test by a SyntaxError, which
+    # shows nothing about the check it changes
+    ast.parse(text.replace(mutant["snippet"], mutant["replacement"]), mutant["file"])
 
 
 def test_mutant_names_are_distinct():

@@ -181,6 +181,27 @@ def test_solve_rejects_incoherent_table(sys1):
         trunc.solve_coboundary(table)
 
 
+def test_truncate_refuses_restrictions_that_do_not_compose(monkeypatch):
+    """A restriction that sends a level-3 node to level 1 off the path
+    through its level-2 node breaks ``hom(1, 2) hom(2, 3) = hom(1, 3)``, and
+    ``truncate`` refuses the maps it built."""
+    system = System(Ring(3), DecreasingSeqTree())
+    real = DecreasingSeqTree._restrict
+
+    def twisted(self, address, i):
+        if len(address) == 3 and i == 1:
+            return Node(1, (address[0] - 1,))
+        return real(self, address, i)
+
+    universe = {0: {()}, 1: {(1,), (2,), (3,)}, 2: {(2, 1), (3, 2)},
+                3: {(2, 1, 0), (3, 2, 1)}, 4: {(3, 2, 1, 0)}}
+    universe = {i: {Node(i, address) for address in level} for i, level in universe.items()}
+    assert truncate(system, 5, universe).composition_fault() is None
+    monkeypatch.setattr(DecreasingSeqTree, "_restrict", twisted)
+    with pytest.raises(AssertionError, match=r"^hom matrices fail to compose at \(1, 2, 3\)$"):
+        truncate(system, 5, universe)
+
+
 def test_universe_rejects_out_of_range_data(sys1):
     y5 = module_element(0, {(Node(0, 0), 7): 1}, sys1.ring, sys1.tree)
     a = planted(sys1, {}, coboundary(sys1, {0: y5}))
