@@ -300,7 +300,7 @@ def _run_card(system: System, elements, args):
 def _run_oracle_verify(system: System, elements, args):
     # The only command that needs the oracle and the sampler, so the only one
     # that loads them.
-    from .oracle import MAX_HEIGHT, truncate, universe_for
+    from .oracle import MAX_HEIGHT, NodeTable, truncate, universe_for
     from .sampling import random_planted
 
     height = args.horizon if args.horizon is not None else 6
@@ -315,9 +315,11 @@ def _run_oracle_verify(system: System, elements, args):
         ]
         labels = [f"random-{n}" for n in range(len(elements))]
     failures = []
+    # every truncation of this call restricts and validates through one table
+    table = NodeTable(system.tree)
     for label, elem in zip(labels, elements):
         try:
-            trunc = truncate(system, height, universe_for(system, [elem], height))
+            trunc = truncate(system, height, universe_for(system, [elem], height, table), table)
         except ValueError as exc:
             failures.append({"element": label, "kind": "truncation", "detail": str(exc)})
             continue

@@ -27,11 +27,17 @@ stacked over all levels, is a dict from coordinate to nonzero residue.  A
 table is a dict from ``(coordinate, column j)`` to nonzero residue; its
 level-``i`` coordinates in column ``j`` are the entry ``(i, j)``.
 
-Build.  ``truncate`` validates each universe node once, then lists ``_down``
-in one pass over the levels ``j`` and their nodes ``eta``, both ascending.
-Each ``eta`` is restricted, without re-validation, to every lower level, and
-a restriction outside the universe is refused.  The composition law is then
-checked on the result.  Every derived table is the coboundary table
+Build.  One ``oracle-verify`` call shares one ``NodeTable`` between its
+truncations: it maps each node to the tuple of its restrictions to every
+lower level, each computed once per call, and records the nodes
+``check_node`` has passed, so each node is validated once per call.
+``truncate`` checks each universe node through the table, then lists
+``_down`` in one pass over the levels ``j`` and their nodes ``eta``, both
+ascending.  Each ``eta``'s row reads its restrictions from the table, and a
+restriction outside the universe is refused.  The composition law is then
+checked on the result.  A truncation keeps all its own checks: the size
+caps, the level each node is filed under, closure and composition on its
+own rows; only the validation of a node and its restrictions are shared.  Every derived table is the coboundary table
 ``d(y)[i,j] = y_i - hom(i, j) y_j`` of one stacked vector, built by
 ``_coboundary_table``: a coordinate ``c = (eta, l)`` of level ``j`` adds
 ``y_c`` at ``(c, k)`` for every ``k > j`` and, in column ``j``, ``-y_c`` at
@@ -67,10 +73,12 @@ tests coherence only to explain a table that fails it.
 
 Node universe.  ``universe_for`` closes the nodes an element touches under
 restriction: a branch adds only its top node, whose restrictions are the
-branch's lower nodes, so a branch costs one ``branch_node`` call and
-``height - 1`` restrictions.  Those nodes come from trusted branch handles and
-validated ``y`` terms, so they are restricted without re-validation.  Every
-shipped family obeys that rule by construction (``Tree.branch_node``); a
+branch's lower nodes, so a branch costs one ``branch_node`` call and, the
+first time the call's table meets its top node, ``height - 1`` restrictions.
+It validates nothing: an element read from a file was validated on load, a
+sampled one is valid by construction, and ``truncate`` checks every universe
+node before it builds a row, whatever the element's source.  Every shipped
+family obeys that rule by construction (``Tree.branch_node``); a
 subclass whose ``branch_node`` broke it would still be caught: by
 ``truncate``'s closure check, by ``independent_table``, which refuses a branch
 node outside the universe, and by ``agreement``, since each branch node enters
@@ -79,7 +87,7 @@ through the node rows.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 from .coherent import Planted
 from .freemod import ModuleElement
@@ -307,20 +315,49 @@ def _pairs(height: int):
     return ((i, j) for i in range(height) for j in range(i + 1, height))
 
 
-def truncate(system: System, height: int, universe) -> TruncatedSystem:
+class NodeTable(dict):
+    """The tree work one ``oracle-verify`` call shares between its truncations.
+
+    The table maps a node to the tuple of its restrictions to levels ``0 ..
+    level - 1``, computed on the first read of the node and kept; ``checked``
+    holds the nodes ``check_node`` has passed.  A node is recorded there only
+    after its check returns, so an invalid node fails every truncation that
+    holds it.  A table is made for one tree and lives for one call.
+    """
+
+    __slots__ = ("tree", "checked")
+
+    def __init__(self, tree):
+        super().__init__()
+        self.tree = tree
+        self.checked: set[Node] = set()
+
+    def __missing__(self, node: Node) -> tuple[Node, ...]:
+        level = node.level
+        below = self[node] = tuple(map(self.tree._restrict, repeat(node.address, level), range(level)))
+        return below
+
+
+def truncate(system: System, height: int, universe, table: NodeTable | None = None) -> TruncatedSystem:
     """Build the explicit truncated modules and node rows in the pass the
     module docstring describes.  ``universe`` maps each level below ``height``
-    to its node set, which must be closed under restriction."""
+    to its node set, which must be closed under restriction.  ``table`` is the
+    call's node table; without one, a fresh table is used."""
     if not 3 <= height <= MAX_HEIGHT:
         raise ValueError(f"height must lie in [3, {MAX_HEIGHT}], got {height}")
     tree = system.tree
+    if table is None:
+        table = NodeTable(tree)
+    checked = table.checked
     levels: list[tuple[Node, ...]] = []
     for i in range(height):
         nodes = set(universe.get(i, ()))
         if len(nodes) > MAX_NODES_PER_LEVEL:
             raise ValueError(f"level {i} universe exceeds {MAX_NODES_PER_LEVEL} nodes")
         for node in nodes:
-            tree.check_node(node)
+            if node not in checked:
+                tree.check_node(node)
+                checked.add(node)
             if node.level != i:
                 raise ValueError(f"node {node!r} filed under level {i}")
         levels.append(tuple(sorted(nodes)))
@@ -333,17 +370,14 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
     for j in range(height):
         rows = []
         for eta in levels[j]:
-            row = []
-            for i in range(j):
-                r = row0[i].get(tree._restrict(eta.address, i))
-                if r is None:
-                    raise ValueError(
-                        f"universe is not closed under restriction: {eta!r} at level {i}"
-                    )
-                row.append(r)
-            rows.append(tuple(row))
+            row = tuple(map(dict.get, row0, table[eta]))
+            if None in row:
+                raise ValueError(
+                    f"universe is not closed under restriction: {eta!r} at level {row.index(None)}"
+                )
+            rows.append(row)
         down.append(tuple(rows))
-    level = tuple(j for j in range(height) for _ in range(dims[j]))
+    level = tuple(chain.from_iterable(map(repeat, range(height), dims)))
     trunc = TruncatedSystem(system, height, offsets, row0, level, tuple(down))
 
     fault = trunc.composition_fault()
@@ -352,13 +386,17 @@ def truncate(system: System, height: int, universe) -> TruncatedSystem:
     return trunc
 
 
-def universe_for(system: System, elements, height: int) -> dict[int, set[Node]]:
+def universe_for(system: System, elements, height: int,
+                 table: NodeTable | None = None) -> dict[int, set[Node]]:
     """The restriction closure of every node an element can touch below ``height``.
 
-    The nodes come from validated data (trusted branch handles and the terms
-    of validated ``y``), so they are restricted without re-validation.
+    Each node is restricted through ``table``, the call's node table (a fresh
+    one when none is given), so a node already in it costs no restriction.
+    Nothing is validated here: ``truncate`` checks every universe node.
     """
     tree = system.tree
+    if table is None:
+        table = NodeTable(tree)
     levels: dict[int, set[Node]] = {i: set() for i in range(height)}
 
     def add(node: Node) -> None:
@@ -366,8 +404,8 @@ def universe_for(system: System, elements, height: int) -> dict[int, set[Node]]:
         if node in levels[node.level]:
             return
         levels[node.level].add(node)
-        for lower in range(node.level):
-            levels[lower].add(tree._restrict(node.address, lower))
+        for lower, below in enumerate(table[node]):
+            levels[lower].add(below)
 
     for elem in elements:
         for branch, _ in elem.combo:

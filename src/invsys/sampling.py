@@ -2,14 +2,23 @@
 
 Everything is driven by a caller-supplied ``random.Random`` so identical seeds
 reproduce identical objects byte for byte.
+
+The draws build through the trusted constructors (``freemod._canonical``,
+``coherent._coboundary`` and ``coherent._planted``), which validate nothing.
+Each node address comes from the family's ``draw_address`` at the node's own
+level, each generator index lies above its level, and each coefficient in
+``[1, m)``.  Each branch is validated once, by ``tree.branch`` in
+``sample_branch``.  On the ``oracle-verify`` path every node of an element's
+universe is validated again by ``truncate``; ``tests/test_sampling.py`` checks
+the draws against the validating constructors.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .coherent import Coboundary, Planted, coboundary, planted
-from .freemod import module_element
+from .coherent import Coboundary, Planted, _coboundary, _planted
+from .freemod import _canonical
 from .system import System
 from .tree import Branch, Node, Tree
 
@@ -52,7 +61,7 @@ def random_coboundary(
     level_cap: int = 4,
     index_cap: int | None = None,
 ) -> Coboundary:
-    table = {}
+    entries = []
     levels = rng.sample(range(level_cap), rng.randint(0, min(max_levels, level_cap)))
     for level in levels:
         terms = {}
@@ -66,10 +75,8 @@ def random_coboundary(
             l = rng.randint(level + 1, top)
             key = (node, l)
             terms[key] = terms.get(key, 0) + rng.randrange(1, system.ring.modulus)
-        elem = module_element(level, terms, system.ring, system.tree)
-        if not elem.is_zero():
-            table[level] = elem
-    return coboundary(system, table)
+        entries.append((level, _canonical(level, terms, system.ring, system.tree)))
+    return _coboundary(system, entries)
 
 
 def random_planted(
@@ -85,4 +92,4 @@ def random_planted(
             combo[branch] = rng.randrange(1, system.ring.modulus)
     fact = random_coboundary(system, rng, max_levels=max_fact_levels, level_cap=level_cap,
                              index_cap=index_cap)
-    return planted(system, combo, fact)
+    return _planted(system, combo, fact)

@@ -321,11 +321,8 @@ class FiniteSupportTree(Tree):
             raise ValueError(f"{what} address must be a tuple of pairs: {pairs!r}")
         last = -1
         for entry in pairs:
-            if not isinstance(entry, tuple) or len(entry) != 2:
-                raise ValueError(f"{what} support entry must be a (position, value) pair: {entry!r}")
+            _check_pair(entry, what)
             p, v = entry
-            if type(p) is not int or type(v) is not int:
-                raise ValueError(f"{what} support position and value must be integers: {entry!r}")
             if p <= last:
                 raise ValueError(f"{what} support positions must be strictly increasing: {pairs!r}")
             last = p
@@ -380,14 +377,24 @@ class FiniteSupportTree(Tree):
             return cls(tuple(widths_table), json_int(eventual, "eventual width"))
 
     def _address_from_json(self, obj, what: str):
-        """A support map may list its pairs in any order: each pair is checked
-        by the family rule, then they are sorted."""
+        """A support map may list its pairs in any order.  Each pair's shape and
+        integers, which sorting needs, are checked here; then the pairs are
+        sorted, and the family rule checks ranges, order and duplicates once."""
         pairs = super()._address_from_json(obj, what)
         if isinstance(pairs, tuple):
             for entry in pairs:
-                self._check_support((entry,), None, what)
+                _check_pair(entry, what)
             pairs = tuple(sorted(pairs))
         return pairs
+
+
+def _check_pair(entry, what: str) -> None:
+    """A finite-support entry is a ``(position, value)`` pair of integers."""
+    if not isinstance(entry, tuple) or len(entry) != 2:
+        raise ValueError(f"{what} support entry must be a (position, value) pair: {entry!r}")
+    p, v = entry
+    if type(p) is not int or type(v) is not int:
+        raise ValueError(f"{what} support position and value must be integers: {entry!r}")
 
 
 class DecreasingSeqTree(Tree):

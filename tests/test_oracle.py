@@ -24,6 +24,9 @@ from invsys import (
     universe_for,
     zero_element,
 )
+from invsys.coherent import _coboundary, _planted
+from invsys.freemod import _canonical
+from invsys.oracle import NodeTable
 from invsys.sampling import BRANCH_POSITION_CAP, random_planted, sample_node
 
 
@@ -68,24 +71,77 @@ def test_non_closed_universe_rejected(sys1):
         truncate(sys1, 3, universe)
 
 
-@pytest.mark.parametrize("universe, node", [
+NOT_CLOSED = [
     # two nodes miss their restriction: the first in sorted order is named
     ({0: set(), 1: {Node(1, 1), Node(1, 0)}, 2: set()}, "Node(level=1, address=0)"),
     # a lower level's node is named before a higher level's
     ({0: set(), 1: {Node(1, 1)}, 2: {Node(2, 0)}}, "Node(level=1, address=1)"),
     # one node misses two restrictions: the lower level is named
     ({0: set(), 1: set(), 2: {Node(2, 0)}}, "Node(level=2, address=0)"),
-])
+]
+
+
+@pytest.mark.parametrize("universe, node", NOT_CLOSED)
 def test_non_closed_universe_names_the_first_missing_restriction(sys1, universe, node):
     with pytest.raises(ValueError, match=not_closed(node)):
         truncate(sys1, 3, universe)
 
 
-@pytest.mark.parametrize("bad", (Node(1, (1,)), Node(1, "x"), Node(0, 1)))
+MISFILED = (Node(1, (1,)), Node(1, "x"), Node(0, 1))
+
+
+@pytest.mark.parametrize("bad", MISFILED)
 def test_universe_nodes_are_checked_before_they_are_sorted(sys1, bad):
     universe = {0: {Node(0, 0), Node(0, 1)}, 1: {Node(1, 0), bad}, 2: set()}
     with pytest.raises(ValueError, match=r"^node address must be|filed under level 1$"):
         truncate(sys1, 3, universe)
+
+
+def warm_table(system):
+    """A node table that a truncation of both chains of ``sys1`` at height 3
+    has filled: every node of that tree below level 3 is in it, restricted
+    and validated."""
+    table = NodeTable(system.tree)
+    truncate(system, 3, {i: {Node(i, 0), Node(i, 1)} for i in range(3)}, table)
+    assert set(table) == table.checked and len(table) == 6
+    return table
+
+
+@pytest.mark.parametrize("universe, node", NOT_CLOSED)
+def test_shared_table_still_names_the_first_missing_restriction(sys1, universe, node):
+    # the table holds every restriction, and closure is still checked on
+    # the truncation's own rows
+    with pytest.raises(ValueError, match=not_closed(node)):
+        truncate(sys1, 3, universe, warm_table(sys1))
+
+
+@pytest.mark.parametrize("bad", MISFILED)
+def test_shared_table_still_refuses_a_misfiled_or_invalid_node(sys1, bad):
+    # Node(0, 1) is in the table, validated, and still refused under level 1
+    universe = {0: {Node(0, 0), Node(0, 1)}, 1: {Node(1, 0), bad}, 2: set()}
+    with pytest.raises(ValueError, match=r"^node address must be|filed under level 1$"):
+        truncate(sys1, 3, universe, warm_table(sys1))
+
+
+@pytest.mark.parametrize("system, bad, message", [
+    (System(Ring(3), FiniteSupportTree((), 2)), Node(2, ((0, 1), (1, 5))),
+     r"node value 5 at position 1 must lie in [1, 2)"),
+    (System(Ring(3), DecreasingSeqTree()), Node(2, (1, 3)),
+     "sequence must be strictly decreasing: Node(level=2, address=(1, 3))"),
+], ids=["finite_support", "decreasing_seq"])
+def test_shared_table_refuses_an_invalid_node_in_every_truncation(system, bad, message):
+    """An invalid node whose restrictions are valid, built past validation:
+    ``universe_for`` puts its restrictions in the table, and every truncation
+    that holds it still refuses it."""
+    y = _canonical(2, {(bad, 3): 1}, system.ring, system.tree)
+    a = _planted(system, {}, _coboundary(system, [(2, y)]))
+    table = NodeTable(system.tree)
+    for _ in range(3):
+        universe = universe_for(system, [a], 4, table)
+        assert bad in universe[2] and len(table[bad]) == 2
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            truncate(system, 4, universe, table)
+    assert bad not in table.checked
 
 
 def test_hom_matrices_compose(sys1, sysf):
@@ -897,3 +953,39 @@ def test_oracle_setup_restricts_trusted_nodes_once(system, presentation, monkeyp
     # every node against every lower level
     truncate(system, h, universe)
     assert calls == {"_restrict": comb(h, 2), "check_node": h}
+    calls.update(dict.fromkeys(calls, 0))
+    # through one table, the top node's restrictions are not computed again
+    table = NodeTable(system.tree)
+    truncate(system, h, universe_for(system, [a], h, table), table)
+    assert calls == {"_restrict": comb(h, 2) + 1, "check_node": h}
+
+
+SUITE_SYSTEMS = (
+    System(Ring(3), DisjointBranchesTree(3)),
+    System(Ring(4), FiniteSupportTree((2, 3), 2)),
+    System(Ring(3), DecreasingSeqTree()),
+)
+
+
+@pytest.mark.parametrize("system", SUITE_SYSTEMS, ids=[s.tree.kind for s in SUITE_SYSTEMS])
+def test_one_table_per_suite_restricts_and_validates_each_node_once(system, monkeypatch):
+    """The loop of ``oracle-verify`` on its 20-element suite at height 8: with
+    one node table, each distinct ``(node, lower level)`` is restricted once
+    and each distinct universe node validated once, over all 20 truncations."""
+    h = 8
+    rng = Random(5)
+    suite = [random_planted(system, rng, level_cap=min(3, h - 2), index_cap=h - 1)
+             for _ in range(20)]
+    universes = [universe_for(system, [a], h) for a in suite]
+    truncations = [truncate(system, h, universe) for universe in universes]
+    nodes = {node for universe in universes for level in universe.values() for node in level}
+    # universe_for reads each branch's top node off its presentation
+    top_nodes = sum(len(a.combo) for a in suite)
+    calls = counting_tree_work(monkeypatch, system.tree)
+    table = NodeTable(system.tree)
+    for a, universe, trunc in zip(suite, universes, truncations):
+        assert universe_for(system, [a], h, table) == universe
+        assert truncate(system, h, universe, table) == trunc
+    assert calls == {"_restrict": top_nodes + sum(node.level for node in nodes),
+                     "check_node": len(nodes)}
+    assert set(table) == table.checked == nodes
