@@ -3,7 +3,7 @@ decompositions, equivalence decisions, cardinality reports, and brute-force
 verification.  Output is deterministic JSON or a plain text rendering of the
 same structure.  The JSON layout is exactly that of ``json.dumps(report,
 sort_keys=True, indent=2)``: two-space indent, sorted keys, ASCII escapes.  The
-CLI writes it itself because before Python 3.14 ``json`` runs its C encoder only
+CLI writes it itself because before Python 3.13 ``json`` runs its C encoder only
 without ``indent``, and the pure-Python indented path was a large share of a
 small call's time.  In both formats, a path that is not valid UTF-8 appears
 with its undecodable bytes escaped as ``\\udcXX``.

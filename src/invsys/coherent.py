@@ -85,7 +85,7 @@ from .freemod import ModuleElement, _add_hom, _add_terms, _canonical, apply_hom
 from .ring import RingElem
 from .schema import SchemaError, Value, at, fail_at, json_int, json_list
 from .system import System
-from .tree import Branch, Node
+from .tree import Branch, Node, _new_tuple
 
 
 class Coboundary(Value):
@@ -183,7 +183,9 @@ def _coboundary(system: System, items) -> Coboundary:
     acc: dict[int, ModuleElement] = {}
     for level, elem in items:
         acc[level] = acc[level] + elem if level in acc else elem
-    return Coboundary(system, tuple(sorted((lvl, e) for lvl, e in acc.items() if not e.is_zero())))
+    entries = [(lvl, e) for lvl, e in acc.items() if not e.is_zero()]
+    entries.sort()
+    return Coboundary(system, tuple(entries))
 
 
 class Planted(Value):
@@ -258,7 +260,9 @@ class Planted(Value):
                 node = tree.branch_node(branch, i)
                 merged[node] = merged.get(node, 0) + coeff
             m = ring.modulus
-            row = tuple(sorted((node, v) for node, c in merged.items() if (v := c % m)))
+            row = [(node, v) for node, c in merged.items() if (v := c % m)]
+            row.sort()
+            row = tuple(row)
             self._branch_nodes[i] = row
         y = self.fact._by_level
         if i in y or j in y:
@@ -270,7 +274,9 @@ class Planted(Value):
                 _add_hom(acc, y[j], i, -1)
             out = _canonical(i, acc, ring, tree)
         else:
-            out = ModuleElement(i, tuple([(node, j, c) for node, c in row]), ring, tree)
+            # a trusted constructor (see the ``tree`` module docstring)
+            terms = tuple([(node, j, c) for node, c in row])
+            out = _new_tuple(ModuleElement, (i, terms, ring, tree))
         self._entries[(i, j)] = out
         return out
 
@@ -355,7 +361,9 @@ def _planted(system: System, acc: dict[Branch, int], fact: Coboundary) -> Plante
     elements, and ``Planted.from_json`` has checked each branch once, so they
     all build through it."""
     m = system.ring.modulus
-    return Planted(system, tuple(sorted((b, v) for b, c in acc.items() if (v := c % m))), fact)
+    combo = [(b, v) for b, c in acc.items() if (v := c % m)]
+    combo.sort()
+    return Planted(system, tuple(combo), fact)
 
 
 def branch_generator(system: System, branch: Branch, coeff=1) -> Planted:

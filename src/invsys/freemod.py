@@ -24,10 +24,13 @@ building an element at all.  ``_add_hom`` may also be handed a caller's
 restricts each of their distinct nodes once.
 
 ``ModuleElement`` is a named tuple, as ``tree.Node`` and ``Branch`` are, so it
-is built, compared and hashed in C.  An element therefore equals the plain
-tuple ``(level, terms, ring, tree)`` of its fields and is orderable as one,
-but that order means nothing; nor do ``len``, iteration or concatenation onto
-a plain tuple, which are tuple operations and not module arithmetic.  ``*``
+is compared and hashed in C.  ``_canonical``, which builds every element
+that has terms, is one of the trusted constructors the ``tree`` module
+docstring lists, so such an element is built in C too, through
+``tree._new_tuple``.  An element therefore equals the plain tuple
+``(level, terms, ring, tree)`` of its fields and is orderable as one, but
+that order means nothing; nor do ``len``, iteration or concatenation onto a
+plain tuple, which are tuple operations and not module arithmetic.  ``*``
 is refused with ``TypeError``, so ``2 * e`` cannot repeat the fields where a
 scalar multiple was meant.  Operands are matched by comparing the pairs
 ``(ring, tree)`` as tuples, which returns at once for the identical objects
@@ -41,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .ring import Ring, RingElem
 from .schema import at, fail_at, json_int, json_list
-from .tree import Node, Tree
+from .tree import Node, Tree, _new_tuple
 
 if TYPE_CHECKING:
     from .indexset import TailSet
@@ -190,8 +193,9 @@ def _canonical(level: int, acc: dict, ring: Ring, tree: Tree) -> ModuleElement:
     valid nodes at ``level`` with generator indices above it: coefficients
     reduced, zeros dropped, terms sorted in tuple order."""
     m = ring.modulus
-    terms = sorted((n, l, v) for (n, l), c in acc.items() if (v := c % m))
-    return ModuleElement(level, tuple(terms), ring, tree)
+    terms = [(n, l, v) for (n, l), c in acc.items() if (v := c % m)]
+    terms.sort()
+    return _new_tuple(ModuleElement, (level, tuple(terms), ring, tree))
 
 
 def generator(node: Node, l: int, ring: Ring, tree: Tree) -> ModuleElement:

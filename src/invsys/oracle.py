@@ -194,13 +194,14 @@ class TruncatedSystem(Value):
         one table."""
         h = self.height
         t: Table = {}
-        for i, j in _pairs(h):
-            row0 = self._row0[i]
-            for node, l, c in a.eval_entry(i, j).terms:
-                r = row0.get(node)
-                if r is None or not i < l < h:
-                    self._position(i, node, l)  # raises
-                t[r + l, j] = c  # canonical, so already reduced mod m and nonzero
+        for i in range(h - 1):
+            base = self._row0[i].get
+            for j in range(i + 1, h):
+                for node, l, c in a.eval_entry(i, j).terms:
+                    r = base(node)
+                    if r is None or not i < l < h:
+                        self._position(i, node, l)  # raises
+                    t[r + l, j] = c  # canonical, so already reduced mod m and nonzero
         return t
 
     def presentation_vector(self, a: Planted) -> Vector:
@@ -228,14 +229,16 @@ class TruncatedSystem(Value):
                 v[r + l] = c  # canonical, so already reduced mod m
         # branches can share a node, and a y term can sit at index h-1 on a
         # branch node, so a coordinate can repeat: its coefficients add
-        for i in range(h - 1):
-            row0 = self._row0[i]
-            for branch, coeff in a.combo:
+        top = h - 1
+        bases = self._row0[:top]
+        for branch, coeff in a.combo:
+            for i, row0 in enumerate(bases):
                 node = tree.branch_node(branch, i)
                 r = row0.get(node)
                 if r is None:
-                    raise ValueError(f"generator ({node!r}, {h - 1}) lies outside the node universe")
-                v[r + h - 1] = v.get(r + h - 1, 0) + coeff
+                    raise ValueError(f"generator ({node!r}, {top}) lies outside the node universe")
+                r += top
+                v[r] = v.get(r, 0) + coeff
         return self._reduced(v)
 
     def independent_table(self, a: Planted) -> Table:
@@ -309,10 +312,6 @@ class TruncatedSystem(Value):
         if not self.table_coherent(t):
             raise ValueError("table is not coherent; no coboundary solve is attempted")
         return self._top_column(t)
-
-
-def _pairs(height: int):
-    return ((i, j) for i in range(height) for j in range(i + 1, height))
 
 
 class NodeTable(dict):

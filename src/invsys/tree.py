@@ -48,6 +48,19 @@ sort key: its addresses must only compare, within one level, in the order its
 canonical forms take.  ``node_sort_key`` and ``branch_sort_key`` return the
 address and the presentation, which is that order; nothing in the package
 calls them.  Nodes and branches are always serialized through ``to_json``.
+
+Calling a named-tuple class runs its Python-level ``__new__``, whose only
+check is the number of fields.  The *trusted constructors* skip that frame
+and build the tuple in C with ``_new_tuple(cls, fields)``, which is
+``tuple.__new__``.  There are three, the hot builders of nodes and
+elements: each family's ``_restrict``, ``freemod._canonical``, and the entry
+that ``Planted.eval_entry`` (in ``coherent``) reads off a branch row alone.
+Each passes a tuple display of exactly the class's fields, in order, so the
+check it skips cannot fail there, and it builds the tuple the class call
+builds: the same type, value, hash and ``repr``.  No validation is skipped.
+``node_from_json`` builds its node through the class and ``check_node``;
+``module_element`` and the ``from_json`` readers check every term, then
+build through ``_canonical``.
 """
 
 from __future__ import annotations
@@ -57,6 +70,9 @@ from typing import NamedTuple
 from .schema import Value, at, json_int, json_list
 
 COUNTABLY_INFINITE = "countably-infinite"
+
+# The trusted named-tuple constructor of the module docstring.
+_new_tuple = tuple.__new__
 
 
 class NoBranchError(ValueError):
@@ -259,7 +275,7 @@ class DisjointBranchesTree(Tree):
             raise ValueError(f"node address must be a branch index below {self.count}: {node!r}")
 
     def _restrict(self, address, i: int) -> Node:
-        return Node(i, address)
+        return _new_tuple(Node, (i, address))
 
     def branch(self, presentation) -> Branch:
         if type(presentation) is not int or not 0 <= presentation < self.count:
@@ -323,11 +339,11 @@ class FiniteSupportTree(Tree):
         for entry in pairs:
             _check_pair(entry, what)
             p, v = entry
+            if p < 0 or (bound is not None and p >= bound):
+                raise ValueError(f"{what} support position {p} out of range")
             if p <= last:
                 raise ValueError(f"{what} support positions must be strictly increasing: {pairs!r}")
             last = p
-            if p < 0 or (bound is not None and p >= bound):
-                raise ValueError(f"{what} support position {p} out of range")
             if not 1 <= v < self.width(p):
                 raise ValueError(f"{what} value {v} at position {p} must lie in [1, {self.width(p)})")
 
@@ -335,7 +351,8 @@ class FiniteSupportTree(Tree):
         self._check_support(node.address, node.level, "node")
 
     def _restrict(self, address, i: int) -> Node:
-        return Node(i, tuple(p for p in address if p[0] < i))
+        kept = tuple([p for p in address if p[0] < i])
+        return _new_tuple(Node, (i, kept))
 
     def branch(self, presentation) -> Branch:
         self._check_support(presentation, None, "branch")
@@ -414,7 +431,7 @@ class DecreasingSeqTree(Tree):
                 raise ValueError(f"sequence must be strictly decreasing: {node!r}")
 
     def _restrict(self, address, i: int) -> Node:
-        return Node(i, address[:i])
+        return _new_tuple(Node, (i, address[:i]))
 
     def branch(self, presentation) -> Branch:
         raise NoBranchError("a decreasing-sequence tree has no branches")

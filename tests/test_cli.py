@@ -599,6 +599,8 @@ MALFORMED_ELEMENTS = {
         FINITE_SUPPORT),
     "support-map node value a float": (with_node(2, [[0, 2.0]]),
                                        "$.fact_y[0].elem.terms[0].node", FINITE_SUPPORT),
+    "support-map node position negative": (with_node(3, [[-1, 1]]),
+                                           "$.fact_y[0].elem.terms[0].node", FINITE_SUPPORT),
     "sequence node address a float and a bool": (with_node(2, [2.9, True]),
                                                  "$.fact_y[0].elem.terms[0].node", DECREASING_SEQ),
     "sequence node address a string": (with_node(1, ["3"]),

@@ -169,6 +169,11 @@ def test_canonical_form_is_idempotent(sys1):
     assert all(0 < c < sys1.ring.modulus for _, _, c in e.terms)
 
 
+def test_canonical_sorts_terms_listed_out_of_order(sys1):
+    e = module_element(0, {(b1(0), 2): 1, (b0(0), 3): 1, (b0(0), 1): 1}, sys1.ring, sys1.tree)
+    assert e.terms == ((b0(0), 1, 1), (b0(0), 3, 1), (b1(0), 2, 1))
+
+
 def test_invalid_terms_rejected(sys1):
     with pytest.raises(ValueError):
         module_element(0, {(b0(1), 2): 1}, sys1.ring, sys1.tree)  # node at wrong level

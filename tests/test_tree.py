@@ -157,6 +157,21 @@ def test_finite_support_branch_takes_only_the_tuple_form():
         tree.branch([[1, 1]])
 
 
+@pytest.mark.parametrize("read, message", [
+    (lambda tree: tree.node_from_json({"level": 3, "address": [[-1, 1]]}),
+     "node support position -1 out of range"),
+    (lambda tree: tree.node_from_json({"level": 3, "address": [[1, 1], [-1, 1]]}),
+     "node support position -1 out of range"),
+    (lambda tree: tree.branch_from_json([[-2, 1]]), "branch support position -2 out of range"),
+], ids=["node", "node, listed after a valid pair", "branch"])
+def test_negative_support_position_is_out_of_range(read, message):
+    """The range of a support position is checked before the order, so a
+    negative position is named as out of range."""
+    with pytest.raises(ValueError) as exc:
+        read(FiniteSupportTree((), 2))
+    assert str(exc.value) == message
+
+
 def test_decreasing_well_founded_descent_is_finite():
     # all descent chains from a node are finite: children values sit below the last entry
     tree = DecreasingSeqTree()

@@ -8,10 +8,15 @@ entry composed of canonical parts.  Every ``Planted`` keeps its own entry
 table, which must stay invisible to equality, hashing and serialization, and
 must make ``check`` compute each entry below its horizon exactly once; a
 repeated ``check`` builds no element at all, while still testing stability on
-every triple.
+every triple.  The trusted constructors build nodes and elements without the
+named-tuple class call; what they build must equal what the validating
+constructors build, and ``check`` and ``oracle-verify`` must call the classes
+only where they read or draw data.
 """
 
+import json
 from argparse import Namespace
+from collections import Counter
 from math import comb
 from random import Random
 
@@ -33,8 +38,9 @@ from invsys import (
     module_element,
     planted,
 )
-from invsys import cli, coherent, freemod
+from invsys import ModuleElement, Node, cli, coherent, freemod
 from invsys.cli import _run_check
+from invsys.oracle import truncate, universe_for
 from invsys.sampling import random_planted, sample_node
 
 SYSTEMS = (
@@ -190,6 +196,20 @@ def test_entries_match_the_boundary_reference(system, presentations, with_y):
             (tree.branch_node(combo[1][0], 3), m - 1), (tree.branch_node(combo[0][0], 3), 1))]
 
 
+def test_branch_row_is_sorted_where_restriction_reverses_the_combo_order():
+    """The branch ``((0, 1), (1, 1))`` sorts before ``((0, 1), (3, 1))``, but
+    at level 2 their nodes ``((0, 1), (1, 1))`` and ``((0, 1),)`` sort the
+    other way: the row, and so the entry, follows the nodes."""
+    system = System(Ring(3), FiniteSupportTree((), 2))
+    tree = system.tree
+    first, second = tree.branch(((0, 1), (1, 1))), tree.branch(((0, 1), (3, 1)))
+    a = planted(system, {second: 1, first: 2})
+    assert a.combo == ((first, 2), (second, 1))
+    low, high = Node(2, ((0, 1),)), Node(2, ((0, 1), (1, 1)))
+    assert a.eval_entry(2, 5).terms == ((low, 5, 1), (high, 5, 2))
+    assert a._branch_nodes[2] == ((low, 1), (high, 2))
+
+
 # -- op counts --------------------------------------------------------------------
 
 HORIZON = 14
@@ -343,3 +363,137 @@ def test_check_tests_stability_on_every_triple(system, monkeypatch):
     report, code = _run_check(system, [elem], CHECK_ARGS)
     assert (report["ok"], code) == (True, 0)
     assert len(triples) == len(set(triples)) == comb(HORIZON, 3) == 364
+
+
+# -- the trusted named-tuple constructors -------------------------------------------
+
+
+def validated(a):
+    """``a`` rebuilt through the validating constructors: ``Node`` rebuilds
+    every node of its coboundary part, ``module_element`` checks it, and
+    ``planted`` checks every branch."""
+    system = a.system
+    ring, tree = system.ring, system.tree
+    fact = coboundary(system, {
+        level: module_element(level, [((Node(*n), l), c) for n, l, c in e.terms], ring, tree)
+        for level, e in a.fact.entries})
+    return planted(system, list(a.combo), fact)
+
+
+def recording_restrict(monkeypatch, tree) -> list:
+    """Record ``(level, node)`` for every node the family's ``_restrict`` returns."""
+    restricted = []
+    family = type(tree)
+    restrict = family._restrict
+
+    def recorded(self, address, i):
+        node = restrict(self, address, i)
+        restricted.append((i, node))
+        return node
+
+    monkeypatch.setattr(family, "_restrict", recorded)
+    return restricted
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=systems, deep=st.booleans(), height=st.integers(3, 8),
+       rng=st.randoms(use_true_random=False))
+def test_trusted_builds_equal_the_validating_constructors(system, deep, height, rng):
+    """On check-deep-shaped elements (a coboundary part up to level 8, read
+    below 14) and on the sampler's suite elements at each oracle height, every
+    entry equals its reference built by the validating constructors, with the
+    same type, hash and ``repr``, and every node ``_restrict`` returns is the
+    node ``Node`` builds, and valid."""
+    tree = system.tree
+    if deep:
+        a, horizon = random_planted(system, rng, max_fact_levels=4, level_cap=9), HORIZON
+    else:
+        a = random_planted(system, rng, level_cap=min(3, height - 2), index_cap=height - 1)
+        horizon = height
+    reference = validated(a)
+    assert reference == a
+    with pytest.MonkeyPatch.context() as patch:
+        restricted = recording_restrict(patch, tree)
+        if not deep:
+            truncate(system, height, universe_for(system, [a], height))
+        for i in range(horizon):
+            for j in range(i + 1, horizon):
+                entry, want = a.eval_entry(i, j), reference_entry(reference, i, j)
+                assert type(entry) is ModuleElement
+                assert all(type(node) is Node for node, _, _ in entry.terms)
+                assert entry == want
+                assert (hash(entry), repr(entry)) == (hash(want), repr(want))
+    assert restricted or not a.combo
+    for level, node in restricted:
+        assert type(node) is Node
+        assert node == Node(level, node.address)
+        assert repr(node) == repr(Node(level, node.address))
+        tree.check_node(node)
+
+
+def counting_constructions(monkeypatch) -> Counter:
+    """Count the calls of the classes ``Node`` and ``ModuleElement``: each runs
+    the class's Python-level ``__new__``, which the trusted constructors skip."""
+    counts = Counter()
+    for cls in (Node, ModuleElement):
+        new = cls.__new__
+
+        def counted(klass, *args, new=new, name=cls.__name__, **kwargs):
+            counts[name] += 1
+            return new(klass, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", counted)
+    return counts
+
+
+def write_system(tmp_path, system) -> str:
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system.to_json()))
+    return str(path)
+
+
+# The coboundary terms of each family's ``deep_element``: the nodes a ``check``
+# of it reads from its file.
+CHECK_READS = {"disjoint_branches": 5, "finite_support": 8, "decreasing_seq": 5}
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_check_calls_the_classes_only_to_read_its_file(system, tmp_path, monkeypatch, capsys):
+    """``check --horizon 14`` builds one ``Node`` per term node it reads, in
+    ``node_from_json``, and no ``ModuleElement`` through the class: the
+    entries, the branch nodes and the restrictions are built by the trusted
+    constructors."""
+    elem = deep_element(system)
+    elem_path = tmp_path / "elem.json"
+    elem_path.write_text(json.dumps(elem.to_json()))
+    argv = ["--system", write_system(tmp_path, system), "--element", str(elem_path),
+            "--cmd", "check", "--horizon", str(HORIZON)]
+    counts = counting_constructions(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    read = sum(len(e.terms) for _, e in elem.fact.entries)
+    assert (counts["Node"], counts["ModuleElement"]) == (read, 0)
+    assert read == CHECK_READS[system.tree.kind]
+
+
+# The nodes the sampler draws for ``oracle-verify --horizon 8 --seed 0``.
+ORACLE_DRAWS = {"disjoint_branches": 58, "finite_support": 59, "decreasing_seq": 51}
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=FAMILY_IDS)
+def test_oracle_verify_calls_the_classes_only_in_the_sampler(system, tmp_path, monkeypatch,
+                                                            capsys):
+    """A 20-element ``oracle-verify`` builds a ``Node`` through the class only
+    where the sampler draws one, and no ``ModuleElement``."""
+    argv = ["--system", write_system(tmp_path, system), "--cmd", "oracle-verify",
+            "--horizon", "8", "--seed", "0"]
+    counts = counting_constructions(monkeypatch)
+    rng = Random(0)
+    for _ in range(20):
+        random_planted(system, rng, level_cap=3, index_cap=7)
+    drawn = counts.copy()
+    counts.clear()
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert counts == drawn
+    assert (drawn["Node"], drawn["ModuleElement"]) == (ORACLE_DRAWS[system.tree.kind], 0)
